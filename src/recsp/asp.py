@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CostOverflowError, InfeasibleError, NotSeriesParallelError
-from .graph import INF, Instance, on_st_path_mask
+from .graph import INF, Instance
 from .solution import Solution, build_solution
 
 ASP_INF = 1 << 62
@@ -68,7 +68,7 @@ def decompose(instance: Instance) -> DecompTree:
     """
     graph = instance.graph
     s, t = instance.source, instance.sink
-    on = on_st_path_mask(graph, s, t)
+    on = instance.on_path
 
     nodes: list[tuple] = []
     tails: list[int] = []
@@ -103,10 +103,10 @@ def decompose(instance: Instance) -> DecompTree:
         del out_by_head[tails[aid]][heads[aid]]
         del in_by_tail[heads[aid]][tails[aid]]
 
-    for arc in graph.arcs:
-        if on[arc.tail] and on[arc.head]:
-            nodes.append((LEAF, arc.id))
-            add(arc.tail, arc.head, len(nodes) - 1)
+    for a, (tail, head) in enumerate(zip(graph.tail, graph.head)):
+        if on[tail] and on[head]:
+            nodes.append((LEAF, a))
+            add(tail, head, len(nodes) - 1)
 
     pending = deque(v for v in sorted(out_by_head) if v != s and v != t)
     queued = set(pending)
@@ -140,9 +140,9 @@ def decompose(instance: Instance) -> DecompTree:
 
 def _check_magnitudes(graph):
     """Refuse costs that could bring a finite int64 entry near the sentinel."""
-    worst = 0
-    for arc in graph.arcs:
-        worst = max(worst, abs(arc.first_cost) + abs(arc.upper_cost))
+    worst = max(
+        (abs(f) + abs(u) for f, u in zip(graph.first, graph.upper)), default=0
+    )
     if 16 * (graph.arc_count + 2) * (worst + 1) >= ASP_INF:
         raise CostOverflowError(
             "cost magnitudes too large for the exact int64 kernel"
@@ -172,17 +172,16 @@ def _evaluate(graph, tree: DecompTree, k: int, keep_backpointers: bool):
     ll = jj + np.arange(width, dtype=np.intp)[None, :]
     scratch = np.empty((2, width, 2 * width - 1), dtype=np.int64)
 
-    arcs = graph.arcs
     for idx, node in enumerate(tree.nodes):
         kind = node[0]
         if kind == LEAF:
-            arc = arcs[node[1]]
+            a = node[1]
             upper = inf_row.copy()
             if k >= 1:
-                upper[1] = arc.upper_cost
+                upper[1] = graph.upper[a]
             opt = inf_row.copy()
-            opt[0] = arc.combined_cost
-            values[idx] = (arc.first_cost, upper, opt)
+            opt[0] = graph.combined[a]
+            values[idx] = (graph.first[a], upper, opt)
             continue
         left, right = node[1], node[2]
         lf, lu, lo = values[left]

@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 from .asp import solve_asp
-from .errors import InfeasibleError, NotLayeredError, NotSeriesParallelError
+from .errors import (
+    CostOverflowError,
+    InfeasibleError,
+    NotLayeredError,
+    NotSeriesParallelError,
+)
 from .graph import Instance, dag_shortest_paths, reconstruct_path
 from .oracle import solve_bruteforce
 from .reduction import solve_dag, solve_layered
@@ -24,8 +29,10 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
     """Solve an instance with the given method.
 
     ``auto`` tries the decomposition solver, then the layered one, then
-    falls back to the general solver; an explicitly requested method that
-    does not apply raises its recognition error instead of falling back.
+    falls back to the general solver; the decomposition solver also steps
+    aside when costs are too large for its int64 kernel.  An explicitly
+    requested method that does not apply raises its error instead of
+    falling back.
     ``oracle`` enumerates all path pairs and suits only small instances.
     k = 0 short-circuits to a plain shortest path for every method.
     """
@@ -43,7 +50,7 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
         return solve_bruteforce(instance)
     try:
         return solve_asp(instance)
-    except NotSeriesParallelError:
+    except (NotSeriesParallelError, CostOverflowError):
         pass
     try:
         return solve_layered(instance)

@@ -4,11 +4,17 @@ Costs are plain Python integers; the unreachable/impossible sentinel is
 ``INF`` (``float("inf")``).  Integer arithmetic never overflows in Python,
 so finite values stay exact, and ``x + INF == INF`` gives the saturating
 addition the dynamic programs rely on.
+
+A ``MultiDigraph`` is compiled once into per-arc integer columns and
+per-node arc lists, and keeps its topological order once it has been
+computed (``Instance`` validation does so); the routines here read those
+instead of the ``Arc`` objects and never sort the graph again.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CyclicGraphError, NotLayeredError, ValidationError
 
@@ -57,33 +63,59 @@ class Arc:
         raise ValueError(f"unknown cost selector {selector!r}")
 
 
+def _column():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class MultiDigraph:
     """Directed multigraph over nodes 0..node_count-1.
 
     Parallel arcs are permitted and stay distinct by arc id; the id of an
-    arc is its index in ``arcs``.
+    arc is its index in ``arcs``.  ``tail``, ``head``, ``first``, ``upper``
+    and ``combined`` are per-arc columns indexed by arc id (Python ints,
+    since sums of int64 costs can leave that range).
     """
 
     node_count: int
     arcs: tuple[Arc, ...]
-    _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    tail: list[int] = _column()
+    head: list[int] = _column()
+    first: list[int] = _column()
+    upper: list[int] = _column()
+    combined: list[int] = _column()
+    _out: tuple[tuple[int, ...], ...] = _column()
+    _in: tuple[tuple[int, ...], ...] = _column()
 
     def __post_init__(self):
         if self.node_count < 1:
             raise ValidationError("node_count must be >= 1")
-        out: list[list[int]] = [[] for _ in range(self.node_count)]
-        inc: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, arc in enumerate(self.arcs):
+        n = self.node_count
+        arcs = self.arcs
+        tail = [arc.tail for arc in arcs]
+        head = [arc.head for arc in arcs]
+        out: list[list[int]] = [[] for _ in range(n)]
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for i, (arc, t, h) in enumerate(zip(arcs, tail, head)):
             if arc.id != i:
                 raise ValidationError(f"arc id {arc.id} does not match position {i}")
-            if not (0 <= arc.tail < self.node_count and 0 <= arc.head < self.node_count):
+            if not (0 <= t < n and 0 <= h < n):
                 raise ValidationError(f"arc {i}: endpoint out of range")
-            out[arc.tail].append(i)
-            inc[arc.head].append(i)
-        object.__setattr__(self, "_out", tuple(tuple(a) for a in out))
-        object.__setattr__(self, "_in", tuple(tuple(a) for a in inc))
+            out[t].append(i)
+            inc[h].append(i)
+        first = [arc.first_cost for arc in arcs]
+        upper = [arc.nominal + arc.deviation for arc in arcs]
+        columns = {
+            "tail": tail,
+            "head": head,
+            "first": first,
+            "upper": upper,
+            "combined": [f + u for f, u in zip(first, upper)],
+            "_out": tuple(map(tuple, out)),
+            "_in": tuple(map(tuple, inc)),
+        }
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, node_count: int, rows) -> "MultiDigraph":
@@ -103,6 +135,29 @@ class MultiDigraph:
 
     def in_arcs(self, v: int) -> tuple[int, ...]:
         return self._in[v]
+
+    def column(self, selector: str) -> list[int]:
+        """The per-arc cost column named by a selector from COST_SELECTORS."""
+        if selector not in COST_SELECTORS:
+            raise ValueError(f"unknown cost selector {selector!r}")
+        return getattr(self, selector)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """``topological_order`` of the graph, computed on first use and kept."""
+        return tuple(topological_order(self))
+
+    @cached_property
+    def position(self) -> list[int]:
+        """``position[v]`` is the index of node v in ``order``."""
+        pos = [0] * self.node_count
+        for p, v in enumerate(self.order):
+            pos[v] = p
+        return pos
+
+    def after(self, v: int) -> tuple[int, ...]:
+        """The nodes following v in ``order``: all a sweep from v can reach."""
+        return self.order[self.position[v] + 1:]
 
 
 @dataclass(frozen=True)
@@ -124,9 +179,23 @@ class Instance:
             raise ValidationError("source and sink must differ")
         if not (0 <= self.k < n):
             raise ValidationError(f"k={self.k} outside 0 <= k < {n}")
-        topological_order(self.graph)
+        self.graph.order  # sorts the graph once, raising CyclicGraphError
         if not reachable_from(self.graph, self.source)[self.sink]:
             raise ValidationError("sink is not reachable from source")
+
+    @cached_property
+    def on_path(self) -> list[bool]:
+        """``on_st_path_mask`` of the terminals, computed once."""
+        return on_st_path_mask(self.graph, self.source, self.sink)
+
+    @cached_property
+    def effective_k(self) -> int:
+        """k capped at the longest source-sink hop count.
+
+        A recovery path has no more arcs than that, so no stage pair can
+        diverge by more: the budget beyond it buys nothing.
+        """
+        return min(self.k, longest_hops(self.graph, self.source)[self.sink])
 
 
 def topological_order(graph: MultiDigraph) -> list[int]:
@@ -134,9 +203,10 @@ def topological_order(graph: MultiDigraph) -> list[int]:
 
     Raises CyclicGraphError if the graph has a directed cycle.
     """
+    head = graph.head
     indeg = [0] * graph.node_count
-    for arc in graph.arcs:
-        indeg[arc.head] += 1
+    for h in head:
+        indeg[h] += 1
     ready = [v for v in range(graph.node_count) if indeg[v] == 0]
     heapq.heapify(ready)
     order = []
@@ -144,7 +214,7 @@ def topological_order(graph: MultiDigraph) -> list[int]:
         v = heapq.heappop(ready)
         order.append(v)
         for a in graph.out_arcs(v):
-            h = graph.arcs[a].head
+            h = head[a]
             indeg[h] -= 1
             if indeg[h] == 0:
                 heapq.heappush(ready, h)
@@ -153,34 +223,28 @@ def topological_order(graph: MultiDigraph) -> list[int]:
     return order
 
 
-def reachable_from(graph: MultiDigraph, source: int) -> list[bool]:
-    """Forward reachability mask from ``source``."""
-    seen = [False] * graph.node_count
-    seen[source] = True
-    stack = [source]
+def _search(adjacency, ends, start: int, node_count: int) -> list[bool]:
+    seen = [False] * node_count
+    seen[start] = True
+    stack = [start]
     while stack:
         v = stack.pop()
-        for a in graph.out_arcs(v):
-            h = graph.arcs[a].head
-            if not seen[h]:
-                seen[h] = True
-                stack.append(h)
+        for a in adjacency[v]:
+            w = ends[a]
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
     return seen
+
+
+def reachable_from(graph: MultiDigraph, source: int) -> list[bool]:
+    """Forward reachability mask from ``source``."""
+    return _search(graph._out, graph.head, source, graph.node_count)
 
 
 def reaches(graph: MultiDigraph, sink: int) -> list[bool]:
     """Backward reachability mask: nodes from which ``sink`` is reachable."""
-    seen = [False] * graph.node_count
-    seen[sink] = True
-    stack = [sink]
-    while stack:
-        v = stack.pop()
-        for a in graph.in_arcs(v):
-            t = graph.arcs[a].tail
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return seen
+    return _search(graph._in, graph.tail, sink, graph.node_count)
 
 
 def on_st_path_mask(graph: MultiDigraph, source: int, sink: int) -> list[bool]:
@@ -195,6 +259,21 @@ def on_st_path_mask(graph: MultiDigraph, source: int, sink: int) -> list[bool]:
     return [f and b for f, b in zip(fwd, bwd)]
 
 
+def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
+    """Most arcs on any source->v path, for every v (-1 if unreachable)."""
+    tail = graph.tail
+    hops = [-1] * graph.node_count
+    hops[source] = 0
+    for v in graph.after(source):
+        best = -1
+        for a in graph.in_arcs(v):
+            h = hops[tail[a]]
+            if h >= 0 and h >= best:
+                best = h + 1
+        hops[v] = best
+    return hops
+
+
 def compute_layering(instance: Instance) -> dict[int, int]:
     """Layer assignment for the nodes on source-sink paths.
 
@@ -204,14 +283,15 @@ def compute_layering(instance: Instance) -> dict[int, int]:
     NotLayeredError when no such assignment exists on the pruned graph.
     """
     graph = instance.graph
-    on = on_st_path_mask(graph, instance.source, instance.sink)
+    on = instance.on_path
+    head = graph.head
     layer: dict[int, int] = {instance.source: 1}
-    for v in topological_order(graph):
+    for v in graph.order[graph.position[instance.source]:]:
         if not on[v]:
             continue
         lv = layer[v]  # set before v is reached: v lies on a path from source
         for a in graph.out_arcs(v):
-            h = graph.arcs[a].head
+            h = head[a]
             if not on[h]:
                 continue
             if h in layer:
@@ -234,19 +314,20 @@ def dag_shortest_paths(
     the last arc on one optimal path (None at the source / unreachable).
     Ties are broken by the smallest incoming arc id.
     """
-    if selector not in COST_SELECTORS:
-        raise ValueError(f"unknown cost selector {selector!r}")
-    cost = [arc.cost(selector) for arc in graph.arcs]
+    cost = graph.column(selector)
+    tail = graph.tail
     dist: list = [INF] * graph.node_count
     parent: list = [None] * graph.node_count
     dist[source] = 0
-    for v in topological_order(graph):
-        best = dist[v]
+    for v in graph.after(source):
+        best = INF
         for a in graph.in_arcs(v):
-            d = dist[graph.arcs[a].tail]
-            if d is not INF and d + cost[a] < best:
-                best = d + cost[a]
-                parent[v] = a
+            d = dist[tail[a]]
+            if d is not INF:
+                d += cost[a]
+                if d < best:
+                    best = d
+                    parent[v] = a
         dist[v] = best
     return dist, parent
 
@@ -255,12 +336,13 @@ def reconstruct_path(graph: MultiDigraph, parent: list, source: int, target: int
     """Arc-id path source->target from a parent-arc array, or None if unreachable."""
     if target != source and parent[target] is None:
         return None
+    tail = graph.tail
     arcs = []
     v = target
     while v != source:
         a = parent[v]
         arcs.append(a)
-        v = graph.arcs[a].tail
+        v = tail[a]
     arcs.reverse()
     return tuple(arcs)
 
@@ -278,32 +360,43 @@ class HopBoundedTable:
     _NONE = -2
 
     def __init__(self, graph: MultiDigraph, selector: str, source: int, max_hops: int):
-        if selector not in COST_SELECTORS:
-            raise ValueError(f"unknown cost selector {selector!r}")
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
+        cost = graph.column(selector)
+        tail = graph.tail
         self.graph = graph
         self.source = source
         self.max_hops = max_hops
-        cost = [arc.cost(selector) for arc in graph.arcs]
         width = max_hops + 1
-        dist = [[INF] * width for _ in range(graph.node_count)]
-        back = [[self._NONE] * width for _ in range(graph.node_count)]
-        dist[source][0] = 0
-        for v in topological_order(graph):
-            dv = dist[v]
-            bv = back[v]
+        carry, none = self._CARRY, self._NONE
+        unreached = [INF] * width  # shared, never written: nodes out of reach
+        dist = [unreached] * graph.node_count
+        back: list = [None] * graph.node_count
+        dist[source] = [0] * width
+        back[source] = [none] + [carry] * max_hops
+        for v in graph.after(source):
+            row = [INF] * width
+            bp = [none] * width
+            for a in graph.in_arcs(v):
+                src = dist[tail[a]]
+                if src is unreached:
+                    continue
+                c = cost[a]
+                for l in range(1, width):
+                    d = src[l - 1]
+                    if d is not INF and d + c < row[l]:
+                        row[l] = d + c
+                        bp[l] = a
+            if row[max_hops] is INF:
+                continue  # unreachable within max_hops: keep the shared row
+            # carry last, yet winning ties: reuse the best path with fewer arcs
             for l in range(1, width):
-                # carry first: reuse the best path with fewer arcs
-                best = dv[l - 1]
-                bp = self._CARRY if best is not INF else self._NONE
-                for a in graph.in_arcs(v):
-                    d = dist[graph.arcs[a].tail][l - 1]
-                    if d is not INF and d + cost[a] < best:
-                        best = d + cost[a]
-                        bp = a
-                dv[l] = best
-                bv[l] = bp
+                d = row[l - 1]
+                if d is not INF and d <= row[l]:
+                    row[l] = d
+                    bp[l] = carry
+            dist[v] = row
+            back[v] = bp
         self.dist = dist
         self._back = back
 
@@ -318,6 +411,7 @@ class HopBoundedTable:
         """One optimal path realizing dist[v][l], or None if it is INF."""
         if self.dist[v][l] is INF:
             return None
+        tail = self.graph.tail
         arcs = []
         while True:
             bp = self._back[v][l]
@@ -327,16 +421,10 @@ class HopBoundedTable:
                 l -= 1
                 continue
             arcs.append(bp)
-            v = self.graph.arcs[bp].tail
+            v = tail[bp]
             l -= 1
         arcs.reverse()
         return tuple(arcs)
-
-
-def hop_bounded_table(
-    graph: MultiDigraph, selector: str, source: int, max_hops: int
-) -> HopBoundedTable:
-    return HopBoundedTable(graph, selector, source, max_hops)
 
 
 def divergence_count(y_arcs, x_arcs) -> int:
@@ -352,19 +440,18 @@ def path_error(graph: MultiDigraph, arc_ids, source: int, sink: int):
     for a in arc_ids:
         if not (0 <= a < m):
             return f"arc id {a} out of range"
-    first = graph.arcs[arc_ids[0]]
-    if first.tail != source:
-        return f"path starts at node {first.tail}, not at source {source}"
-    prev_head = first.tail
+    tail, head = graph.tail, graph.head
+    if tail[arc_ids[0]] != source:
+        return f"path starts at node {tail[arc_ids[0]]}, not at source {source}"
+    prev_head = source
     visited = set()
     for a in arc_ids:
-        arc = graph.arcs[a]
-        if arc.tail != prev_head:
-            return f"arc {a} starts at {arc.tail}, previous arc ended at {prev_head}"
-        if arc.tail in visited:
-            return f"node {arc.tail} repeated"
-        visited.add(arc.tail)
-        prev_head = arc.head
+        if tail[a] != prev_head:
+            return f"arc {a} starts at {tail[a]}, previous arc ended at {prev_head}"
+        if tail[a] in visited:
+            return f"node {tail[a]} repeated"
+        visited.add(tail[a])
+        prev_head = head[a]
     if prev_head in visited:
         return f"node {prev_head} repeated"
     if prev_head != sink:
@@ -373,4 +460,5 @@ def path_error(graph: MultiDigraph, arc_ids, source: int, sink: int):
 
 
 def path_cost(graph: MultiDigraph, arc_ids, selector: str) -> int:
-    return sum(graph.arcs[a].cost(selector) for a in arc_ids)
+    cost = graph.column(selector)
+    return sum(cost[a] for a in arc_ids)

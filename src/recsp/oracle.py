@@ -32,7 +32,7 @@ def enumerate_st_paths(
             if arc_stack:
                 arc_stack.pop()
             continue
-        head = graph.arcs[a].head
+        head = graph.head[a]
         if head == sink:
             paths.append(tuple(arc_stack + [a]))
             if len(paths) > limit:

@@ -101,6 +101,18 @@ def test_overflow_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_auto_falls_through_on_overflow_but_asp_exits_10(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(
+        "p recsp 3 3 0 2 1\na 0 1 4000000000000000000 1 0\n"
+        "a 1 2 1 1 1\na 0 2 5 5 5\n"
+    )
+    assert main(["solve", "-i", str(huge)]) == 0
+    assert "total 15" in capsys.readouterr().out
+    assert main(["solve", "-i", str(huge), "--method", "asp"]) == 10
+    capsys.readouterr()
+
+
 def test_too_many_paths_exit_code(tmp_path, capsys):
     # 17 two-arc gaps in series: 2^17 paths blow the enumeration cap
     lines = ["p recsp 18 34 0 17 1"]

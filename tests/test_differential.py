@@ -1,0 +1,145 @@
+"""Differential tests: every applicable solver against the oracle.
+
+Hypothesis draws small acyclic multigraphs (random DAGs with dangling
+nodes, layered graphs with off-path stubs, series-parallel graphs) with
+negative costs, parallel arcs and, in some draws, costs on either side of
+the asp kernel's int64 guard.  Each graph is solved for every budget
+0 <= k < n, which covers k at and beyond the longest source-sink path.
+"""
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from recsp.asp import ASP_INF
+from recsp.dispatch import solve
+from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
+from recsp.generator import generate_instance
+from recsp.graph import Instance, MultiDigraph
+from recsp.oracle import solve_bruteforce
+from recsp.solution import verify_solution
+
+COSTS = st.integers(-20, 20)
+DEVIATIONS = st.integers(0, 10)
+
+
+def _row(draw, tail, head):
+    return (tail, head, draw(COSTS), draw(COSTS), draw(DEVIATIONS))
+
+
+@st.composite
+def random_dags(draw):
+    """Arcs go forward in a shuffled node order; an s-t backbone keeps the
+    sink reachable and the other arcs may dangle off every s-t path."""
+    n = draw(st.integers(2, 7))
+    label = draw(st.permutations(range(n)))
+    inner = []
+    if n > 2:
+        inner = draw(st.lists(st.integers(1, n - 2), unique=True, max_size=n - 2))
+    backbone = [0, *sorted(inner), n - 1]
+    rows = [_row(draw, label[a], label[b]) for a, b in zip(backbone, backbone[1:])]
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        rows.append(_row(draw, label[a], label[b]))
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order], label[0], label[n - 1]
+
+
+@st.composite
+def layered_dags(draw):
+    """Layers 0..L with arcs between consecutive layers (parallels allowed),
+    plus stubs that break the layering but lie off every s-t path."""
+    widths = [1, *draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)), 1]
+    layers, n = [], 0
+    for w in widths:
+        layers.append(list(range(n, n + w)))
+        n += w
+    rows = []
+    for here, there in zip(layers, layers[1:]):
+        for v in there:  # every node gets an in-arc and, below, an out-arc
+            rows.append(_row(draw, draw(st.sampled_from(here)), v))
+        for v in here:
+            rows.append(_row(draw, v, draw(st.sampled_from(there))))
+        for _ in range(draw(st.integers(0, 2))):
+            tail, head = draw(st.sampled_from(here)), draw(st.sampled_from(there))
+            rows.append(_row(draw, tail, head))
+    if draw(st.booleans()):
+        # a dead end fed from two layers: on an s-t path it would break the layering
+        rows.append(_row(draw, 0, n))
+        if n - 1 > 1:
+            rows.append(_row(draw, draw(st.integers(1, n - 2)), n))
+        n += 1
+    return n, rows, 0, layers[-1][0]
+
+
+@st.composite
+def series_parallel(draw):
+    inst = generate_instance("asp", draw(st.integers(0, 10**6)),
+                             arcs=draw(st.integers(1, 9)), k=1)
+    g = inst.graph
+    rows = [_row(draw, t, h) for t, h in zip(g.tail, g.head)]
+    return g.node_count, rows, inst.source, inst.sink
+
+
+def _guard_limit(arc_count):
+    """Smallest |first| + |upper| of one arc that the asp guard refuses."""
+    q = 16 * (arc_count + 2)
+    return -(-ASP_INF // q) - 1
+
+
+@st.composite
+def graphs(draw):
+    n, rows, s, t = draw(st.one_of(random_dags(), layered_dags(), series_parallel()))
+    if draw(st.integers(0, 3)) == 0:
+        # push one arc's cost to just below, at or just above the guard
+        worst = _guard_limit(len(rows)) + draw(st.integers(-1, 1))
+        i = draw(st.integers(0, len(rows) - 1))
+        tail, head, _, nominal, deviation = rows[i]
+        sign = draw(st.sampled_from((1, -1)))
+        first = sign * (worst - abs(nominal + deviation))
+        rows[i] = (tail, head, first, nominal, deviation)
+    return MultiDigraph.from_rows(n, rows), s, t
+
+
+def _check(inst, method, want):
+    sol = solve(inst, method)
+    assert sol.total_cost == want, method
+    assert verify_solution(inst, sol).accepted, method
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs())
+def test_every_solver_matches_the_oracle(drawn):
+    graph, s, t = drawn
+    worst = max(abs(f) + abs(u) for f, u in zip(graph.first, graph.upper))
+    over_guard = worst >= _guard_limit(graph.arc_count)
+    for k in range(graph.node_count):
+        inst = Instance(graph, s, t, k)
+        want = solve_bruteforce(inst).total_cost
+        _check(inst, "auto", want)
+        _check(inst, "dag", want)
+        try:
+            _check(inst, "layered", want)
+        except NotLayeredError:
+            pass
+        try:
+            _check(inst, "asp", want)
+            assert not over_guard or k == 0
+        except NotSeriesParallelError:
+            pass
+        except CostOverflowError:
+            assert over_guard
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_guard_boundary_is_exact(offset):
+    # one arc: |first| + |upper| one below, then at, the refused magnitude
+    worst = _guard_limit(1) + offset
+    inst = Instance(MultiDigraph.from_rows(2, [(0, 1, worst - 3, 2, 1)]), 0, 1, 1)
+    if offset < 0:
+        assert solve(inst, "asp").total_cost == worst
+    else:
+        with pytest.raises(CostOverflowError):
+            solve(inst, "asp")
+    assert solve(inst).total_cost == worst

@@ -2,6 +2,7 @@ import pytest
 
 from recsp.dispatch import METHODS, solve
 from recsp.errors import (
+    CostOverflowError,
     NotLayeredError,
     NotSeriesParallelError,
     TooManyPathsError,
@@ -36,6 +37,25 @@ def test_explicit_method_does_not_fall_back():
 def test_auto_falls_back_to_the_general_solver():
     inst = bridge_instance()
     assert solve(inst).total_cost == solve_bruteforce(inst).total_cost
+
+
+def overflow_instance():
+    # series-parallel, but arc 0's cost is past the asp kernel's int64 guard
+    g = MultiDigraph.from_rows(3, [
+        (0, 1, 4 * 10**18, 1, 0), (1, 2, 1, 1, 1), (0, 2, 5, 5, 5),
+    ])
+    return Instance(g, 0, 2, 1)
+
+
+def test_auto_falls_through_on_cost_overflow():
+    inst = overflow_instance()
+    with pytest.raises(CostOverflowError):
+        solve(inst, "asp")
+    # not layered either (0 -> 2 skips a layer), so auto ends at dag
+    sol = solve(inst)
+    assert sol.total_cost == 15
+    assert sol.total_cost == solve(inst, "dag").total_cost
+    assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
 def test_zero_budget_shortcut_applies_to_every_method():

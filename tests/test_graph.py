@@ -4,12 +4,13 @@ from recsp.errors import CyclicGraphError, NotLayeredError, ValidationError
 from recsp.graph import (
     INF,
     Arc,
+    HopBoundedTable,
     Instance,
     MultiDigraph,
     compute_layering,
     dag_shortest_paths,
     divergence_count,
-    hop_bounded_table,
+    longest_hops,
     on_st_path_mask,
     path_cost,
     path_error,
@@ -104,6 +105,22 @@ def test_on_st_path_mask_drops_dangling_nodes():
     assert on_st_path_mask(g, 0, 2) == [True, True, True, False, False]
 
 
+def test_effective_k_caps_at_longest_path():
+    # longest 0-3 path has 3 arcs beside the one-arc shortcut; 4 is unreachable
+    g = build(5, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 3, 1, 1, 0),
+                  (0, 3, 1, 1, 0), (4, 3, 1, 1, 0)])
+    assert longest_hops(g, 0) == [0, 1, 2, 3, -1]
+    assert Instance(g, 0, 3, 4).effective_k == 3
+    assert Instance(g, 0, 3, 2).effective_k == 2
+
+
+def test_graph_is_sorted_once_and_sweeps_start_at_the_source():
+    g = build(4, [(2, 0, 1, 1, 0), (0, 1, 1, 1, 0), (2, 3, 1, 1, 0), (1, 3, 1, 1, 0)])
+    assert g.order == (2, 0, 1, 3) and g.order is g.order
+    assert g.position == [1, 2, 0, 3]
+    assert g.after(0) == (1, 3)
+
+
 def test_layering_simple_chain():
     g = build(3, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0)])
     assert compute_layering(Instance(g, 0, 2, 1)) == {0: 1, 1: 2, 2: 3}
@@ -167,7 +184,7 @@ def test_hop_table_matches_enumeration():
         n = rng.randint(3, 7)
         g = random_dag(rng, n, rng.randint(n, 12))
         max_hops = rng.randint(1, 4)
-        table = hop_bounded_table(g, "upper", 0, max_hops)
+        table = HopBoundedTable(g, "upper", 0, max_hops)
         for v in range(1, n):
             paths = enumerate_st_paths(g, 0, v)
             for l in range(max_hops + 1):
@@ -193,7 +210,7 @@ def test_hop_table_values_nonincreasing_in_allowance():
     for trial in range(30):
         n = rng.randint(3, 7)
         g = random_dag(rng, n, rng.randint(n, 12))
-        table = hop_bounded_table(g, "upper", 0, 5)
+        table = HopBoundedTable(g, "upper", 0, 5)
         for v in range(n):
             for l in range(1, 6):
                 assert table.dist[v][l] <= table.dist[v][l - 1]

@@ -1,5 +1,7 @@
 import pytest
 
+import recsp.graph
+from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph
@@ -7,6 +9,7 @@ from recsp.oracle import solve_bruteforce
 from recsp.reduction import (
     build_dag_reduction,
     build_layered_reduction,
+    pair_paths,
     solve_dag,
     solve_layered,
 )
@@ -34,7 +37,8 @@ def parallel_pair(k):
 
 
 def test_layered_reduction_structure_on_parallel_pair():
-    arcs = build_layered_reduction(parallel_pair(1))
+    inst = parallel_pair(1)
+    arcs = build_layered_reduction(inst)
     direct = [a for a in arcs if a.ref[0] == "direct"]
     pairs = [a for a in arcs if a.ref[0] == "pair"]
     assert len(direct) == 1 and len(pairs) == 1
@@ -42,7 +46,9 @@ def test_layered_reduction_structure_on_parallel_pair():
     assert direct[0].cost == 7 and direct[0].time == 0 and direct[0].ref[1] == 0
     # stage pair: cheapest first-stage arc + cheapest worst-case arc
     assert pairs[0].cost == 3 and pairs[0].time == 1
-    assert pairs[0].ref[1] == (1,) and pairs[0].ref[2] == (0,)
+    # the pair arc expands to those two stage paths
+    assert pairs[0].ref == ("pair", 0, 1)
+    assert pair_paths(inst.graph, pairs[0]) == ((1,), (0,))
 
 
 def test_dag_reduction_structure_on_parallel_pair():
@@ -60,6 +66,39 @@ def test_dag_reduction_arc_budget_sweep():
     arcs = build_dag_reduction(Instance(g, 0, 2, 2))
     pairs = [(a.tail, a.head, a.time) for a in arcs if a.ref[0] == "pair"]
     assert sorted(pairs) == [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 2, 1), (1, 2, 2)]
+
+
+def test_reductions_keep_on_path_nodes_and_the_effective_budget():
+    # 0 -> 1 -> 2 with parallels on both gaps; 1 -> 3 dangles and 4 -> 1
+    # hangs above the path.  k = 4 is twice the longest 0-2 path.
+    g = MultiDigraph.from_rows(5, [
+        (0, 1, 4, 1, 3), (0, 1, 1, 6, 0), (1, 2, 2, 2, 2), (1, 2, 5, 0, 1),
+        (1, 3, 1, 1, 0), (4, 1, 1, 1, 0),
+    ])
+    inst = Instance(g, 0, 2, 4)
+    assert inst.effective_k == 2
+    for build in (build_layered_reduction, build_dag_reduction):
+        arcs = build(inst)
+        assert {a.tail for a in arcs} | {a.head for a in arcs} == {0, 1, 2}
+        assert max(a.time for a in arcs) == 2
+    assert solve_layered(inst).total_cost == solve_bruteforce(inst).total_cost
+    assert solve_dag(inst).total_cost == solve_bruteforce(inst).total_cost
+
+
+@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
+def test_each_instance_sorts_its_graph_once(monkeypatch, method):
+    sorts = []
+    original = recsp.graph.topological_order
+
+    def counting(graph):
+        sorts.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(recsp.graph, "topological_order", counting)
+    inst = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
+    sol = solve(inst, method)
+    assert sorts == [inst.graph]
+    assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
 def test_solvers_require_positive_budget():
