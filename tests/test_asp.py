@@ -1,11 +1,16 @@
+import math
+import time
+
 import pytest
 
+from recsp import asp
 from recsp.asp import LEAF, PARALLEL, SERIES, decompose, root_values, solve_asp
+from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotSeriesParallelError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import INF, Instance, MultiDigraph
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
-from recsp.reduction import solve_dag
+from recsp.reduction import solve_dag, solve_layered
 from recsp.solution import verify_solution
 
 
@@ -140,6 +145,14 @@ def test_identical_parallel_arcs_prefer_first():
     assert sol.total_cost == 2 and sol.divergence == 0
 
 
+def test_equal_first_stage_arcs_prefer_first():
+    # the recovery takes arc 2; arcs 0 and 1 tie as the first stage
+    g = MultiDigraph.from_rows(2, [(0, 1, 1, 9, 1), (0, 1, 1, 9, 1), (0, 1, 5, 0, 0)])
+    sol = solve_asp(Instance(g, 0, 1, 1))
+    assert sol.x_arcs == (0,) and sol.y_arcs == (2,)
+    assert sol.total_cost == 1 and sol.divergence == 1
+
+
 def test_huge_costs_raise_overflow_error():
     g = MultiDigraph.from_rows(2, [(0, 1, 1 << 58, 0, 0)])
     with pytest.raises(CostOverflowError):
@@ -156,3 +169,99 @@ def test_negative_costs_supported():
     for k in (1, 2):
         inst = Instance(g, 0, 2, k)
         assert solve_asp(inst).total_cost == solve_bruteforce(inst).total_cost
+
+
+TALL = 4096
+
+
+def _costs(i):
+    return i % 7 - 3, i % 5, i % 3
+
+
+def long_path(arcs, k):
+    rows = [(i, i + 1, *_costs(i)) for i in range(arcs)]
+    return Instance(MultiDigraph.from_rows(arcs + 1, rows), 0, arcs, k)
+
+
+def wide_bundle(arcs, k):
+    # nodes past the sink are isolated; they only let k reach past 1
+    rows = [(0, 1, *_costs(i)) for i in range(arcs)]
+    return Instance(MultiDigraph.from_rows(max(2, k + 1), rows), 0, 1, k)
+
+
+@pytest.mark.parametrize("k", [1, 50])
+@pytest.mark.parametrize("shape", [long_path, wide_bundle])
+def test_tall_runs_are_rebalanced(shape, k):
+    inst = shape(TALL, k)
+    tree = decompose(inst)
+    assert tree.height <= 2 * math.ceil(math.log2(TALL)) + 2
+    assert tree.leaf_count == inst.graph.arc_count
+    assert len(tree.nodes) == 2 * TALL - 1
+    sol = solve_asp(inst)
+    assert verify_solution(inst, sol).accepted
+    if shape is long_path:
+        # the only path is both stages; the dag reduction is quadratic in
+        # the path's length, so the layered solver is the second opinion
+        assert sol.total_cost == sum(inst.graph.combined)
+        assert sol.total_cost == solve_layered(inst).total_cost
+    else:
+        assert sol.total_cost == min(inst.graph.first) + min(inst.graph.upper)
+        assert sol.total_cost == solve_dag(inst).total_cost
+
+
+def test_width_is_capped_at_the_effective_budget():
+    # 500 parallel two-arc paths: 1002 nodes, longest path 2 arcs, k = 1001
+    rows = []
+    for i in range(500):
+        rows.append((0, 2 + i, *_costs(i)))
+        rows.append((2 + i, 1, *_costs(3 * i + 1)))
+    inst = Instance(MultiDigraph.from_rows(1002, rows), 0, 1, 1001)
+    assert decompose(inst).hops == inst.effective_k == 2
+    start = time.perf_counter()
+    sol = solve_asp(inst)
+    assert time.perf_counter() - start < 1.0
+    assert sol.total_cost == solve(inst, "dag").total_cost
+    rv = root_values(inst)
+    assert len(rv.opt) == len(rv.upper) == 1002
+    assert rv.opt[3:] == rv.upper[3:] == (INF,) * 999
+    assert rv.upper[2] != INF
+
+
+def test_root_values_pad_past_the_longest_path():
+    g = MultiDigraph.from_rows(5, [(0, 1, 1, 3, 0), (1, 2, 2, 2, 2)])
+    assert root_values(Instance(g, 0, 2, 4)) == bruteforce_root_values(Instance(g, 0, 2, 4))
+    assert root_values(Instance(g, 0, 2, 4)).opt == (10, INF, INF, INF, INF)
+
+
+def _count_steps(monkeypatch):
+    steps = []
+    for name in ("_parallel_step", "_series_step"):
+        step = getattr(asp, name)
+
+        def counted(*args, step=step):
+            steps.append(len(args[0]))
+            return step(*args)
+
+        monkeypatch.setattr(asp, name, counted)
+    return steps
+
+
+@pytest.mark.parametrize("make", [
+    lambda: long_path(TALL, 1),
+    lambda: long_path(TALL, 50),
+    lambda: wide_bundle(TALL, 50),
+    lambda: generate_instance("asp", 0xB10C, arcs=5000, k=50),
+])
+def test_sweep_takes_one_batched_step_per_height_and_kind(monkeypatch, make):
+    inst = make()
+    tree = decompose(inst)
+    width = min(inst.k, tree.hops) + 1
+    inner = len(tree.nodes) - tree.leaf_count
+    # a height splits into further blocks only past BLOCK_CELLS per step
+    rows = max(1, asp.BLOCK_CELLS // (2 * width * width))
+    steps = _count_steps(monkeypatch)
+    solve_asp(inst)
+    assert sum(steps) == inner
+    assert len(steps) <= 2 * tree.height + math.ceil(inner / rows)
+    if width == 2:
+        assert len(steps) <= 2 * tree.height

@@ -1,21 +1,23 @@
 """Differential tests: every applicable solver against the oracle.
 
 Hypothesis draws small acyclic multigraphs (random DAGs with dangling
-nodes, layered graphs with off-path stubs, series-parallel graphs) with
-negative costs, parallel arcs and, in some draws, costs on either side of
-the asp kernel's int64 guard.  Each graph is solved for every budget
-0 <= k < n, which covers k at and beyond the longest source-sink path.
+nodes, layered graphs with off-path stubs, series-parallel graphs among
+them long chains and wide bundles) with negative costs, parallel arcs
+and, in some draws, costs on either side of the asp kernel's int64 guard.
+Each graph is solved for every budget 0 <= k < n, which covers k at and
+beyond the longest source-sink path; where asp applies, its exact root
+arrays must also equal the oracle's.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recsp.asp import ASP_INF
+from recsp.asp import ASP_INF, root_values
 from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
 from recsp.graph import Instance, MultiDigraph
-from recsp.oracle import solve_bruteforce
+from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.solution import verify_solution
 
 COSTS = st.integers(-20, 20)
@@ -74,11 +76,28 @@ def layered_dags(draw):
 
 @st.composite
 def series_parallel(draw):
-    inst = generate_instance("asp", draw(st.integers(0, 10**6)),
-                             arcs=draw(st.integers(1, 9)), k=1)
-    g = inst.graph
-    rows = [_row(draw, t, h) for t, h in zip(g.tail, g.head)]
-    return g.node_count, rows, inst.source, inst.sink
+    """Generated series-parallel graphs, long chains and wide bundles (the
+    tallest trees before their runs are balanced) and bundles of chains;
+    isolated extra nodes let k pass the longest path."""
+    shape = draw(st.sampled_from(("generated", "chain", "bundle", "chains")))
+    if shape == "generated":
+        inst = generate_instance("asp", draw(st.integers(0, 10**6)),
+                                 arcs=draw(st.integers(1, 9)), k=1)
+        g = inst.graph
+        n, pairs, s, t = g.node_count, list(zip(g.tail, g.head)), inst.source, inst.sink
+    elif shape == "chain":
+        m = draw(st.integers(1, 12))
+        n, pairs, s, t = m + 1, [(i, i + 1) for i in range(m)], 0, m
+    elif shape == "bundle":
+        n, pairs, s, t = 2, [(0, 1)] * draw(st.integers(2, 12)), 0, 1
+    else:
+        n, pairs, s, t = 2, [], 0, 1
+        for length in draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)):
+            way = [0, *range(n, n + length - 1), 1]
+            n += length - 1
+            pairs += zip(way, way[1:])
+    n += draw(st.integers(0, 3))
+    return n, [_row(draw, tail, head) for tail, head in pairs], s, t
 
 
 def _guard_limit(arc_count):
@@ -126,6 +145,7 @@ def test_every_solver_matches_the_oracle(drawn):
         try:
             _check(inst, "asp", want)
             assert not over_guard or k == 0
+            assert root_values(inst) == bruteforce_root_values(inst)
         except NotSeriesParallelError:
             pass
         except CostOverflowError:
