@@ -26,8 +26,6 @@ from .instance_io import (
     serialize_instance,
     serialize_solution,
 )
-from .reduction import solve_dag, solve_layered
-from .asp import solve_asp
 from .solution import verify_solution
 
 EXIT_OK = 0
@@ -53,8 +51,6 @@ _ERROR_EXITS = (
     (ValidationError, EXIT_VALIDATION),
     (ConfigError, EXIT_CONFIG),
 )
-
-_BENCH_SOLVERS = {"layered": solve_layered, "dag": solve_dag, "asp": solve_asp}
 
 
 def _read(path: str) -> str:
@@ -114,13 +110,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """One CSV row per size: generate, solve, cross-check against solve_dag.
+    """One CSV row per size: generate, solve with the family's method,
+    cross-check against the ``dag`` method.
 
     Instances over the --limit arc count skip the cross-check (the general
     solver is quadratic in nodes).  A row whose solve fails records the
     error class instead of an agreement flag.
     """
-    solver = _BENCH_SOLVERS[args.family]
     rows = []
     for index, arcs in enumerate(args.sizes):
         seed = args.seed + index
@@ -132,7 +128,7 @@ def cmd_bench(args) -> int:
         m = instance.graph.arc_count
         start = time.perf_counter()
         try:
-            solution = solver(instance)
+            solution = solve(instance, args.family)
         except RecspError as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(
@@ -142,7 +138,7 @@ def cmd_bench(args) -> int:
             continue
         elapsed = (time.perf_counter() - start) * 1000.0
         if m <= args.limit:
-            reference = solve_dag(instance)
+            reference = solve(instance, "dag")
             agreement = "yes" if reference.total_cost == solution.total_cost else "no"
         else:
             agreement = "skipped"
@@ -209,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated arc counts, e.g. 100,200,400")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--limit", type=int, default=600,
-                   help="largest arc count still cross-checked against solve_dag")
+                   help="largest arc count still cross-checked against --method dag")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -1,123 +1,72 @@
-"""Budget-constrained shortest paths on DAGs.
+"""Budget-constrained shortest paths by DP over (node, budget used).
 
-Each arc carries an additive cost and a nonnegative integer time; a path
-is feasible when its total time stays within the budget.  This is the
-target problem both reduction-based solvers compile into.
+The one kernel behind both reduction-based solvers (Joksch 1966; Hassin
+1992).  A transition ``(tail, head, cost, time, arc)`` moves from tail to
+head for an additive cost and spends a nonnegative integer time of the
+budget; ``arc`` is the caller's payload and never influences the search.
+The caller lists every transition into a node before any transition out
+of it (for instance source by source in a topological order), so one
+forward pass computes, for each node and exact time used, the least cost
+of reaching it, with no sort and no adjacency lists; the sink's row is
+then carried from time t - 1 to t to allow any time within the budget.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
-from .errors import CyclicGraphError
 from .graph import INF
 
-
-@dataclass(frozen=True)
-class CspArc:
-    """Arc of the constrained problem.
-
-    ``ref`` is an opaque payload the caller can use to map a constrained
-    path back to whatever the arc stands for; it never influences the
-    search.
-    """
-
-    tail: int
-    head: int
-    cost: int
-    time: int
-    ref: object = None
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"arc time {self.time} < 0")
-
-
-@dataclass(frozen=True)
-class CspResult:
-    cost: int
-    arcs: tuple[CspArc, ...]
-    time_used: int
-
-
 _CARRY = -1
-_NONE = -2
 
 
-def solve_csp(node_count, arcs, source, sink, budget) -> CspResult | None:
-    """Minimum-cost source->sink path whose total time is at most ``budget``.
+def solve_csp(node_count, transitions, source, sink, budget):
+    """``(cost, transitions)`` of a minimum-cost source->sink path whose
+    total time is at most ``budget``, or None when no such path exists.
 
-    Returns None when no feasible path exists.  Among equal-cost optima the
-    result uses the least time, then prefers arcs earlier in ``arcs``.
-    Costs may be negative; the arc set must be acyclic.
+    ``transitions`` must be ordered as the module docstring says.  Among
+    equal-cost optima the path uses the least time, then prefers
+    transitions earlier in the list.  Costs may be negative.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-
-    in_arcs: list[list[int]] = [[] for _ in range(node_count)]
-    out_arcs: list[list[int]] = [[] for _ in range(node_count)]
-    indeg = [0] * node_count
-    for i, arc in enumerate(arcs):
-        in_arcs[arc.head].append(i)
-        out_arcs[arc.tail].append(i)
-        indeg[arc.head] += 1
-    ready = [v for v in range(node_count) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for i in out_arcs[v]:
-            h = arcs[i].head
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                heapq.heappush(ready, h)
-    if len(order) != node_count:
-        raise CyclicGraphError("constrained problem graph contains a cycle")
-
     width = budget + 1
-    dist = [[INF] * width for _ in range(node_count)]
-    back = [[_NONE] * width for _ in range(node_count)]
-    dist[source][0] = 0
-    for v in order:
-        dv = dist[v]
-        bv = back[v]
-        for t in range(width):
-            # carrying the t-1 entry first makes ties resolve to less time
-            if t > 0 and dv[t - 1] < dv[t]:
-                dv[t] = dv[t - 1]
-                bv[t] = _CARRY
-            best = dv[t]
-            bp = bv[t]
-            for i in in_arcs[v]:
-                arc = arcs[i]
-                if arc.time > t:
-                    continue
-                d = dist[arc.tail][t - arc.time]
-                if d is not INF and d + arc.cost < best:
-                    best = d + arc.cost
-                    bp = i
-            dv[t] = best
-            bv[t] = bp
+    dist: list = [None] * node_count
+    back: list = [None] * node_count
+    dist[source] = [0] + [INF] * budget
+    back[source] = [None] * width
+    for step in transitions:
+        tail, head, cost, time, _ = step
+        src = dist[tail]
+        if src is None:
+            continue  # the tail is out of reach
+        row = dist[head]
+        if row is None:
+            row = dist[head] = [INF] * width
+            back[head] = [None] * width
+        bp = back[head]
+        for t in range(time, width):
+            d = src[t - time] + cost
+            if d < row[t]:
+                row[t] = d
+                bp[t] = step
 
-    if dist[sink][budget] is INF:
+    row = dist[sink]
+    if row is None:
+        return None
+    bp = back[sink]
+    for t in range(1, width):
+        # carrying wins ties, so equal costs resolve to less time
+        if row[t - 1] <= row[t]:
+            row[t] = row[t - 1]
+            bp[t] = _CARRY
+    if row[budget] is INF:
         return None
     path = []
     v, t = sink, budget
-    while True:
-        bp = back[v][t]
-        if bp == _NONE:
-            break
-        if bp == _CARRY:
+    while (step := back[v][t]) is not None:
+        if step is _CARRY:
             t -= 1
             continue
-        arc = arcs[bp]
-        path.append(arc)
-        v = arc.tail
-        t -= arc.time
+        path.append(step)
+        v = step[0]
+        t -= step[3]
     path.reverse()
-    return CspResult(
-        cost=dist[sink][budget],
-        arcs=tuple(path),
-        time_used=sum(a.time for a in path),
-    )
+    return row[budget], path

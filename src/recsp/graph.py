@@ -53,15 +53,6 @@ class Arc:
     def combined_cost(self) -> int:
         return self.first_cost + self.nominal + self.deviation
 
-    def cost(self, selector: str) -> int:
-        if selector == "first":
-            return self.first_cost
-        if selector == "upper":
-            return self.upper_cost
-        if selector == "combined":
-            return self.combined_cost
-        raise ValueError(f"unknown cost selector {selector!r}")
-
 
 def _column():
     return field(init=False, repr=False, compare=False)
@@ -399,13 +390,6 @@ class HopBoundedTable:
             back[v] = bp
         self.dist = dist
         self._back = back
-
-    def min_hops(self, v: int):
-        """Smallest l with dist[v][l] finite, or None if v is unreachable."""
-        for l, d in enumerate(self.dist[v]):
-            if d is not INF:
-                return l
-        return None
 
     def path_to(self, v: int, l: int):
         """One optimal path realizing dist[v][l], or None if it is INF."""

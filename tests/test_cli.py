@@ -177,17 +177,18 @@ def test_generate_config_error_exit_code(capsys):
 
 
 def test_bench_csv_schema_and_agreement(capsys):
-    assert main(["bench", "--family", "asp", "--seed", "11",
-                 "--sizes", "8,12,16", "--k", "2"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["family", "n", "m", "k", "method", "total",
-                       "time_ms", "agreement"]
-    assert len(rows) == 4
-    for row in rows[1:]:
-        assert row[0] == "asp" and row[4] == "asp"
-        assert int(row[2]) in (8, 12, 16)
-        assert row[7] == "yes"
-        float(row[6])
+    for k in ("2", "0"):
+        assert main(["bench", "--family", "asp", "--seed", "11",
+                     "--sizes", "8,12,16", "--k", k]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["family", "n", "m", "k", "method", "total",
+                           "time_ms", "agreement"]
+        assert len(rows) == 4
+        for row in rows[1:]:
+            assert row[0] == "asp" and row[4] == "asp" and row[3] == k
+            assert int(row[2]) in (8, 12, 16)
+            assert row[7] == "yes"
+            float(row[6])
 
 
 def test_bench_limit_skips_cross_check(capsys):

@@ -1,77 +1,59 @@
-import pytest
-
-from recsp.csp import CspArc, CspResult, solve_csp
-from recsp.errors import CyclicGraphError
+from recsp.csp import solve_csp
 from recsp.generator import SplitMix64
-
-
-def test_arc_rejects_negative_time():
-    with pytest.raises(ValueError):
-        CspArc(0, 1, 1, -1)
 
 
 def test_budget_forces_costlier_route():
     # cheap route needs 2 time units, expensive one none
-    arcs = [
-        CspArc(0, 1, 1, 1),
-        CspArc(1, 2, 1, 1),
-        CspArc(0, 2, 10, 0),
+    transitions = [
+        (0, 1, 1, 1, None),
+        (0, 2, 10, 0, None),
+        (1, 2, 1, 1, None),
     ]
-    tight = solve_csp(3, arcs, 0, 2, 0)
-    assert tight.cost == 10 and tight.time_used == 0
-    loose = solve_csp(3, arcs, 0, 2, 2)
-    assert loose.cost == 2 and loose.time_used == 2
-    assert [a.tail for a in loose.arcs] == [0, 1]
+    tight_cost, tight = solve_csp(3, transitions, 0, 2, 0)
+    assert tight_cost == 10 and sum(tr[3] for tr in tight) == 0
+    loose_cost, loose = solve_csp(3, transitions, 0, 2, 2)
+    assert loose_cost == 2 and sum(tr[3] for tr in loose) == 2
+    assert [tr[0] for tr in loose] == [0, 1]
 
 
 def test_infeasible_returns_none():
-    arcs = [CspArc(0, 1, 1, 3)]
-    assert solve_csp(2, arcs, 0, 1, 2) is None
+    assert solve_csp(2, [(0, 1, 1, 3, None)], 0, 1, 2) is None
     assert solve_csp(3, [], 0, 2, 5) is None
 
 
 def test_empty_path_when_source_is_sink():
-    result = solve_csp(2, [CspArc(0, 1, 1, 0)], 0, 0, 0)
-    assert result == CspResult(cost=0, arcs=(), time_used=0)
-
-
-def test_cycle_detected():
-    arcs = [CspArc(0, 1, 1, 0), CspArc(1, 0, 1, 0)]
-    with pytest.raises(CyclicGraphError):
-        solve_csp(2, arcs, 0, 1, 1)
+    assert solve_csp(2, [(0, 1, 1, 0, None)], 0, 0, 0) == (0, [])
 
 
 def test_negative_costs_allowed():
-    arcs = [CspArc(0, 1, 5, 0), CspArc(1, 2, -9, 1), CspArc(0, 2, 0, 0)]
-    assert solve_csp(3, arcs, 0, 2, 1).cost == -4
-    assert solve_csp(3, arcs, 0, 2, 0).cost == 0
+    transitions = [(0, 1, 5, 0, None), (0, 2, 0, 0, None), (1, 2, -9, 1, None)]
+    assert solve_csp(3, transitions, 0, 2, 1)[0] == -4
+    assert solve_csp(3, transitions, 0, 2, 0)[0] == 0
 
 
 def test_equal_cost_tie_uses_less_time():
-    arcs = [CspArc(0, 1, 3, 2), CspArc(0, 1, 3, 1)]
-    result = solve_csp(2, arcs, 0, 1, 2)
-    assert result.cost == 3
-    assert result.time_used == 1
+    transitions = [(0, 1, 3, 2, None), (0, 1, 3, 1, None)]
+    cost, path = solve_csp(2, transitions, 0, 1, 2)
+    assert cost == 3
+    assert path == [(0, 1, 3, 1, None)]
 
 
-def _enumerate_csp(arcs, node_count, source, sink, budget):
-    """All feasible arc-index paths by DFS, for cross-checking."""
+def _enumerate_csp(transitions, node_count, source, sink, budget):
+    """The least cost of a feasible path, by DFS, for cross-checking."""
     out = [[] for _ in range(node_count)]
-    for i, arc in enumerate(arcs):
-        out[arc.tail].append(i)
+    for tr in transitions:
+        out[tr[0]].append(tr)
     best = None
-    stack = [(source, 0, 0, ())]
+    stack = [(source, 0, 0)]
     while stack:
-        node, cost, used, path = stack.pop()
+        node, cost, used = stack.pop()
         if node == sink:
             if best is None or cost < best:
                 best = cost
             continue
-        for i in out[node]:
-            arc = arcs[i]
-            if used + arc.time <= budget:
-                stack.append((arc.head, cost + arc.cost, used + arc.time,
-                              path + (i,)))
+        for _, head, c, time, _ in out[node]:
+            if used + time <= budget:
+                stack.append((head, cost + c, used + time))
     return best
 
 
@@ -80,25 +62,28 @@ def test_matches_enumeration_on_random_instances():
     for trial in range(120):
         n = rng.randint(2, 7)
         m = rng.randint(1, 12)
-        arcs = []
-        for _ in range(m):
+        transitions = []
+        for index in range(m):
             tail = rng.randint(0, n - 2)
             head = rng.randint(tail + 1, n - 1)
-            arcs.append(CspArc(tail, head, rng.randint(-10, 30),
-                               rng.randint(0, 3)))
+            transitions.append((tail, head, rng.randint(-10, 30),
+                                rng.randint(0, 3), index))
+        # heads follow tails in id order, so grouping by tail suffices
+        transitions.sort(key=lambda tr: tr[0])
         budget = rng.randint(0, 4)
-        want = _enumerate_csp(arcs, n, 0, n - 1, budget)
-        got = solve_csp(n, arcs, 0, n - 1, budget)
+        want = _enumerate_csp(transitions, n, 0, n - 1, budget)
+        got = solve_csp(n, transitions, 0, n - 1, budget)
         if want is None:
             assert got is None
         else:
-            assert got.cost == want
-            assert got.time_used <= budget
-            assert sum(a.cost for a in got.arcs) == got.cost
-            assert sum(a.time for a in got.arcs) == got.time_used
-            # returned arcs chain from source to sink
+            cost, path = got
+            assert cost == want
+            assert sum(tr[3] for tr in path) <= budget
+            assert sum(tr[2] for tr in path) == cost
+            assert all(tr in transitions for tr in path)
+            # returned transitions chain from source to sink
             at = 0
-            for arc in got.arcs:
-                assert arc.tail == at
-                at = arc.head
+            for tr in path:
+                assert tr[0] == at
+                at = tr[1]
             assert at == n - 1

@@ -41,11 +41,6 @@ def test_arc_cost_selectors():
     assert arc.first_cost == 5
     assert arc.upper_cost == 5
     assert arc.combined_cost == 10
-    assert arc.cost("first") == 5
-    assert arc.cost("upper") == 5
-    assert arc.cost("combined") == 10
-    with pytest.raises(ValueError):
-        arc.cost("nominal")
 
 
 def test_arc_rejects_negative_deviation_and_self_loop():
@@ -198,11 +193,6 @@ def test_hop_table_matches_enumeration():
                 got = table.path_to(v, l)
                 assert len(got) <= l
                 assert path_cost(g, got, "upper") == want
-            shortest = min((len(p) for p in paths), default=None)
-            if shortest is None or shortest > max_hops:
-                assert table.min_hops(v) is None
-            else:
-                assert table.min_hops(v) == shortest
 
 
 def test_hop_table_values_nonincreasing_in_allowance():

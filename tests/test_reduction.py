@@ -38,34 +38,44 @@ def parallel_pair(k):
 
 def test_layered_reduction_structure_on_parallel_pair():
     inst = parallel_pair(1)
-    arcs = build_layered_reduction(inst)
-    direct = [a for a in arcs if a.ref[0] == "direct"]
-    pairs = [a for a in arcs if a.ref[0] == "pair"]
+    transitions = build_layered_reduction(inst)
+    direct = [tr for tr in transitions if tr[4] is not None]
+    pairs = [tr for tr in transitions if tr[4] is None]
     assert len(direct) == 1 and len(pairs) == 1
-    # cheapest combined parallel survives as the zero-time arc
-    assert direct[0].cost == 7 and direct[0].time == 0 and direct[0].ref[1] == 0
+    # cheapest combined parallel survives as the zero-time transition
+    assert direct[0] == (0, 1, 7, 0, 0)
     # stage pair: cheapest first-stage arc + cheapest worst-case arc
-    assert pairs[0].cost == 3 and pairs[0].time == 1
-    # the pair arc expands to those two stage paths
-    assert pairs[0].ref == ("pair", 0, 1)
-    assert pair_paths(inst.graph, pairs[0]) == ((1,), (0,))
+    assert pairs[0] == (0, 1, 3, 1, None)
+    # the pair transition expands to those two stage paths
+    assert pair_paths(inst.graph, 0, 1, 1) == ((1,), (0,))
 
 
 def test_dag_reduction_structure_on_parallel_pair():
-    arcs = build_dag_reduction(parallel_pair(1))
-    direct = [a for a in arcs if a.ref[0] == "direct"]
-    pairs = [a for a in arcs if a.ref[0] == "pair"]
+    transitions = build_dag_reduction(parallel_pair(1))
+    direct = [tr for tr in transitions if tr[4] is not None]
+    pairs = [tr for tr in transitions if tr[4] is None]
     assert len(direct) == 1 and len(pairs) == 1
-    assert direct[0].cost == 7 and direct[0].time == 0
-    assert pairs[0].cost == 3 and pairs[0].time == 1
+    assert direct[0][2:4] == (7, 0)
+    assert pairs[0][2:4] == (3, 1)
 
 
 def test_dag_reduction_arc_budget_sweep():
-    # chain 0 -> 1 -> 2 with k=2: every pair gets arcs for each allowance
+    # chain 0 -> 1 -> 2 with k=2: a pair gets a transition only for the
+    # allowances that improve on one arc less
     g = MultiDigraph.from_rows(3, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0)])
-    arcs = build_dag_reduction(Instance(g, 0, 2, 2))
-    pairs = [(a.tail, a.head, a.time) for a in arcs if a.ref[0] == "pair"]
-    assert sorted(pairs) == [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 2, 1), (1, 2, 2)]
+    transitions = build_dag_reduction(Instance(g, 0, 2, 2))
+    pairs = [(tr[0], tr[1], tr[3]) for tr in transitions if tr[4] is None]
+    assert sorted(pairs) == [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+
+
+def test_dag_reduction_on_a_path_is_linear_in_the_budget():
+    # one direct transition per arc and, since every pair has exactly one
+    # path, one pair transition per node pair at most k hops apart
+    m, k = 512, 50
+    g = MultiDigraph.from_rows(m + 1, [(v, v + 1, 1, 2, 1) for v in range(m)])
+    transitions = build_dag_reduction(Instance(g, 0, m, k))
+    assert sum(tr[3] == 0 for tr in transitions) == m
+    assert len(transitions) == m + sum(m + 1 - d for d in range(1, k + 1)) == 24887
 
 
 def test_reductions_keep_on_path_nodes_and_the_effective_budget():
@@ -78,9 +88,9 @@ def test_reductions_keep_on_path_nodes_and_the_effective_budget():
     inst = Instance(g, 0, 2, 4)
     assert inst.effective_k == 2
     for build in (build_layered_reduction, build_dag_reduction):
-        arcs = build(inst)
-        assert {a.tail for a in arcs} | {a.head for a in arcs} == {0, 1, 2}
-        assert max(a.time for a in arcs) == 2
+        transitions = build(inst)
+        assert {tr[0] for tr in transitions} | {tr[1] for tr in transitions} == {0, 1, 2}
+        assert max(tr[3] for tr in transitions) == 2
     assert solve_layered(inst).total_cost == solve_bruteforce(inst).total_cost
     assert solve_dag(inst).total_cost == solve_bruteforce(inst).total_cost
 
