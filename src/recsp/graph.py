@@ -5,14 +5,17 @@ Costs are plain Python integers; the unreachable/impossible sentinel is
 so finite values stay exact, and ``x + INF == INF`` gives the saturating
 addition the dynamic programs rely on.
 
-A ``MultiDigraph`` is compiled once into per-arc integer columns and
-per-node arc lists, and keeps its topological order once it has been
-computed (``Instance`` validation does so); the routines here read those
-instead of the ``Arc`` objects and never sort the graph again.
+A ``MultiDigraph`` is stored as per-arc integer columns, the form the
+parser fills; it derives per-node arc lists from them once, and keeps its
+topological order once it has been computed (``Instance`` validation does
+so).  The routines here read those and never sort the graph again;
+``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
 """
 from __future__ import annotations
 
 import heapq
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,26 +27,23 @@ INF = float("inf")
 COST_SELECTORS = ("first", "upper", "combined")
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(namedtuple("Arc", "id tail head first_cost nominal deviation")):
     """A directed arc with a first-stage cost and an uncertain second-stage cost.
 
     The second-stage cost lies in [nominal, nominal + deviation]; its upper
-    extreme is what the recoverable objective charges.
+    extreme is what the recoverable objective charges.  A tuple, so that
+    ``MultiDigraph.arcs`` can build views of its validated columns with
+    ``Arc._make``, which skips the checks made here.
     """
 
-    id: int
-    tail: int
-    head: int
-    first_cost: int
-    nominal: int
-    deviation: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.deviation < 0:
-            raise ValidationError(f"arc {self.id}: deviation {self.deviation} < 0")
-        if self.tail == self.head:
-            raise ValidationError(f"arc {self.id}: self-loop at node {self.tail}")
+    def __new__(cls, id, tail, head, first_cost, nominal, deviation):
+        if deviation < 0:
+            raise ValidationError(f"arc {id}: deviation {deviation} < 0")
+        if tail == head:
+            raise ValidationError(f"arc {id}: self-loop at node {tail}")
+        return super().__new__(cls, id, tail, head, first_cost, nominal, deviation)
 
     @property
     def upper_cost(self) -> int:
@@ -62,46 +62,52 @@ def _column():
 class MultiDigraph:
     """Directed multigraph over nodes 0..node_count-1.
 
-    Parallel arcs are permitted and stay distinct by arc id; the id of an
-    arc is its index in ``arcs``.  ``tail``, ``head``, ``first``, ``upper``
-    and ``combined`` are per-arc columns indexed by arc id (Python ints,
-    since sums of int64 costs can leave that range).
+    Parallel arcs are permitted and stay distinct by arc id.  The graph is
+    stored as per-arc columns indexed by arc id: ``tail``, ``head``,
+    ``first``, ``nominal`` and ``deviation`` as given, ``upper`` and
+    ``combined`` derived from them (Python ints, since sums of int64 costs
+    can leave that range).
     """
 
     node_count: int
-    arcs: tuple[Arc, ...]
-    tail: list[int] = _column()
-    head: list[int] = _column()
-    first: list[int] = _column()
+    tail: list[int]
+    head: list[int]
+    first: list[int]
+    nominal: list[int]
+    deviation: list[int]
     upper: list[int] = _column()
     combined: list[int] = _column()
     _out: tuple[tuple[int, ...], ...] = _column()
     _in: tuple[tuple[int, ...], ...] = _column()
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValidationError("node_count must be >= 1")
         n = self.node_count
-        arcs = self.arcs
-        tail = [arc.tail for arc in arcs]
-        head = [arc.head for arc in arcs]
+        tail, head, deviation = self.tail, self.head, self.deviation
+        m = len(tail)
+        if not len(head) == len(self.first) == len(self.nominal) == len(deviation) == m:
+            raise ValidationError("arc columns differ in length")
+        # whole-column checks; the arc-by-arc scans only find the culprit
+        if m and (min(deviation) < 0 or any(map(operator.eq, tail, head))):
+            for i, (t, h, d) in enumerate(zip(tail, head, deviation)):
+                if d < 0:
+                    raise ValidationError(f"arc {i}: deviation {d} < 0")
+                if t == h:
+                    raise ValidationError(f"arc {i}: self-loop at node {t}")
+        if n < 1:
+            raise ValidationError("node_count must be >= 1")
+        if m and not (0 <= min(tail) and max(tail) < n and 0 <= min(head) and max(head) < n):
+            for i, (t, h) in enumerate(zip(tail, head)):
+                if not (0 <= t < n and 0 <= h < n):
+                    raise ValidationError(f"arc {i}: endpoint out of range")
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
-        for i, (arc, t, h) in enumerate(zip(arcs, tail, head)):
-            if arc.id != i:
-                raise ValidationError(f"arc id {arc.id} does not match position {i}")
-            if not (0 <= t < n and 0 <= h < n):
-                raise ValidationError(f"arc {i}: endpoint out of range")
+        for i, (t, h) in enumerate(zip(tail, head)):
             out[t].append(i)
             inc[h].append(i)
-        first = [arc.first_cost for arc in arcs]
-        upper = [arc.nominal + arc.deviation for arc in arcs]
+        upper = list(map(operator.add, self.nominal, deviation))
         columns = {
-            "tail": tail,
-            "head": head,
-            "first": first,
             "upper": upper,
-            "combined": [f + u for f, u in zip(first, upper)],
+            "combined": list(map(operator.add, self.first, upper)),
             "_out": tuple(map(tuple, out)),
             "_in": tuple(map(tuple, inc)),
         }
@@ -111,15 +117,20 @@ class MultiDigraph:
     @classmethod
     def from_rows(cls, node_count: int, rows) -> "MultiDigraph":
         """Build from (tail, head, first_cost, nominal, deviation) rows; ids follow row order."""
-        arcs = tuple(
-            Arc(i, tail, head, c, chat, delta)
-            for i, (tail, head, c, chat, delta) in enumerate(rows)
-        )
-        return cls(node_count, arcs)
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(5)]
+        return cls(node_count, *columns)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as ``Arc`` views of the columns, built on first access."""
+        return tuple(map(Arc._make, zip(
+            range(self.arc_count), self.tail, self.head, self.first, self.nominal,
+            self.deviation,
+        )))
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self.tail)
 
     def out_arcs(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -354,7 +365,7 @@ class HopBoundedTable:
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
         cost = graph.column(selector)
-        tail = graph.tail
+        tail, head = graph.tail, graph.head
         self.graph = graph
         self.source = source
         self.max_hops = max_hops
@@ -365,7 +376,13 @@ class HopBoundedTable:
         back: list = [None] * graph.node_count
         dist[source] = [0] * width
         back[source] = [none] + [carry] * max_hops
+        # heads of arcs out of kept rows: no other node can be reached
+        marked = [False] * graph.node_count
+        for a in graph.out_arcs(source):
+            marked[head[a]] = True
         for v in graph.after(source):
+            if not marked[v]:
+                continue
             row = [INF] * width
             bp = [none] * width
             for a in graph.in_arcs(v):
@@ -388,6 +405,8 @@ class HopBoundedTable:
                     bp[l] = carry
             dist[v] = row
             back[v] = bp
+            for a in graph.out_arcs(v):
+                marked[head[a]] = True
         self.dist = dist
         self._back = back
 

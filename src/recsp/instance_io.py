@@ -13,14 +13,24 @@ order.  Solution files:
     x <arc ids of the first-stage path, in order>
     y <arc ids of the recovery path, in order>
 
-Every number must be a signed 64-bit integer; anything structurally
-wrong raises ParseError with a 1-based line and column.  Semantic
-problems (out-of-range endpoints, cycles, unreachable sink) surface as
-the usual validation errors when the instance object is built.
+Lines end where ``str.splitlines`` ends them (``\\n``, ``\\r\\n``, ``\\x1c``
+and the other Unicode line boundaries), and fields are separated by any
+run of Unicode whitespace, as ``str.split`` separates them.  A number is
+an optional sign and decimal digits, Unicode decimal digits included
+(``\u0665`` reads as 5), and must be a signed 64-bit integer; anything
+structurally wrong raises ParseError with a 1-based line and column.
+Semantic problems (out-of-range endpoints, cycles, unreachable sink)
+surface as the usual validation errors when the instance object is
+built.
+
+The arc lines are checked and converted all at once and fill the
+graph's columns directly; a line is looked at on its own only to report
+a fault in it.
 """
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 
 from .errors import ParseError
 from .graph import Instance, MultiDigraph
@@ -28,74 +38,120 @@ from .solution import Solution
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-_INT_RE = re.compile(r"[+-]?\d+$")
-_TOKEN_RE = re.compile(r"\S+")
+_INT = r"[+-]?\d+"
+# integers joined by single spaces; a single integer token matches too
+_INTS_RE = re.compile(rf"{_INT}(?: {_INT})*")
+_ARC_NAMES = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
 
 
 def _content_lines(text: str):
-    """(line_number, [(token, column), ...]) for each non-comment line."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
-        out.append((lineno, tokens))
-    return out
+    """(line_number, tokens) for each line that is neither blank nor a comment.
+
+    Tokens are the runs of non-whitespace characters; a comment line is
+    one whose first token starts with ``#``.
+    """
+    lines = enumerate(map(str.split, text.splitlines()), start=1)
+    return [(lineno, tokens) for lineno, tokens in lines if tokens and tokens[0][0] != "#"]
 
 
-def _int64(token: str, lineno: int, col: int, what: str) -> int:
-    if not _INT_RE.match(token):
-        raise ParseError(lineno, col, f"{what} must be an integer, got {token!r}")
-    value = int(token)
-    if not (_INT64_MIN <= value <= _INT64_MAX):
-        raise ParseError(lineno, col, f"{what} outside the signed 64-bit range")
-    return value
+def _last_line(text: str) -> int:
+    return text.count("\n") + 1
 
 
-def _fields(line, expected_head: str, count: int, what: str):
+def _fail(text: str, lineno: int, index: int, message: str):
+    """Raise ParseError at the 1-based column of token ``index`` of a line."""
+    raw = text.splitlines()[lineno - 1]
+    end = 0
+    # a token cannot start inside the whitespace before it, so the first
+    # match of its text after the previous token is the token itself
+    for token in raw.split()[:index + 1]:
+        start = raw.find(token, end)
+        end = start + len(token)
+    raise ParseError(lineno, start + 1, message)
+
+
+def _ints(tokens) -> list[int] | None:
+    """The tokens as ints, or None unless every one is a signed 64-bit integer."""
+    if not tokens:
+        return []
+    if not _INTS_RE.fullmatch(" ".join(tokens)):
+        return None
+    values = list(map(int, tokens))
+    if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+        return None
+    return values
+
+
+def _int_fields(text: str, line, first: int, names) -> list[int]:
+    """The integers from token ``first`` on; ``names`` says what each one is.
+
+    All tokens are checked at once; only when that fails are they checked
+    one by one, to raise ParseError at the first that is not a signed
+    64-bit integer.
+    """
     lineno, tokens = line
-    if tokens[0][0] != expected_head:
-        raise ParseError(
-            lineno, tokens[0][1], f"expected {what} line starting with {expected_head!r}"
-        )
+    values = _ints(tokens[first:])
+    if values is not None:
+        return values
+    values = []
+    for index, name in zip(range(first, len(tokens)), names):
+        token = tokens[index]
+        if not _INTS_RE.fullmatch(token):
+            _fail(text, lineno, index, f"{name} must be an integer, got {token!r}")
+        value = int(token)
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            _fail(text, lineno, index, f"{name} outside the signed 64-bit range")
+        values.append(value)
+    return values
+
+
+def _check_shape(text: str, line, expected_head: str, count: int, what: str):
+    lineno, tokens = line
+    if tokens[0] != expected_head:
+        _fail(text, lineno, 0, f"expected {what} line starting with {expected_head!r}")
     if len(tokens) != count:
-        raise ParseError(
-            lineno, tokens[-1][1], f"{what} line needs {count} fields, got {len(tokens)}"
-        )
-    return lineno, tokens
+        _fail(text, lineno, len(tokens) - 1,
+              f"{what} line needs {count} fields, got {len(tokens)}")
+
+
+def _arc_values(text: str, arc_lines) -> list[int]:
+    """The five integers of every arc line, in line order, as one flat list."""
+    tokens = [line[1] for line in arc_lines]
+    if set(map(len, tokens)) <= {6}:
+        flat = list(chain.from_iterable(tokens))
+        tags = flat[0::6]
+        if tags.count("a") == len(tags):
+            del flat[0::6]
+            values = _ints(flat)
+            if values is not None:
+                return values
+    # some line is faulty: check line by line to report the first fault
+    values = []
+    for line in arc_lines:
+        _check_shape(text, line, "a", 6, "arc")
+        values += _int_fields(text, line, 1, _ARC_NAMES)
+    return values
 
 
 def parse_instance(text: str) -> Instance:
     lines = _content_lines(text)
-    last_line = text.count("\n") + 1
     if not lines:
-        raise ParseError(last_line, 1, "missing problem line")
-    lineno, tokens = _fields(lines[0], "p", 7, "problem")
-    if tokens[1][0] != "recsp":
-        raise ParseError(lineno, tokens[1][1], "problem type must be 'recsp'")
+        raise ParseError(_last_line(text), 1, "missing problem line")
+    _check_shape(text, lines[0], "p", 7, "problem")
+    lineno, tokens = lines[0]
+    if tokens[1] != "recsp":
+        _fail(text, lineno, 1, "problem type must be 'recsp'")
     names = ("node count", "arc count", "source", "sink", "k")
-    n, m, source, sink, k = (
-        _int64(tok, lineno, col, name)
-        for (tok, col), name in zip(tokens[2:], names)
-    )
+    n, m, source, sink, k = _int_fields(text, lines[0], 2, names)
     if m < 0:
-        raise ParseError(lineno, tokens[3][1], "arc count must be >= 0")
+        _fail(text, lineno, 3, "arc count must be >= 0")
     arc_lines = lines[1:]
     if len(arc_lines) != m:
-        where = arc_lines[m][0] if len(arc_lines) > m else last_line
+        where = arc_lines[m][0] if len(arc_lines) > m else _last_line(text)
         raise ParseError(where, 1, f"expected {m} arc lines, found {len(arc_lines)}")
-    rows = []
-    for line in arc_lines:
-        lineno, tokens = _fields(line, "a", 6, "arc")
-        names = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
-        rows.append(
-            tuple(
-                _int64(tok, lineno, col, name)
-                for (tok, col), name in zip(tokens[1:], names)
-            )
-        )
-    return Instance(MultiDigraph.from_rows(n, rows), source, sink, k)
+    values = _arc_values(text, arc_lines)
+    graph = MultiDigraph(n, *(values[i::5] for i in range(5)))
+    return Instance(graph, source, sink, k)
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -104,34 +160,29 @@ def serialize_instance(instance: Instance) -> str:
         f"p recsp {graph.node_count} {graph.arc_count} "
         f"{instance.source} {instance.sink} {instance.k}"
     ]
-    for arc in graph.arcs:
-        lines.append(
-            f"a {arc.tail} {arc.head} {arc.first_cost} {arc.nominal} {arc.deviation}"
-        )
+    columns = zip(graph.tail, graph.head, graph.first, graph.nominal, graph.deviation)
+    lines += [f"a {t} {h} {c} {chat} {delta}" for t, h, c, chat, delta in columns]
     return "\n".join(lines) + "\n"
 
 
 def parse_solution(text: str) -> Solution:
     lines = _content_lines(text)
-    last_line = text.count("\n") + 1
     if len(lines) != 3:
-        raise ParseError(last_line, 1, f"expected 3 solution lines, found {len(lines)}")
-    lineno, tokens = _fields(lines[0], "s", 6, "summary")
-    if tokens[1][0] != "recsp":
-        raise ParseError(lineno, tokens[1][1], "solution type must be 'recsp'")
+        raise ParseError(
+            _last_line(text), 1, f"expected 3 solution lines, found {len(lines)}"
+        )
+    _check_shape(text, lines[0], "s", 6, "summary")
+    lineno, tokens = lines[0]
+    if tokens[1] != "recsp":
+        _fail(text, lineno, 1, "solution type must be 'recsp'")
     names = ("total cost", "first-stage cost", "second-stage cost", "divergence")
-    total, first, second, divergence = (
-        _int64(tok, lineno, col, name)
-        for (tok, col), name in zip(tokens[2:], names)
-    )
+    total, first, second, divergence = _int_fields(text, lines[0], 2, names)
 
     def arc_ids(line, head):
         lineno, tokens = line
-        if tokens[0][0] != head:
-            raise ParseError(lineno, tokens[0][1], f"expected {head!r} line")
-        return tuple(
-            _int64(tok, lineno, col, "arc id") for tok, col in tokens[1:]
-        )
+        if tokens[0] != head:
+            _fail(text, lineno, 0, f"expected {head!r} line")
+        return tuple(_int_fields(text, line, 1, repeat("arc id")))
 
     return Solution(
         x_arcs=arc_ids(lines[1], "x"),

@@ -50,6 +50,44 @@ def test_arc_rejects_negative_deviation_and_self_loop():
         Arc(0, 2, 2, 1, 1, 0)
 
 
+def test_arcs_are_views_built_on_first_access():
+    g = build(3, [(0, 1, 5, 3, 2), (1, 2, -1, 0, 4)])
+    assert "arcs" not in g.__dict__
+    assert g.arcs == (Arc(0, 0, 1, 5, 3, 2), Arc(1, 1, 2, -1, 0, 4))
+    assert g.arcs is g.arcs
+    assert (g.arcs[1].upper_cost, g.arcs[1].combined_cost) == (4, 3)
+    with pytest.raises(ValidationError, match=r"^arc columns differ in length$"):
+        MultiDigraph(2, [0], [1], [1], [1], [])
+
+
+def test_validation_reports_faults_in_the_same_order():
+    # the first arc with a negative deviation or a self-loop comes first,
+    # then a node count below 1, then endpoints out of range
+    rows = [(0, 1, 1, 1, 0)] * 9
+    rows[2] = (0, 9, 1, 1, 0)
+    rows[5] = (1, 2, 1, 1, -1)
+    rows[7] = (3, 3, 1, 1, 0)
+    with pytest.raises(ValidationError, match=r"^arc 5: deviation -1 < 0$"):
+        build(4, rows)
+    rows[5] = (1, 2, 1, 1, 0)
+    with pytest.raises(ValidationError, match=r"^arc 7: self-loop at node 3$"):
+        build(4, rows)
+    with pytest.raises(ValidationError, match=r"^arc 7: self-loop at node 3$"):
+        build(0, rows)
+    rows[7] = (2, 3, 1, 1, 0)
+    with pytest.raises(ValidationError, match=r"^node_count must be >= 1$"):
+        build(0, rows)
+    for tail, head in ((0, 9), (0, 4), (4, 1), (-1, 1), (0, -1)):
+        rows[2] = (tail, head, 1, 1, 0)
+        with pytest.raises(ValidationError, match=r"^arc 2: endpoint out of range$"):
+            build(4, rows)
+    rows[2] = (0, 1, 1, 1, 0)
+    assert build(4, rows).arc_count == 9
+    rows[5] = (1, 2, 1, 1, -1)
+    with pytest.raises(ValidationError, match=r"^arc 5: deviation -1 < 0$"):
+        build(4, rows)
+
+
 def test_graph_parallel_arcs_kept_distinct():
     g = build(2, [(0, 1, 1, 1, 0), (0, 1, 2, 2, 0)])
     assert g.arc_count == 2
@@ -68,8 +106,7 @@ def test_topological_order_prefers_small_ids():
 
 
 def test_topological_order_detects_cycle():
-    arcs = (Arc(0, 0, 1, 1, 1, 0), Arc(1, 1, 2, 1, 1, 0), Arc(2, 2, 0, 1, 1, 0))
-    g = MultiDigraph(3, arcs)
+    g = build(3, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0), (2, 0, 1, 1, 0)])
     with pytest.raises(CyclicGraphError):
         topological_order(g)
 
@@ -88,8 +125,7 @@ def test_instance_validation():
 
 
 def test_instance_rejects_cycles_with_cyclic_error():
-    arcs = (Arc(0, 0, 1, 1, 1, 0), Arc(1, 1, 0, 1, 1, 0))
-    g = MultiDigraph(2, arcs)
+    g = build(2, [(0, 1, 1, 1, 0), (1, 0, 1, 1, 0)])
     with pytest.raises(CyclicGraphError):
         Instance(g, 0, 1, 0)
 

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recsp.dispatch import solve
 from recsp.errors import CyclicGraphError, ParseError, ValidationError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.instance_io import (
@@ -138,3 +141,115 @@ def test_parse_solution_rejects_bad_shapes():
         parse_solution("s recsp 3 1 2\nx 1\ny 0\n")
     with pytest.raises(ParseError):
         parse_solution("s recsp 3 1 2 1\nx 1\ny 0\nx 5\n")
+
+
+def test_parse_keeps_the_separators_and_digits_it_accepts():
+    # str.split() and str.splitlines() rules: any Unicode whitespace
+    # separates fields, \r\n and \x1c end lines, and a Unicode decimal
+    # digit counts as its value
+    expected = parse_instance(SAMPLE)
+    assert parse_instance(SAMPLE.replace("\n", "\r\n")) == expected
+    assert parse_instance(SAMPLE.replace("\n", "\x1c")) == expected
+    assert parse_instance(SAMPLE.replace(" ", "\u00a0")) == expected
+    assert parse_instance(SAMPLE.replace("5", "\u0665")) == expected
+
+
+def test_parse_and_solve_build_no_arc_views():
+    for family in ("asp", "layered", "dag"):
+        inst = generate_instance(family, 3, nodes=8, arcs=16, k=2)
+        parsed = parse_instance(serialize_instance(inst))
+        serialize_solution(solve(parsed))
+        assert "arcs" not in parsed.graph.__dict__
+
+
+PROBLEM_NAMES = ("node count", "arc count", "source", "sink", "k")
+ARC_NAMES = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
+FAULTS = ("not integer", "outside int64", "missing field", "extra field", "wrong tag",
+          "extra arc line", "missing arc line")
+
+
+def _layout(draw, rows):
+    """Text of the token rows with blank and comment lines between them.
+
+    Returns the text and, for each row, its line number and the 1-based
+    column of each of its tokens.
+    """
+    lines, where = [], []
+    for tokens in rows:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "# note", "  #a 0 1 2 3 4"])))
+        line, columns = draw(st.sampled_from(["", " ", "\t "])), []
+        for i, token in enumerate(tokens):
+            if i:
+                line += draw(st.sampled_from([" ", "  ", "\t", "\u00a0"]))
+            columns.append(len(line) + 1)
+            line += token
+        lines.append(line)
+        where.append((len(lines), columns))
+    lines += draw(st.lists(st.sampled_from(["", "# end"]), max_size=2))
+    return "\n".join(lines) + "\n", where
+
+
+@st.composite
+def corrupted_instances(draw):
+    """(text, line, column, message): a serialized random instance with one
+    fault placed at a known line and column."""
+    if draw(st.booleans()):
+        inst = generate_instance("asp", draw(st.integers(0, 10**6)),
+                                 arcs=draw(st.integers(1, 10)), k=1)
+    else:
+        n = draw(st.integers(2, 6))
+        inst = generate_instance("dag", draw(st.integers(0, 10**6)),
+                                 nodes=n, arcs=2 * n, k=1)
+    rows = [line.split() for line in serialize_instance(inst).splitlines()]
+    m = len(rows) - 1
+    fault = draw(st.sampled_from(FAULTS))
+    r = draw(st.integers(0, m))
+    what, names = ("problem", PROBLEM_NAMES) if r == 0 else ("arc", ARC_NAMES)
+    first = 2 if r == 0 else 1  # index of the row's first integer
+    count = len(rows[r])
+    field = draw(st.integers(first, count - 1))
+    spot = None  # (row, token index) of the fault, when it is at a token
+    if fault == "not integer":
+        token = draw(st.sampled_from(["1.5", "0x10", "1_0", "++3"]))
+        rows[r][field] = token
+        spot = r, field
+        message = f"{names[field - first]} must be an integer, got {token!r}"
+    elif fault == "outside int64":
+        rows[r][field] = draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1)]))
+        spot = r, field
+        message = f"{names[field - first]} outside the signed 64-bit range"
+    elif fault == "missing field":
+        del rows[r][field]
+        spot = r, count - 2
+        message = f"{what} line needs {count} fields, got {count - 1}"
+    elif fault == "extra field":
+        rows[r].insert(field, "7")
+        spot = r, count
+        message = f"{what} line needs {count} fields, got {count + 1}"
+    elif fault == "wrong tag":
+        rows[r][0] = draw(st.sampled_from(["b", "A", "ap", "a" if r == 0 else "p"]))
+        spot = r, 0
+        message = f"expected {what} line starting with {'p' if r == 0 else 'a'!r}"
+    elif fault == "extra arc line":
+        rows.insert(r + 1, ["a", "0", "1", "1", "1", "0"])
+        message = f"expected {m} arc lines, found {m + 1}"
+    else:
+        del rows[max(r, 1)]
+        message = f"expected {m} arc lines, found {m - 1}"
+    text, where = _layout(draw, rows)
+    if spot is not None:
+        line, columns = where[spot[0]]
+        return text, line, columns[spot[1]], message
+    if fault == "extra arc line":
+        return text, where[m + 1][0], 1, message
+    return text, text.count("\n") + 1, 1, message
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(corrupted_instances())
+def test_parse_errors_point_at_the_placed_fault(case):
+    text, line, column, message = case
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)

@@ -78,6 +78,23 @@ def test_dag_reduction_on_a_path_is_linear_in_the_budget():
     assert len(transitions) == m + sum(m + 1 - d for d in range(1, k + 1)) == 24887
 
 
+def test_hop_tables_skip_nodes_out_of_reach(monkeypatch):
+    # each hop table reads the in-arcs of at most k + 1 nodes past its
+    # source; the first-stage sweeps still read every node after it
+    calls = [0]
+    original = MultiDigraph.in_arcs
+
+    def counting(graph, v):
+        calls[0] += 1
+        return original(graph, v)
+
+    monkeypatch.setattr(MultiDigraph, "in_arcs", counting)
+    m, k = 512, 50
+    g = MultiDigraph.from_rows(m + 1, [(v, v + 1, 1, 2, 1) for v in range(m)])
+    assert solve_dag(Instance(g, 0, m, k)).total_cost == 2048
+    assert calls[0] <= 157_000
+
+
 def test_reductions_keep_on_path_nodes_and_the_effective_budget():
     # 0 -> 1 -> 2 with parallels on both gaps; 1 -> 3 dangles and 4 -> 1
     # hangs above the path.  k = 4 is twice the longest 0-2 path.
