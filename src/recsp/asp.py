@@ -15,6 +15,21 @@ have one column per budget value up to the effective budget (k capped
 at the longest source-sink hop count, which is the root's); no stage
 pair diverges by more.
 
+Recognition.  ``decompose`` merges parallel arcs and contracts nodes
+with one arc in and one arc out until a single source-sink arc is left,
+which happens exactly on series-parallel graphs (Valdes, Tarjan & Lawler
+1982).  It has two phases.  A pruned graph of at least
+``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds over compact
+node ids: each round merges every class of parallel arcs with one sort
+and contracts every maximal chain, ranked by pointer jumping.  The
+rounds recognise first and build after: a round with nothing to do
+raises (the reduction is confluent, so the queue would stall too), and
+the runs are closed into subtrees only once the rounds stop.  They stop
+once fewer than ``ARRAY_MIN_ARCS`` arcs are left or a round removes
+less than ``1 / ROUND_SHARE`` of them, after checking that work is left;
+the queue reduction then finishes with the closed subtrees as its
+leaves, and it alone reduces smaller graphs.
+
 Height first.  Series and parallel composition are both associative, so
 the reduction collects every maximal run of one kind as a list of
 operands (series runs in path order, parallel runs in arrival order)
@@ -61,7 +76,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +90,17 @@ _INF = ASP_INF >> 1
 _PIN = _INF >> 1
 # int64 cells in the largest temporary of one batched step (512 KB)
 BLOCK_CELLS = 1 << 16
+# Pruned graphs with fewer arcs skip the array rounds of ``decompose``,
+# and the rounds stop below it.  numpy's fixed cost per call dominates
+# small graphs: on the small-mixed benchmark (20-60 arcs) the queue
+# reduction takes 0.21 s a pass, array rounds from the first arc 1.5 s
+# (2 vCPU Xeon, Python 3.11, numpy 2.4).
+ARRAY_MIN_ARCS = 256
+# The rounds hand over to the queue once a round removes less than
+# 1/ROUND_SHARE of the live arcs.  A nested alternation ((a|b).c|d).e...
+# loses two arcs a round: 4,096 arcs take 0.025 s with the hand-over and
+# 1.1 s without it, and the time grows with the square of the arcs.
+ROUND_SHARE = 8
 
 LEAF = "leaf"
 SERIES = "series"
@@ -140,39 +166,345 @@ class RootValues:
 def decompose(instance: Instance) -> DecompTree:
     """Reduce the pruned graph to a balanced decomposition tree.
 
-    Repeatedly merges parallel arcs and contracts internal nodes with one
-    arc in and one arc out; the graph is series-parallel exactly when this
-    ends with a single source->sink arc.  Raises NotSeriesParallelError
-    otherwise.  A reduced arc stands for a leaf or for an open run: a
-    deque of series operands or a list of parallel ones.
+    Merges parallel arcs and contracts internal nodes with one arc in and
+    one arc out until a single source->sink arc is left; the graph is
+    series-parallel exactly when that happens, and NotSeriesParallelError
+    is raised otherwise.  The reduction is confluent, so the order of the
+    steps changes the tree's shape but not the verdict.
+
+    Two phases.  A pruned graph of at least ``ARRAY_MIN_ARCS`` arcs is
+    first reduced in array rounds (``_rounds``), which recognise before
+    they build: a round with nothing to do raises before any tree node
+    exists, also when it would be the first after the rounds stop, and
+    the runs are recorded as they open but spliced and closed only once
+    the rounds end (splicing them as they opened kept the rejection of
+    layered-40's 800-arc graphs at the queue's 0.54 ms; those that stall
+    in the rounds now take 0.38 ms).  The queue
+    reduction (``_queue``) finishes what the rounds leave, with their
+    closed subtrees as its leaves, and alone reduces smaller graphs.  The
+    comments on ``ARRAY_MIN_ARCS`` and ``ROUND_SHARE`` give the
+    measurements behind both limits.
     """
     graph = instance.graph
-    s, t = instance.source, instance.sink
+    if graph.arc_count >= ARRAY_MIN_ARCS:
+        leaf_arcs, tree, (tails, heads, items, s, t) = _rounds(instance)
+    else:
+        on = instance.on_path
+        leaf_arcs = [a for a, (u, w) in enumerate(zip(graph.tail, graph.head)) if on[u] and on[w]]
+        tree = None if len(leaf_arcs) > 1 else _Tree(1)
+        tails = [graph.tail[a] for a in leaf_arcs]
+        heads = [graph.head[a] for a in leaf_arcs]
+        items, s, t = range(len(leaf_arcs)), instance.source, instance.sink
+    if len(items) > 1:
+        tree = _queue(tails, heads, items, s, t, tree)
+    nodes = list(zip(repeat(LEAF), leaf_arcs))
+    nodes += zip(map((PARALLEL, SERIES).__getitem__, tree.series.tolist()),
+                 *tree.kids.T.tolist())
+    root = len(nodes) - 1  # every other node lies below it
+    return DecompTree(nodes=tuple(nodes), root=root, height=int(tree.height[root]),
+                      hops=int(tree.hops[root]), plan=_plan(leaf_arcs, tree))
+
+
+class _Tree:
+    """Node columns of a decomposition tree under construction.
+
+    Leaves are nodes ``0 .. leaves - 1``; internal nodes follow in
+    creation order, children first.  Internal node i has its left and
+    right child in ``kids[i - leaves]`` and its kind in ``series[i -
+    leaves]``.  ``height`` (internal nodes on the longest way down to a
+    leaf), ``hops`` (arcs on the longest source-sink path of the subgraph)
+    and ``row`` (store row; -1 for leaves) cover every node.  A node of
+    height 1 takes a fresh row and any other node its left child's (its
+    right child's if the left is a leaf); ``slots`` counts the rows.  A
+    binary tree over the leaves has ``leaves - 1`` internal nodes, so the
+    array rounds allocate every column once; the queue reduction alone
+    hands over its finished columns as lists.
+    """
+
+    def __init__(self, leaves: int, columns=None):
+        self.leaves = leaves
+        if columns is None:
+            self.made = leaves
+            self.kids = np.empty((leaves - 1, 2), dtype=np.intp)
+            self.series = np.empty(leaves - 1, dtype=bool)
+            self.height = np.zeros(2 * leaves - 1, dtype=np.intp)
+            self.hops = np.ones(2 * leaves - 1, dtype=np.intp)
+            self.row = np.full(2 * leaves - 1, -1, dtype=np.intp)
+            self.slots = 0
+        else:
+            kids, series, height, hops, row, self.slots = columns
+            self.made = len(height)
+            self.kids = np.array(kids, dtype=np.intp).reshape(-1, 2)
+            self.series = np.array(series, dtype=bool)
+            self.height = np.array(height, dtype=np.intp)
+            self.hops = np.array(hops, dtype=np.intp)
+            self.row = np.array(row, dtype=np.intp)
+
+    def join(self, series: bool, a, b):
+        """New nodes joining a[i] and b[i]; returns their ids."""
+        lo, hi = self.made, self.made + len(a)
+        self.made = hi
+        inner = slice(lo - self.leaves, hi - self.leaves)
+        self.kids[inner, 0] = a
+        self.kids[inner, 1] = b
+        self.series[inner] = series
+        self.height[lo:hi] = np.maximum(self.height[a], self.height[b]) + 1
+        self.hops[lo:hi] = (np.add if series else np.maximum)(self.hops[a], self.hops[b])
+        return np.arange(lo, hi)
+
+    def place(self):
+        """Give the nodes ``join`` made their store rows, all at once.
+
+        Each node follows the children whose row it takes down to a node
+        of height 1, by pointer jumping.
+        """
+        leaves, made = self.leaves, self.made
+        height = self.height[leaves:made]
+        left, right = self.kids[:made - leaves].T
+        fresh = height == 1
+        down = np.where(self.height[left] > 0, left, right) - leaves
+        down[fresh] = np.flatnonzero(fresh)
+        for _ in range(int(height.max(initial=1) - 1).bit_length()):
+            down = down[down]
+        self.row[leaves:made] = (self.slots + np.cumsum(fresh) - 1)[down]
+        self.slots += int(np.count_nonzero(fresh))
+
+
+def _rounds(instance: Instance):
+    """Prune in arrays, then reduce in array rounds over compact node ids.
+
+    Each round merges every class of parallel arcs (one stable sort on
+    tail and head; a class keeps arc order) and then contracts every
+    maximal chain through nodes with one arc in and one arc out, found by
+    list ranking with pointer jumping.  Every array is sized by the arcs
+    or by the compact ids of their endpoints, never by ``node_count``.
+    Rounds run while at least ``ARRAY_MIN_ARCS`` arcs are left and each
+    removes at least ``1 / ROUND_SHARE`` of them; a round that finds
+    nothing to do raises, also the one after the last.  Returns the kept arc
+    ids, the tree with the runs closed, and what the queue reduction
+    takes: the arcs left (tails, heads and the roots of their subtrees, as
+    lists) and the compact source and sink.
+    """
+    graph = instance.graph
+    m = graph.arc_count
+    ends, compact = np.unique(np.fromiter(graph.tail + graph.head, np.intp, 2 * m),
+                              return_inverse=True)
     on = instance.on_path
+    kept = np.array([on[v] for v in ends.tolist()])[compact]
+    kept = np.flatnonzero(kept[:m] & kept[m:])
+    size = len(ends)
+    tail, head = compact[kept], compact[m + kept]
+    s, t = np.searchsorted(ends, (instance.source, instance.sink)).tolist()
+    tree = _Tree(len(kept))
+    item = np.arange(len(kept))
+    runs = _Runs(len(kept))
+    # once the rounds are over, one more looks for work without doing it:
+    # a graph with none is rejected before anything is built, and only a
+    # graph with work left goes to the queue
+    over = len(tail) < ARRAY_MIN_ARCS
+    while len(tail) > 1:
+        live = len(tail)
+        key = tail * size + head
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(live, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if not new.all():
+            if over:
+                break
+            first = np.flatnonzero(new)
+            sizes = np.diff(first, append=live)
+            merged = sizes > 1
+            kept_arc = order[first]  # each class's first arc stands for it
+            item[kept_arc[merged]] = runs.open(
+                item[order[np.repeat(merged, sizes)]], sizes[merged], False)
+            keep = np.zeros(live, dtype=bool)
+            keep[kept_arc] = True
+            tail, head, item = tail[keep], head[keep], item[keep]
 
-    nodes: list[tuple] = []
-    height: list[int] = []  # internal nodes on the longest way down to a leaf
-    hops: list[int] = []  # arcs on the longest source-sink path of the subgraph
-    slot: list[int] = []  # store row; leaves have none
-    kids: list[int] = []  # left and right child of every internal node
-    series_flags: list[bool] = []
-    fresh = count().__next__
+        inner = (np.bincount(head, minlength=size) == 1) & (np.bincount(tail, minlength=size) == 1)
+        inner[[s, t]] = False
+        into, out = inner[head], inner[tail]
+        linked = into | out
+        if linked.any():
+            if over:
+                break
+            chain = np.flatnonzero(linked)
+            into, out = into[chain], out[chain]
+            local = np.arange(len(chain))
+            entering = np.empty(size, dtype=np.intp)
+            entering[head[chain[into]]] = local[into]
+            # list ranking: rank is the distance back to the chain's first arc
+            back = local.copy()
+            back[out] = entering[tail[chain[out]]]
+            rank = out.astype(np.intp)
+            while True:
+                further = back[back]
+                if (further == back).all():
+                    break
+                rank += rank[back]
+                back = further
+            order = np.lexsort((rank, back))
+            chain, back = chain[order], back[order]
+            first = np.flatnonzero(np.diff(back, prepend=-1))
+            lengths = np.diff(first, append=len(chain))
+            rest = ~linked
+            tail = np.concatenate((tail[rest], tail[chain[first]]))
+            head = np.concatenate((head[rest], head[chain[first + lengths - 1]]))
+            item = np.concatenate((item[rest], runs.open(item[chain], lengths, True)))
 
-    def join(kind: str, a: int, b: int) -> int:
-        series = kind is SERIES
-        nodes.append((kind, a, b))
+        if len(tail) == live:
+            raise NotSeriesParallelError(f"reduction stalled with {live} arcs left")
+        over = len(tail) < ARRAY_MIN_ARCS or ROUND_SHARE * (live - len(tail)) < live
+    if runs.count:
+        root = runs.close(tree)
+        tree.place()
+        run = item >= len(kept)
+        item[run] = root[item[run] - len(kept)]
+    return kept.tolist(), tree, (tail.tolist(), head.tolist(), item.tolist(), s, t)
+
+
+class _Runs:
+    """The runs the array rounds open, closed only once the rounds end.
+
+    Operands are leaves (ids below ``leaves``) or runs (``leaves + r`` is
+    run r).  On closing, a run that is an operand of a run of its own
+    kind is spliced into it instead, so every run closed is maximal, as
+    in the queue reduction.
+    """
+
+    def __init__(self, leaves: int):
+        self.leaves = leaves
+        self.count = 0
+        self.phases = []  # (series, members, sizes) in opening order
+
+    def open(self, members, sizes, series: bool):
+        """Open one run per ``sizes[i]`` consecutive members; returns their ids."""
+        self.phases.append((series, members, sizes))
+        self.count += len(sizes)
+        return np.arange(self.leaves + self.count - len(sizes), self.leaves + self.count)
+
+    def close(self, tree: _Tree):
+        """Close the runs, phase by phase; returns every run's root."""
+        leaves = self.leaves
+        kind = np.concatenate([np.full(len(sizes), series) for series, _, sizes in self.phases])
+        start = np.empty(self.count, dtype=np.intp)
+        size = np.empty(self.count, dtype=np.intp)
+        absorbed = np.zeros(self.count, dtype=bool)
+        ops = np.empty(0, dtype=np.intp)  # operands of every run, run after run
+        lo = 0
+        for series, members, sizes in self.phases:
+            r = members - leaves
+            spliced = r >= 0
+            spliced[spliced] = kind[r[spliced]] == series
+            r = r[spliced]
+            absorbed[r] = True
+            # a spliced member's operands, else the member itself, read from
+            # the operands so far followed by the members
+            width = np.ones(len(members), dtype=np.intp)
+            width[spliced] = size[r]
+            at = np.arange(len(ops), len(ops) + len(members))
+            at[spliced] = start[r]
+            hi = lo + len(sizes)
+            size[lo:hi] = np.add.reduceat(width, np.cumsum(sizes) - sizes)
+            start[lo:hi] = len(ops) + np.cumsum(size[lo:hi]) - size[lo:hi]
+            ops = np.concatenate((ops, np.concatenate((ops, members))[_spans(at, width)]))
+            lo = hi
+        root = np.empty(self.count, dtype=np.intp)
+        lo = 0
+        for series, _, sizes in self.phases:
+            closing = lo + np.flatnonzero(~absorbed[lo:lo + len(sizes)])
+            lo += len(sizes)
+            if len(closing):
+                x = ops[_spans(start[closing], size[closing])]
+                run = x >= leaves
+                x[run] = root[x[run] - leaves]
+                root[closing] = _close_runs(x, size[closing], series, tree)
+        return root
+
+
+def _spans(start, size):
+    """Indices ``start[i] .. start[i] + size[i] - 1``, span after span."""
+    end = np.cumsum(size)
+    return np.repeat(start - end + size, size) + np.arange(end[-1])
+
+
+def _close_runs(ops, size, series: bool, tree: _Tree):
+    """Close runs of one kind at once by ``_queue``'s rule for one run.
+
+    ``ops`` holds the operands of every run, run after run, and ``size``
+    their counts (at least 2 each).  Each pass joins, in every run, the
+    neighbours no taller than the run's lowest neighbouring pair, two by
+    two from the left of each stretch of such operands.  Returns each
+    run's root.
+    """
+    root = np.empty(len(size), dtype=np.intp)
+    run = np.arange(len(size))
+    while len(size):
+        n = len(ops)
+        start = np.cumsum(size) - size
+        tall = tree.height[ops]
+        peak = np.empty(n, dtype=np.intp)
+        np.maximum(tall[:-1], tall[1:], out=peak[:-1])
+        peak[start[1:] - 1] = peak[-1] = tall.max() + 1  # no pair across runs
+        low = tall <= np.repeat(np.minimum.reduceat(peak, start), size)
+        first = np.zeros(n, dtype=bool)
+        first[start] = True
+        begins = low.copy()
+        begins[1:] &= first[1:] | ~low[:-1]
+        at = np.arange(n)
+        pair = low & ((at - np.maximum.accumulate(np.where(begins, at, 0))) % 2 == 0)
+        pair[:-1] &= low[1:] & ~first[1:]
+        pair[-1] = False
+        i = np.flatnonzero(pair)
+        ops[i] = tree.join(series, ops[i], ops[i + 1])
+        ops = np.delete(ops, i + 1)
+        size = size - np.add.reduceat(pair, start, dtype=np.intp)
+        done = size == 1
+        if done.any():
+            start = np.cumsum(size) - size
+            root[run[done]] = ops[start[done]]
+            ops = ops[np.repeat(~done, size)]
+            run, size = run[~done], size[~done]
+    return root
+
+
+def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
+    """Queue reduction of the arcs left, whose subtrees are closed.
+
+    The items are the roots of the arcs' subtrees in ``tree``, or, with
+    no tree, its leaves.  A reduced arc stands for a closed subtree or for
+    an open run: a deque of series operands or a list of parallel ones.
+    Nodes are taken from a queue, in id order first; parallel arcs merge
+    on insertion, the arc already there staying on the left.  Returns the
+    tree with the new nodes.
+    """
+    if tree is None:
+        made = len(items)
+        height, hops, row, fresh = [0] * made, [1] * made, [-1] * made, count().__next__
+    else:
+        made = tree.made
+        height = tree.height[:made].tolist()
+        hops = tree.hops[:made].tolist()
+        row = tree.row[:made].tolist()
+        fresh = count(tree.slots).__next__
+    kids: list[int] = []
+    series: list[bool] = []
+
+    def join(is_series: bool, a: int, b: int) -> int:
         kids.extend((a, b))
-        series_flags.append(series)
+        series.append(is_series)
         ha, hb = height[a], height[b]
         height.append((ha if ha > hb else hb) + 1)
-        slot.append(slot[a] if ha else slot[b] if hb else fresh())
         pa, pb = hops[a], hops[b]
-        hops.append(pa + pb if series else (pa if pa > pb else pb))
-        return len(nodes) - 1
+        hops.append(pa + pb if is_series else (pa if pa > pb else pb))
+        row.append(row[a] if ha else row[b] if hb else fresh())
+        return len(height) - 1
 
     def close(item) -> int:
         """Close an open run into a balanced subtree; returns its root."""
-        kind = SERIES if type(item) is deque else PARALLEL
+        is_series = type(item) is deque
         ops = list(item)
         while len(ops) > 2:
             # join, left to right, the neighbours no taller than the lowest
@@ -183,71 +515,43 @@ def decompose(instance: Instance) -> DecompTree:
             i = 0
             while i < len(ops):
                 if i + 1 < len(ops) and tall[i] <= low and tall[i + 1] <= low:
-                    paired.append(join(kind, ops[i], ops[i + 1]))
+                    paired.append(join(is_series, ops[i], ops[i + 1]))
                     i += 2
                 else:
                     paired.append(ops[i])
                     i += 1
             ops = paired
-        return join(kind, *ops)
+        return join(is_series, *ops)
 
-    tails: list[int] = []
-    heads: list[int] = []
-    tree: list = []
-    alive: list[bool] = []
-    # at most one live arc per (tail, head): parallels merge on insertion
-    out_by_head: dict[int, dict[int, int]] = {}
-    in_by_tail: dict[int, dict[int, int]] = {}
-    for v in range(graph.node_count):
-        if on[v]:
-            out_by_head[v] = {}
-            in_by_tail[v] = {}
+    # per node: successor -> reduced arc, and the set of predecessors
+    succ: dict[int, dict] = {v: {} for v in sorted({*tails, *heads})}
+    pred: dict[int, set] = {v: set() for v in succ}
 
-    def add(tail: int, head: int, item):
-        existing = out_by_head[tail].get(head)
-        if existing is not None:
-            # the arc already there stays on the left
-            run = tree[existing]
-            if type(run) is not list:
-                run = tree[existing] = [run if type(run) is int else close(run)]
-            run.append(item if type(item) is int else close(item))
+    def add(u: int, w: int, item):
+        out = succ[u]
+        run = out.get(w)
+        if run is None:
+            out[w] = item
+            pred[w].add(u)
             return
-        aid = len(tails)
-        tails.append(tail)
-        heads.append(head)
-        tree.append(item)
-        alive.append(True)
-        out_by_head[tail][head] = aid
-        in_by_tail[head][tail] = aid
+        if type(run) is not list:
+            run = out[w] = [run if type(run) is int else close(run)]
+        run.append(item if type(item) is int else close(item))
 
-    def remove(aid: int):
-        alive[aid] = False
-        del out_by_head[tails[aid]][heads[aid]]
-        del in_by_tail[heads[aid]][tails[aid]]
-
-    leaf_arcs = []
-    for a, (tail, head) in enumerate(zip(graph.tail, graph.head)):
-        if on[tail] and on[head]:
-            nodes.append((LEAF, a))
-            leaf_arcs.append(a)
-            height.append(0)
-            hops.append(1)
-            slot.append(-1)
-            add(tail, head, len(nodes) - 1)
-
-    pending = deque(v for v in sorted(out_by_head) if v != s and v != t)
+    for u, w, item in zip(tails, heads, items):
+        add(u, w, item)
+    pending = deque(v for v in succ if v != s and v != t)
     queued = set(pending)
     while pending:
         v = pending.popleft()
         queued.discard(v)
-        if len(in_by_tail[v]) != 1 or len(out_by_head[v]) != 1:
+        ins, outs = pred[v], succ[v]
+        if len(ins) != 1 or len(outs) != 1:
             continue
-        a = next(iter(in_by_tail[v].values()))
-        b = next(iter(out_by_head[v].values()))
-        u, w = tails[a], heads[b]
-        remove(a)
-        remove(b)
-        before, after = tree[a], tree[b]
+        u = ins.pop()
+        w, after = outs.popitem()
+        before = succ[u].pop(v)
+        pred[w].discard(v)
         if type(before) is deque:
             if type(after) is deque:
                 # merge the shorter run into the longer one
@@ -271,31 +575,36 @@ def decompose(instance: Instance) -> DecompTree:
                 pending.append(x)
                 queued.add(x)
 
-    live = alive.count(True)
+    live = sum(map(len, succ.values()))
     if live != 1:
         raise NotSeriesParallelError(f"reduction stalled with {live} arcs left")
-    aid = alive.index(True)
-    if tails[aid] != s or heads[aid] != t:
-        raise NotSeriesParallelError(
-            f"reduction ended at arc {tails[aid]}->{heads[aid]}, not source->sink"
-        )
-    root = tree[aid] if type(tree[aid]) is int else close(tree[aid])
-    plan = _plan(leaf_arcs, height, hops, slot, fresh(), kids, series_flags)
-    return DecompTree(nodes=tuple(nodes), root=root, height=height[root],
-                      hops=hops[root], plan=plan)
+    root = succ[s][t]  # the one arc left joins the terminals
+    if type(root) is not int:
+        close(root)
+    if tree is None:
+        return _Tree(made, (kids, series, height, hops, row, fresh()))
+    tree.height[made:] = height[made:]
+    tree.hops[made:] = hops[made:]
+    tree.row[made:] = row[made:]
+    tree.slots = fresh()  # the first row not taken
+    tree.kids.reshape(-1)[2 * (made - tree.leaves):] = kids
+    tree.series[made - tree.leaves:] = series
+    tree.made = len(height)
+    return tree
 
 
-def _plan(leaf_arcs, height, hops, slot, slots, kids, series_flags) -> _Plan:
-    """Sweep order and batch bounds of a closed tree."""
-    leaves = len(leaf_arcs)
-    key = np.array(height[leaves:], dtype=np.intp) * 2 + np.array(series_flags, dtype=np.intp)
+def _plan(leaf_arcs, tree: _Tree) -> _Plan:
+    """Sweep order, batch bounds and store rows of a closed tree."""
+    leaves = tree.leaves
+    inner = tree.height[leaves:]
+    key = inner * 2 + tree.series
     order = np.argsort(key, kind="stable")
     ids = order + leaves
-    children = np.array(kids, dtype=np.intp).reshape(-1, 2)[order].ravel()
-    row = np.array(slot, dtype=np.intp)
-    row[:leaves] = slots  # leaves read the all-infinite last row
+    children = tree.kids[order].ravel()
+    row = tree.row
+    row[:leaves] = tree.slots  # leaves read the last, all-infinite row
     # parallel then series nodes of each height, one batch each
-    sizes = np.bincount(key, minlength=2 * height[-1] + 2).tolist()
+    sizes = np.bincount(key, minlength=2 * int(inner.max(initial=0)) + 2).tolist()
     levels = []
     end = 0
     for parallel, series in zip(sizes[2::2], sizes[3::2]):
@@ -304,8 +613,7 @@ def _plan(leaf_arcs, height, hops, slot, slots, kids, series_flags) -> _Plan:
         levels.append((start, split, end))
     reach = []
     if levels:
-        peaks = np.maximum.reduceat(np.array(hops[leaves:], dtype=np.intp)[order],
-                                    [level[0] for level in levels])
+        peaks = np.maximum.reduceat(tree.hops[leaves:][order], [level[0] for level in levels])
         reach = np.maximum.accumulate(peaks).tolist()
     sweep_index = np.empty(len(ids), dtype=np.intp)
     sweep_index[order] = np.arange(len(ids))
@@ -315,7 +623,7 @@ def _plan(leaf_arcs, height, hops, slot, slots, kids, series_flags) -> _Plan:
         child_row=row[children], child_leaf=children < leaves,
         child_arc=np.take(arcs, children, mode="clip"),
         levels=tuple(level + (most,) for level, most in zip(levels, reach)),
-        slots=slots, leaf_arcs=arcs, height=height,
+        slots=tree.slots, leaf_arcs=arcs, height=tree.height.tolist(),
         sweep_index=sweep_index.tolist(),
     )
 

@@ -314,23 +314,26 @@ def dag_shortest_paths(
     Returns (dist, parent) where dist[v] is the minimum total selected cost
     of a source->v path (INF if unreachable) and parent[v] is the arc id of
     the last arc on one optimal path (None at the source / unreachable).
-    Ties are broken by the smallest incoming arc id.
+    Ties are broken by the smallest incoming arc id.  The sweep pushes
+    along the out-arcs of the nodes it has reached, in topological order,
+    and skips the rest: every node it reads is already reached.
     """
     cost = graph.column(selector)
-    tail = graph.tail
+    head = graph.head
     dist: list = [INF] * graph.node_count
     parent: list = [None] * graph.node_count
     dist[source] = 0
-    for v in graph.after(source):
-        best = INF
-        for a in graph.in_arcs(v):
-            d = dist[tail[a]]
-            if d is not INF:
-                d += cost[a]
-                if d < best:
-                    best = d
-                    parent[v] = a
-        dist[v] = best
+    for v in graph.order[graph.position[source]:]:
+        d = dist[v]
+        if d is INF:
+            continue
+        for a in graph.out_arcs(v):
+            h = head[a]
+            e = d + cost[a]
+            # the smallest arc id wins ties, as when pulling along in-arcs
+            if e < dist[h] or (e == dist[h] and a < parent[h]):
+                dist[h] = e
+                parent[h] = a
     return dist, parent
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -265,3 +266,157 @@ def test_sweep_takes_one_batched_step_per_height_and_kind(monkeypatch, make):
     assert len(steps) <= 2 * tree.height + math.ceil(inner / rows)
     if width == 2:
         assert len(steps) <= 2 * tree.height
+
+
+@pytest.mark.parametrize("shape", [long_path, wide_bundle])
+def test_tall_runs_are_rebalanced_by_either_phase_alone(monkeypatch, shape):
+    # rounds carried down to one arc, then the queue reduction alone
+    inst = shape(TALL, 50)
+    want = solve_asp(inst)
+    for min_arcs in (1, 1 << 62):
+        monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+        tree = decompose(inst)
+        assert tree.height <= 2 * math.ceil(math.log2(TALL)) + 2
+        assert len(tree.nodes) == 2 * TALL - 1
+        # one store row per node of height 1; the others reuse a child's
+        assert tree.plan.slots == tree.plan.height.count(1)
+        assert solve_asp(inst) == want
+
+
+def nested_alternation(arcs, k=1):
+    """((a | b) . c | d) . e ...: each arc in turn joins the whole graph so
+    far in parallel (from the source) or in series (to a new sink)."""
+    rows, sink = [(0, 1, 1, 1, 0)], 1
+    while len(rows) < arcs:
+        if len(rows) % 2:
+            rows.append((0, sink, *_costs(len(rows))))
+        else:
+            rows.append((sink, sink + 1, *_costs(len(rows))))
+            sink += 1
+    return Instance(MultiDigraph.from_rows(sink + 1, rows), 0, sink, min(k, sink))
+
+
+def _shape(tree, i=None):
+    node = tree.nodes[tree.root if i is None else i]
+    if node[0] == LEAF:
+        return node[1]
+    return node[0], _shape(tree, node[1]), _shape(tree, node[2])
+
+
+def test_rounds_close_runs_like_the_queue(monkeypatch):
+    # runs whose operands differ in height: a bundle of chains and a chain
+    # of bundles; both phases see the operands in the same order here
+    lengths = [1, 7, 2, 3, 1, 12, 5, 1, 1, 4, 9, 2, 16, 1, 3]
+    rows, n = [], 2
+    for length in lengths:
+        way = [0, *range(n, n + length - 1), 1]
+        n += length - 1
+        rows += [(u, w, *_costs(len(rows))) for u, w in zip(way, way[1:])]
+    bundles = Instance(MultiDigraph.from_rows(n, rows), 0, 1, 3)
+    rows = [(v, v + 1, *_costs(v + i)) for v, width in enumerate(lengths) for i in range(width)]
+    chain = Instance(MultiDigraph.from_rows(len(lengths) + 1, rows), 0, len(lengths), 3)
+    for inst in (bundles, chain):
+        shapes = []
+        for min_arcs in (1, 1 << 62):
+            monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+            shapes.append(_shape(decompose(inst)))
+        assert shapes[0] == shapes[1]
+
+
+def test_array_rounds_match_the_oracle_and_the_queue(monkeypatch):
+    # the array phase on oracle-size graphs: rounds, stall rejections and
+    # the hand-over to the queue once a round removes too little
+    rng = SplitMix64(4242)
+    verdicts = set()
+    for trial in range(400):
+        if trial % 8 == 1:
+            # two arcs a round: the rounds hand over from 17 arcs on
+            inst = nested_alternation(rng.randint(2, 24), rng.randint(1, 12))
+        elif trial % 2:
+            inst = generate_instance("asp", rng.randint(0, 10**9), arcs=rng.randint(1, 12),
+                                     k=rng.randint(1, 3))
+        else:
+            # a 0 .. n-1 backbone and forward arcs, some of them parallel
+            n = rng.randint(3, 7)
+            pairs = [(v, v + 1) for v in range(n - 1)]
+            for _ in range(rng.randint(0, 8)):
+                tail = rng.randint(0, n - 2)
+                pairs.append((tail, rng.randint(tail + 1, n - 1)))
+            rows = [(u, w, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(0, 5))
+                    for u, w in pairs]
+            inst = Instance(MultiDigraph.from_rows(n, rows), 0, n - 1, rng.randint(1, n - 1))
+        results = []
+        for min_arcs in (1, 1 << 62):
+            monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+            try:
+                results.append((len(decompose(inst).nodes), root_values(inst)))
+            except NotSeriesParallelError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+        verdicts.add(type(results[0]))
+        if type(results[0]) is tuple:
+            assert results[0][1] == bruteforce_root_values(inst)
+    assert verdicts == {tuple, str}
+
+
+def test_nested_alternation_hands_over_to_the_queue():
+    # every round would remove two arcs: without the share rule the rounds
+    # take quadratic time; only decompose is timed, as the tree is m tall
+    m = 8192
+    inst = nested_alternation(m)
+    start = time.perf_counter()
+    tree = decompose(inst)
+    assert time.perf_counter() - start < 1.0
+    assert len(tree.nodes) == 2 * m - 1
+    assert tree.height == m - 1
+
+
+@pytest.mark.parametrize("doubled", [500, 10])
+def test_rounds_reject_before_building(monkeypatch, doubled):
+    # 100 bridges in series, some arcs doubled: the first round merges the
+    # pairs; with all 500 doubled the rounds go on, with 10 they are over
+    # (too few arcs removed), and either way the next round finds nothing
+    # to do and raises before any run is closed
+    rows = []
+    for b in range(100):
+        s, x, y, t = 3 * b, 3 * b + 1, 3 * b + 2, 3 * b + 3
+        for tail, head in ((s, x), (s, y), (x, y), (x, t), (y, t)):
+            rows += [(tail, head, 1, 1, 0)] * (1 + (len(rows) < 2 * doubled))
+    inst = Instance(MultiDigraph.from_rows(301, rows), 0, 300, 1)
+    assert inst.graph.arc_count == 500 + doubled
+
+    def building(*args):
+        raise AssertionError("built a tree for a graph it rejects")
+
+    monkeypatch.setattr(asp, "_close_runs", building)
+    monkeypatch.setattr(asp, "_queue", building)
+    with pytest.raises(NotSeriesParallelError, match="stalled with 500 arcs left"):
+        decompose(inst)
+
+
+def test_pruned_arcs_do_not_count_towards_the_rounds():
+    # 300 arcs dangle off the sink: the 100 kept ones go to the queue alone
+    inst = generate_instance("asp", 7, arcs=100, k=3)
+    g = inst.graph
+    n = g.node_count
+    rows = [*zip(g.tail, g.head, g.first, g.nominal, g.deviation),
+            *((inst.sink, n + i % 50, 1, 1, 0) for i in range(300))]
+    padded = Instance(MultiDigraph.from_rows(n + 50, rows), inst.source, inst.sink, inst.k)
+    assert decompose(padded).nodes == decompose(inst).nodes
+    assert root_values(padded) == root_values(inst)
+
+
+def test_decompose_memory_follows_the_arcs_not_the_node_count():
+    small = generate_instance("asp", 31, arcs=300, k=3)
+    g = small.graph
+    inst = Instance(MultiDigraph(200_000, g.tail, g.head, g.first, g.nominal, g.deviation),
+                    small.source, small.sink, small.k)
+    inst.on_path  # cached on the instance; sized by the node count
+    assert len(decompose(inst).nodes) == 2 * 300 - 1
+    tracemalloc.start()
+    try:
+        decompose(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,13 +6,16 @@ them long chains and wide bundles) with negative costs, parallel arcs
 and, in some draws, costs on either side of the asp kernel's int64 guard.
 Each graph is solved for every budget 0 <= k < n, which covers k at and
 beyond the longest source-sink path; where asp applies, its exact root
-arrays must also equal the oracle's.
+arrays must also equal the oracle's.  A second property forces asp's
+array rounds onto these small graphs and onto nested alternations, and
+checks them against the oracle and against the queue reduction alone.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recsp.asp import ASP_INF, root_values
+from recsp import asp
+from recsp.asp import ASP_INF, decompose, root_values
 from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
@@ -163,3 +166,40 @@ def test_guard_boundary_is_exact(offset):
         with pytest.raises(CostOverflowError):
             solve(inst, "asp")
     assert solve(inst).total_cost == worst
+
+
+@st.composite
+def nested_alternations(draw):
+    """((a | b) . c | d) . e ...: each round of the reduction removes two
+    arcs, so from 17 arcs on the array rounds hand over to the queue."""
+    m = draw(st.integers(2, 24))
+    pairs, sink = [(0, 1)], 1
+    while len(pairs) < m:
+        if len(pairs) % 2:
+            pairs.append((0, sink))
+        else:
+            pairs.append((sink, sink + 1))
+            sink += 1
+    return sink + 1, [_row(draw, tail, head) for tail, head in pairs], 0, sink
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(series_parallel(), random_dags(), nested_alternations()))
+def test_array_rounds_match_the_oracle_and_the_queue(drawn):
+    n, rows, s, t = drawn
+    graph = MultiDigraph.from_rows(n, rows)
+    insts = [Instance(graph, s, t, k) for k in range(n)]
+    verdicts, roots = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for min_arcs in (1, 1 << 62):  # array rounds from the first arc, queue alone
+            patch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+            try:
+                verdicts.append(len(decompose(insts[-1]).nodes))
+            except NotSeriesParallelError as err:
+                verdicts.append(str(err))
+                continue
+            roots.append(list(map(root_values, insts)))
+    assert verdicts[0] == verdicts[1]
+    if roots:
+        assert roots[0] == roots[1] == list(map(bruteforce_root_values, insts))

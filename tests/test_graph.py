@@ -186,6 +186,58 @@ def test_dag_shortest_paths_unreachable_is_inf():
     assert reconstruct_path(g, parent, 0, 2) is None
 
 
+def _full_sweep(g, selector, source):
+    """Shortest paths reading the in-arcs of every node after the source."""
+    cost = g.column(selector)
+    dist, parent = [INF] * g.node_count, [None] * g.node_count
+    dist[source] = 0
+    for v in g.after(source):
+        for a in g.in_arcs(v):
+            d = dist[g.tail[a]] + cost[a]
+            if d < dist[v]:
+                dist[v], parent[v] = d, a
+    return dist, parent
+
+
+def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
+    rng = SplitMix64(77)
+    for trial in range(40):
+        n = rng.randint(3, 9)
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            tail = rng.randint(0, n - 2)
+            rows.append((tail, rng.randint(tail + 1, n - 1), rng.randint(-5, 5), 0, 0))
+        g = build(n, rows)
+        for source in range(n):
+            for selector in ("first", "upper", "combined"):
+                assert dag_shortest_paths(g, selector, source) == _full_sweep(g, selector, source)
+
+
+def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
+    # two disjoint 512-arc paths; the second follows the first in
+    # topological order and no node of it is reachable from the first
+    calls = [0]
+
+    def counting(original):
+        def count(graph, v):
+            calls[0] += 1
+            return original(graph, v)
+        return count
+
+    m = 512
+    rows = [(v, v + 1, 1, 0, 0) for v in range(m)]
+    rows += [(v, v + 1, 1, 0, 0) for v in range(m + 1, 2 * m + 1)]
+    g = build(2 * m + 2, rows)
+    source = m - 10
+    want = _full_sweep(g, "first", source)
+    for name in ("in_arcs", "out_arcs"):
+        monkeypatch.setattr(MultiDigraph, name, counting(getattr(MultiDigraph, name)))
+    dist, parent = dag_shortest_paths(g, "first", source)
+    assert (dist, parent) == want
+    assert dist[m] == 10 and dist[m + 1] is INF
+    assert calls[0] <= 11  # the full sweep reads the in-arcs of 523 nodes
+
+
 def test_dag_shortest_paths_matches_enumeration():
     from recsp.oracle import enumerate_st_paths
 
