@@ -182,13 +182,19 @@ class Instance:
         if not (0 <= self.k < n):
             raise ValidationError(f"k={self.k} outside 0 <= k < {n}")
         self.graph.order  # sorts the graph once, raising CyclicGraphError
-        if not reachable_from(self.graph, self.source)[self.sink]:
+        if not self.reachable[self.sink]:
             raise ValidationError("sink is not reachable from source")
 
     @cached_property
+    def reachable(self) -> list[bool]:
+        """``reachable_from`` the source, computed once, by validation."""
+        return reachable_from(self.graph, self.source)
+
+    @cached_property
     def on_path(self) -> list[bool]:
-        """``on_st_path_mask`` of the terminals, computed once."""
-        return on_st_path_mask(self.graph, self.source, self.sink)
+        """``on_st_path_mask`` of the terminals, computed once, from the
+        forward mask that validation kept."""
+        return [f and b for f, b in zip(self.reachable, reaches(self.graph, self.sink))]
 
     @cached_property
     def effective_k(self) -> int:
@@ -307,7 +313,7 @@ def compute_layering(instance: Instance) -> dict[int, int]:
 
 
 def dag_shortest_paths(
-    graph: MultiDigraph, selector: str, source: int
+    graph: MultiDigraph, selector: str, source: int, until: int | None = None
 ) -> tuple[list, list]:
     """Single-source shortest paths on a DAG; negative costs allowed.
 
@@ -316,14 +322,20 @@ def dag_shortest_paths(
     the last arc on one optimal path (None at the source / unreachable).
     Ties are broken by the smallest incoming arc id.  The sweep pushes
     along the out-arcs of the nodes it has reached, in topological order,
-    and skips the rest: every node it reads is already reached.
+    and skips the rest: every node it reads is already reached.  With
+    ``until``, a node at or after the source, the sweep stops on reaching
+    that node: the entries of nodes up to and including it are final, as
+    a node's distance depends only on the nodes before it; later ones are
+    not.
     """
     cost = graph.column(selector)
     head = graph.head
     dist: list = [INF] * graph.node_count
     parent: list = [None] * graph.node_count
     dist[source] = 0
-    for v in graph.order[graph.position[source]:]:
+    position = graph.position
+    stop = graph.node_count if until is None else position[until]
+    for v in graph.order[position[source]:stop]:
         d = dist[v]
         if d is INF:
             continue
@@ -358,7 +370,8 @@ class HopBoundedTable:
     ``dist[v][l]`` is the minimum selected cost of a source->v path using at
     most l arcs (INF if none); nonincreasing in l.  Backpointers allow exact
     reconstruction; on cost ties a path with fewer arcs is preferred, then
-    smaller arc ids.
+    smaller arc ids.  ``reached`` lists, in topological order, the nodes
+    after the source that some path of at most ``max_hops`` arcs reaches.
     """
 
     _CARRY = -1
@@ -381,6 +394,7 @@ class HopBoundedTable:
         back[source] = [none] + [carry] * max_hops
         # heads of arcs out of kept rows: no other node can be reached
         marked = [False] * graph.node_count
+        reached = []
         for a in graph.out_arcs(source):
             marked[head[a]] = True
         for v in graph.after(source):
@@ -408,9 +422,11 @@ class HopBoundedTable:
                     bp[l] = carry
             dist[v] = row
             back[v] = bp
+            reached.append(v)
             for a in graph.out_arcs(v):
                 marked[head[a]] = True
         self.dist = dist
+        self.reached = reached
         self._back = back
 
     def path_to(self, v: int, l: int):

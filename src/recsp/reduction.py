@@ -13,6 +13,14 @@ source in the graph's topological order, as that kernel needs:
   same endpoints, and its time bounds the arcs the recovery path uses
   that the first-stage path does not.
 
+The builders find the pair transitions differently.  In a layered graph
+every path between two nodes has the same number of arcs, the layer gap,
+so ``build_layered_reduction`` needs no hop index: it handles every
+source at once in numpy arrays, one batched step per layer gap.
+``build_dag_reduction`` sweeps from one source at a time: a hop-bounded
+table for the recovery stage, and a first-stage sweep that stops at the
+last node the table reached.
+
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
 and time; the stage paths it stands for are rebuilt, by sweeping again
@@ -20,10 +28,13 @@ from its tail, for the pair transitions on the optimum only.
 """
 from __future__ import annotations
 
+from itertools import chain, repeat
+
+import numpy as np
+
 from .csp import solve_csp
 from .errors import InfeasibleError
 from .graph import (
-    INF,
     HopBoundedTable,
     Instance,
     compute_layering,
@@ -45,34 +56,12 @@ def _direct(graph, on, i: int) -> list[tuple]:
     return [(i, j, combined[a], 0, a) for j, a in best.items()]
 
 
-def _window_costs(graph, by_layer, source: int, layers: range) -> dict[int, int]:
-    """Cheapest first-stage plus cheapest recovery cost from ``source`` to
-    every node it reaches within ``layers``, the layers after its own.
-
-    In a layered graph every arc advances one layer, so sweeping the nodes
-    layer by layer visits them in topological order.
-    """
-    tail, first, upper = graph.tail, graph.first, graph.upper
-    dist_first = {source: 0}
-    dist_upper = {source: 0}
-    for h in layers:
-        for v in by_layer[h]:
-            best_first = best_upper = INF
-            for a in graph.in_arcs(v):
-                d = dist_first.get(tail[a])
-                if d is None:
-                    continue
-                d += first[a]
-                if d < best_first:
-                    best_first = d
-                d = dist_upper[tail[a]] + upper[a]
-                if d < best_upper:
-                    best_upper = d
-            if best_first is not INF:
-                dist_first[v] = best_first
-                dist_upper[v] = best_upper
-    del dist_first[source]
-    return {v: d + dist_upper[v] for v, d in dist_first.items()}
+def _starts(key):
+    """Where each run of equal values in the sorted array ``key`` starts."""
+    new = np.empty(len(key), bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return new.nonzero()[0]
 
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
@@ -80,29 +69,87 @@ def build_layered_reduction(instance: Instance) -> list[tuple]:
 
     Raises NotLayeredError (via the layering pass) when the graph, pruned
     to the nodes on source-sink paths, is not layered.  Pair transitions
-    join every node pair whose layers differ by at most the budget, found
-    by a sweep over only those layers.  A pair's time is the layer gap:
-    split an optimal stage pair at the nodes both paths visit; between two
-    consecutive such nodes the stages either share one arc (a direct
-    transition) or the recovery stretch has no arc of the first-stage
-    path, so it diverges by exactly the gap, as in ``build_dag_reduction``.
+    join every node pair whose layers differ by at most the budget.  A
+    pair's time is the layer gap: split an optimal stage pair at the
+    nodes both paths visit; between two consecutive such nodes the stages
+    either share one arc (a direct transition) or the recovery stretch has
+    no arc of the first-stage path, so it diverges by exactly the gap, as
+    in ``build_dag_reduction``.
+
+    All sources are handled at once, in arrays over compact node ids, the
+    on-path nodes' topological ranks.  The arcs joining on-path nodes are
+    reduced to one entry per (tail, head) pair: the cheapest first-stage
+    and upper costs, and the cheapest combined cost with its first arc on
+    ties (the direct transition).  The pairs one layer apart are the
+    entries; those g + 1 apart extend each pair g apart by the entries out
+    of its head and keep the least first-stage and upper cost per (tail,
+    head).  The direct transitions are sorted by first arc, and each gap's
+    pairs come sorted by tail and head, so one stable sort by tail lists,
+    for each source in topological order, its direct transitions by the
+    first arc to each head, then its pair transitions by gap and by the
+    heads' topological order.  Costs are int64 when no
+    sum formed here can leave that range, and exact Python ints in object
+    arrays otherwise.
     """
+    compute_layering(instance)
     graph = instance.graph
     k = instance.effective_k
     on = instance.on_path
-    layer = compute_layering(instance)
-    last = layer[instance.sink]
     nodes = [v for v in graph.order if on[v]]
-    by_layer: list[list[int]] = [[] for _ in range(last + 1)]
-    for v in nodes:
-        by_layer[layer[v]].append(v)
-    transitions = []
-    for i in nodes:
-        transitions += _direct(graph, on, i)
-        li = layer[i]
-        costs = _window_costs(graph, by_layer, i, range(li + 1, min(li + k, last) + 1))
-        transitions += [(i, j, c, layer[j] - li, None) for j, c in costs.items()]
-    return transitions
+    size = len(nodes)
+    rank = dict(zip(nodes, range(size)))
+    m = graph.arc_count
+    ranks = np.fromiter(map(rank.get, chain(graph.tail, graph.head), repeat(-1)), np.intp, 2 * m)
+    tails, heads = ranks[:m], ranks[m:]
+    arcs = (np.minimum(tails, heads) >= 0).nonzero()[0]
+    first, upper = graph.first, graph.upper
+    # a pair sums at most k first-stage and k upper costs
+    bound = max(max(first), -min(first)) + max(max(upper), -min(upper))
+    dtype = np.int64 if 2 * (k + 1) * bound < 1 << 63 else object
+    costs = np.fromiter(chain(first, upper), dtype, 2 * m)
+    first, upper = costs[arcs], costs[arcs + m]
+    combined = first + upper
+    key = tails[arcs] * size + heads[arcs]
+    order = np.lexsort((combined, key))  # stable: the first arc wins ties
+    key = key[order]
+    start = _starts(key)
+    direct = order[start]
+    tail, head = tails[arcs[direct]], heads[arcs[direct]]
+    first = np.minimum.reduceat(first[order], start)
+    upper = np.minimum.reduceat(upper[order], start)
+    degree = np.bincount(tail, minlength=size)
+    offset = degree.cumsum() - degree
+    # directs by their first arc, pairs by tail and head: the stable sort
+    # by tail at the end keeps both orders within each tail
+    by_first = np.minimum.reduceat(order, start).argsort()
+    direct = direct[by_first]
+    columns = [(tail[by_first], head[by_first], combined[direct])]
+    s, v, f, u = tail, head, first, upper
+    for gap in range(1, k + 1):
+        columns.append((s, v, f + u))
+        if gap == k:
+            break
+        count = degree[v]
+        ends = count.cumsum()
+        if not ends[-1]:
+            break
+        out = (offset[v] - ends + count).repeat(count) + np.arange(ends[-1])
+        key = (s * size).repeat(count) + head[out]
+        order = key.argsort()
+        key = key[order]
+        start = _starts(key)
+        s, v = np.divmod(key[start], size)
+        f = np.minimum.reduceat((f.repeat(count) + first[out])[order], start)
+        u = np.minimum.reduceat((u.repeat(count) + upper[out])[order], start)
+    sizes = [len(column[0]) for column in columns]
+    time = np.arange(len(columns)).repeat(sizes)
+    tail, head, cost = map(np.concatenate, zip(*columns))
+    order = tail.argsort(kind="stable")
+    # an empty object array holds None: the pair transitions' arc
+    arc = np.concatenate((arcs[direct], np.empty(len(time) - sizes[0], object)))
+    nodes = np.array(nodes)
+    return list(zip(nodes[tail[order]].tolist(), nodes[head[order]].tolist(),
+                    cost[order].tolist(), time[order].tolist(), arc[order].tolist()))
 
 
 def build_dag_reduction(instance: Instance) -> list[tuple]:
@@ -132,12 +179,15 @@ def build_dag_reduction(instance: Instance) -> list[tuple]:
         if not on[i]:
             continue
         transitions += _direct(graph, on, i)
-        dist_first, _ = dag_shortest_paths(graph, "first", i)
         table = HopBoundedTable(graph, "upper", i, k)
-        for j in graph.after(i):
-            row = table.dist[j]
-            if not on[j] or row[k] is INF:
+        if not table.reached:
+            continue
+        # first-stage distances are read only where the table reached
+        dist_first, _ = dag_shortest_paths(graph, "first", i, until=table.reached[-1])
+        for j in table.reached:
+            if not on[j]:
                 continue
+            row = table.dist[j]
             base = dist_first[j]
             transitions += [
                 (i, j, base + row[l], l, None) for l in range(1, k + 1) if row[l] < row[l - 1]
@@ -149,11 +199,12 @@ def pair_paths(graph, i: int, j: int, l: int) -> tuple[tuple[int, ...], tuple[in
     """The first-stage and recovery paths of the pair transition from
     ``i`` to ``j`` with time ``l``.
 
-    Sweeps again from ``i``: the cheapest first-stage path, and the
-    cheapest recovery path with at most ``l`` arcs.  These are the paths
-    whose costs the transition was built with, in both reductions.
+    Sweeps again from ``i``: the cheapest first-stage path, swept only
+    up to ``j``, and the cheapest recovery path with at most ``l`` arcs.
+    These are the paths whose costs the transition was built with, in
+    both reductions.
     """
-    _, parent = dag_shortest_paths(graph, "first", i)
+    _, parent = dag_shortest_paths(graph, "first", i, until=j)
     y = HopBoundedTable(graph, "upper", i, l).path_to(j, l)
     return reconstruct_path(graph, parent, i, j), y
 

@@ -6,9 +6,11 @@ them long chains and wide bundles) with negative costs, parallel arcs
 and, in some draws, costs on either side of the asp kernel's int64 guard.
 Each graph is solved for every budget 0 <= k < n, which covers k at and
 beyond the longest source-sink path; where asp applies, its exact root
-arrays must also equal the oracle's.  A second property forces asp's
-array rounds onto these small graphs and onto nested alternations, and
-checks them against the oracle and against the queue reduction alone.
+arrays must also equal the oracle's.  On layered graphs, also with costs
+scaled past int64, the layered and dag reductions must list the same
+transitions.  A last property forces asp's array rounds onto these small
+graphs and onto nested alternations, and checks them against the oracle
+and against the queue reduction alone.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +23,7 @@ from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelEr
 from recsp.generator import generate_instance
 from recsp.graph import Instance, MultiDigraph
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
+from recsp.reduction import build_dag_reduction, build_layered_reduction
 from recsp.solution import verify_solution
 
 COSTS = st.integers(-20, 20)
@@ -153,6 +156,24 @@ def test_every_solver_matches_the_oracle(drawn):
             pass
         except CostOverflowError:
             assert over_guard
+
+
+def _transitions(build, inst):
+    return sorted(build(inst), key=lambda tr: tr[:4])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(layered_dags(), st.sampled_from((1, 1 << 60)))
+def test_layered_and_dag_reductions_list_the_same_transitions(drawn, scale):
+    # scaled by 2**60, costs and their sums leave int64
+    n, rows, s, t = drawn
+    graph = MultiDigraph.from_rows(n, [(a, b, f * scale, u * scale, d * scale)
+                                       for a, b, f, u, d in rows])
+    for k in range(1, n):
+        inst = Instance(graph, s, t, k)
+        layered = _transitions(build_layered_reduction, inst)
+        assert layered == _transitions(build_dag_reduction, inst)
 
 
 @pytest.mark.parametrize("offset", [-1, 0])

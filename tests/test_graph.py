@@ -210,7 +210,14 @@ def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
         g = build(n, rows)
         for source in range(n):
             for selector in ("first", "upper", "combined"):
-                assert dag_shortest_paths(g, selector, source) == _full_sweep(g, selector, source)
+                want = _full_sweep(g, selector, source)
+                assert dag_shortest_paths(g, selector, source) == want
+                # stopped on reaching ``until``: final up to it in topological order
+                for until in g.order[g.position[source]:]:
+                    dist, parent = dag_shortest_paths(g, selector, source, until=until)
+                    done = g.order[:g.position[until] + 1]
+                    assert [dist[v] for v in done] == [want[0][v] for v in done]
+                    assert [parent[v] for v in done] == [want[1][v] for v in done]
 
 
 def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):

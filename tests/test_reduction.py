@@ -4,7 +4,7 @@ import recsp.graph
 from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
-from recsp.graph import Instance, MultiDigraph
+from recsp.graph import Instance, MultiDigraph, compute_layering
 from recsp.oracle import solve_bruteforce
 from recsp.reduction import (
     build_dag_reduction,
@@ -80,7 +80,7 @@ def test_dag_reduction_on_a_path_is_linear_in_the_budget():
 
 def test_hop_tables_skip_nodes_out_of_reach(monkeypatch):
     # each hop table reads the in-arcs of at most k + 1 nodes past its
-    # source; the first-stage sweeps still read every node after it
+    # source; the first-stage sweeps read out-arcs only
     calls = [0]
     original = MultiDigraph.in_arcs
 
@@ -93,6 +93,121 @@ def test_hop_tables_skip_nodes_out_of_reach(monkeypatch):
     g = MultiDigraph.from_rows(m + 1, [(v, v + 1, 1, 2, 1) for v in range(m)])
     assert solve_dag(Instance(g, 0, m, k)).total_cost == 2048
     assert calls[0] <= 157_000
+
+
+def test_first_stage_sweeps_stop_where_the_hop_tables_stop(monkeypatch):
+    # from each source the hop table reads the out-arcs of the source and
+    # of the k nodes it reached, and the first-stage sweep those of the
+    # nodes before the last one reached: 49,776 reads, against 157,242
+    # when the sweep ran to the end of the path
+    calls = [0]
+    original = MultiDigraph.out_arcs
+
+    def counting(graph, v):
+        calls[0] += 1
+        return original(graph, v)
+
+    m, k = 512, 50
+    g = MultiDigraph.from_rows(m + 1, [(v, v + 1, 1, 2, 1) for v in range(m)])
+    inst = Instance(g, 0, m, k)
+    inst.on_path, inst.effective_k
+    monkeypatch.setattr(MultiDigraph, "out_arcs", counting)
+    assert len(build_dag_reduction(inst)) == 24887
+    assert calls[0] <= 2 * (m + 1) * (k + 1)
+    assert solve_dag(inst).total_cost == 2048
+
+
+def _layered_reference(instance):
+    """The layered transitions, in order, from one dictionary sweep per
+    source over the next k layers."""
+    graph = instance.graph
+    k, on = instance.effective_k, instance.on_path
+    layer = compute_layering(instance)
+    by_layer = {}
+    for v in graph.order:
+        if on[v]:
+            by_layer.setdefault(layer[v], []).append(v)
+    transitions = []
+    for i in graph.order:
+        if not on[i]:
+            continue
+        best = {}
+        for a in graph.out_arcs(i):
+            j = graph.head[a]
+            if on[j] and (j not in best or graph.combined[a] < graph.combined[best[j]]):
+                best[j] = a
+        transitions += [(i, j, graph.combined[a], 0, a) for j, a in best.items()]
+        first, upper = {i: 0}, {i: 0}
+        for gap in range(1, k + 1):
+            for v in by_layer.get(layer[i] + gap, ()):
+                arcs = [a for a in graph.in_arcs(v) if graph.tail[a] in first]
+                if arcs:
+                    first[v] = min(first[graph.tail[a]] + graph.first[a] for a in arcs)
+                    upper[v] = min(upper[graph.tail[a]] + graph.upper[a] for a in arcs)
+                    transitions.append((i, v, first[v] + upper[v], gap, None))
+    return transitions
+
+
+def _random_layered(rng, scale):
+    """A layered graph with parallel arcs, negative costs and stubs off
+    every source-sink path, at ``scale`` times the usual width."""
+    widths = [1] + [rng.randint(1, 3 * scale) for _ in range(rng.randint(1, 6))] + [1]
+    layers, n = [], 0
+    for w in widths:
+        layers.append(list(range(n, n + w)))
+        n += w
+
+    def row(tail, head):
+        return (tail, head, rng.randint(-9, 30), rng.randint(-9, 30), rng.randint(0, 9))
+
+    rows = []
+    for here, there in zip(layers, layers[1:]):
+        rows += [row(here[rng.randint(0, len(here) - 1)], v) for v in there]
+        rows += [row(v, there[rng.randint(0, len(there) - 1)]) for v in here]
+        for _ in range(rng.randint(0, 4 * scale)):
+            rows.append(row(here[rng.randint(0, len(here) - 1)],
+                            there[rng.randint(0, len(there) - 1)]))
+    # a stub fed from two layers and one hanging above the source
+    rows += [row(0, n), row(layers[-2][0], n), row(n + 1, 0)]
+    order = list(range(len(rows)))
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.randint(0, i)
+        order[i], order[j] = order[j], order[i]
+    return MultiDigraph.from_rows(n + 2, [rows[i] for i in order]), layers[-1][0]
+
+
+def test_layered_build_matches_the_per_source_sweep_in_order():
+    rng = SplitMix64(4242)
+    instances = []
+    for scale in (1, 1, 1, 3):
+        for _ in range(30):
+            g, sink = _random_layered(rng, scale)
+            instances += [Instance(g, 0, sink, k) for k in range(1, 5)]
+    for seed in range(6):
+        instances.append(generate_instance("layered", seed, nodes=60, arcs=240, k=4, layers=12))
+    for inst in instances:
+        transitions = build_layered_reduction(inst)
+        assert transitions == _layered_reference(inst)
+        assert sorted(transitions, key=lambda tr: tr[:4]) == sorted(
+            build_dag_reduction(inst), key=lambda tr: tr[:4])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_layered_build_is_exact_past_int64(sign):
+    # every stage path sums three costs near 2**62: int64 would wrap
+    big = sign * (1 << 62)
+    g = MultiDigraph.from_rows(6, [
+        (0, 1, big, big, 5), (0, 2, big + 7, big - 3, 0), (1, 3, big, big + 1, 2),
+        (2, 3, big - 1, big, 9), (2, 4, big + 2, big - 5, 1), (1, 4, big, big, 0),
+        (3, 5, big, big, 3), (4, 5, big - 4, big + 4, 0),
+    ])
+    for k in (1, 2, 3):
+        inst = Instance(g, 0, 5, k)
+        sol = solve(inst, "layered")
+        assert abs(sol.total_cost) > 1 << 63
+        assert sol.total_cost == solve_bruteforce(inst).total_cost
+        assert verify_solution(inst, sol).accepted
+        assert build_layered_reduction(inst) == _layered_reference(inst)
 
 
 def test_reductions_keep_on_path_nodes_and_the_effective_budget():
@@ -110,6 +225,25 @@ def test_reductions_keep_on_path_nodes_and_the_effective_budget():
         assert max(tr[3] for tr in transitions) == 2
     assert solve_layered(inst).total_cost == solve_bruteforce(inst).total_cost
     assert solve_dag(inst).total_cost == solve_bruteforce(inst).total_cost
+
+
+@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
+def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
+    # forward from the source to validate, backward from the sink for the
+    # on-path mask, which reuses the forward mask
+    searches = []
+    original = recsp.graph._search
+
+    def counting(adjacency, ends, start, node_count):
+        searches.append(start)
+        return original(adjacency, ends, start, node_count)
+
+    made = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
+    monkeypatch.setattr(recsp.graph, "_search", counting)
+    inst = Instance(made.graph, made.source, made.sink, made.k)
+    sol = solve(inst, method)
+    assert searches == [inst.source, inst.sink]
+    assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
