@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 
@@ -64,7 +65,7 @@ def _write(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
@@ -146,15 +147,11 @@ def cmd_bench(args) -> int:
             [args.family, n, m, instance.k, args.family,
              solution.total_cost, f"{elapsed:.3f}", agreement]
         )
-    if args.output == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["family", "n", "m", "k", "method", "total", "time_ms", "agreement"])
-        writer.writerows(rows)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["family", "n", "m", "k", "method", "total", "time_ms", "agreement"])
-            writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["family", "n", "m", "k", "method", "total", "time_ms", "agreement"])
+    writer.writerows(rows)
+    _write(args.output, text.getvalue())
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ from .errors import (
     NotLayeredError,
     NotSeriesParallelError,
 )
-from .graph import Instance, dag_shortest_paths, reconstruct_path
+from .graph import Instance, dag_shortest_paths, shortest_path
 from .oracle import solve_bruteforce
 from .reduction import solve_dag, solve_layered
 from .solution import Solution, build_solution
@@ -18,8 +18,9 @@ METHODS = ("auto", "asp", "layered", "dag", "oracle")
 
 def _solve_zero_budget(instance: Instance) -> Solution:
     """With no recovery allowed both stages follow one combined-cheapest path."""
-    dist, parent = dag_shortest_paths(instance.graph, "combined", instance.source)
-    path = reconstruct_path(instance.graph, parent, instance.source, instance.sink)
+    graph = instance.graph
+    dist = dag_shortest_paths(graph, graph.combined, instance.source)
+    path = shortest_path(graph, graph.combined, dist, instance.source, instance.sink)
     if path is None:
         raise InfeasibleError("sink unreachable")
     return build_solution(instance, path, path)

@@ -10,6 +10,13 @@ parser fills; it derives per-node arc lists from them once, and keeps its
 topological order once it has been computed (``Instance`` validation does
 so).  The routines here read those and never sort the graph again;
 ``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
+
+The shortest-path sweeps take a cost column (``graph.first``,
+``graph.upper`` or ``graph.combined``) and keep distances only.  A path
+is read back from them: walking from its end, each step takes the
+smallest-id in-arc whose tail's distance plus its cost attains the
+current one, and in a hop-indexed table it first steps down a hop while
+that costs nothing, so on a cost tie the path with fewer arcs wins.
 """
 from __future__ import annotations
 
@@ -22,9 +29,6 @@ from functools import cached_property
 from .errors import CyclicGraphError, NotLayeredError, ValidationError
 
 INF = float("inf")
-
-#: valid cost selectors for the shortest-path routines
-COST_SELECTORS = ("first", "upper", "combined")
 
 
 class Arc(namedtuple("Arc", "id tail head first_cost nominal deviation")):
@@ -138,12 +142,6 @@ class MultiDigraph:
     def in_arcs(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
-    def column(self, selector: str) -> list[int]:
-        """The per-arc cost column named by a selector from COST_SELECTORS."""
-        if selector not in COST_SELECTORS:
-            raise ValueError(f"unknown cost selector {selector!r}")
-        return getattr(self, selector)
-
     @cached_property
     def order(self) -> tuple[int, ...]:
         """``topological_order`` of the graph, computed on first use and kept."""
@@ -187,14 +185,26 @@ class Instance:
 
     @cached_property
     def reachable(self) -> list[bool]:
-        """``reachable_from`` the source, computed once, by validation."""
-        return reachable_from(self.graph, self.source)
+        """Nodes reachable from the source, computed once, by validation."""
+        graph = self.graph
+        return _search(graph._out, graph.head, self.source, graph.node_count)
 
     @cached_property
     def on_path(self) -> list[bool]:
-        """``on_st_path_mask`` of the terminals, computed once, from the
-        forward mask that validation kept."""
-        return [f and b for f, b in zip(self.reachable, reaches(self.graph, self.sink))]
+        """Nodes on at least one source-sink path, computed once.
+
+        In a DAG these are exactly the nodes reachable from the source that
+        also reach the sink, and every arc joining two such nodes lies on
+        some source-sink path as well.
+        """
+        graph = self.graph
+        reaches_sink = _search(graph._in, graph.tail, self.sink, graph.node_count)
+        return list(map(operator.and_, self.reachable, reaches_sink))
+
+    @cached_property
+    def hops(self) -> list[int]:
+        """``longest_hops`` from the source, computed once."""
+        return longest_hops(self.graph, self.source)
 
     @cached_property
     def effective_k(self) -> int:
@@ -203,7 +213,7 @@ class Instance:
         A recovery path has no more arcs than that, so no stage pair can
         diverge by more: the budget beyond it buys nothing.
         """
-        return min(self.k, longest_hops(self.graph, self.source)[self.sink])
+        return min(self.k, self.hops[self.sink])
 
 
 def topological_order(graph: MultiDigraph) -> list[int]:
@@ -245,28 +255,6 @@ def _search(adjacency, ends, start: int, node_count: int) -> list[bool]:
     return seen
 
 
-def reachable_from(graph: MultiDigraph, source: int) -> list[bool]:
-    """Forward reachability mask from ``source``."""
-    return _search(graph._out, graph.head, source, graph.node_count)
-
-
-def reaches(graph: MultiDigraph, sink: int) -> list[bool]:
-    """Backward reachability mask: nodes from which ``sink`` is reachable."""
-    return _search(graph._in, graph.tail, sink, graph.node_count)
-
-
-def on_st_path_mask(graph: MultiDigraph, source: int, sink: int) -> list[bool]:
-    """Nodes lying on at least one source-sink path.
-
-    In a DAG these are exactly the nodes reachable from the source that also
-    reach the sink, and every arc joining two such nodes lies on some
-    source-sink path as well.
-    """
-    fwd = reachable_from(graph, source)
-    bwd = reaches(graph, sink)
-    return [f and b for f, b in zip(fwd, bwd)]
-
-
 def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
     """Most arcs on any source->v path, for every v (-1 if unreachable)."""
     tail = graph.tail
@@ -289,49 +277,39 @@ def compute_layering(instance: Instance) -> dict[int, int]:
     arc going from layer h to h+1.  Nodes off all source-sink paths are
     pruned first; they cannot carry any feasible solution.  Raises
     NotLayeredError when no such assignment exists on the pruned graph.
+
+    Such a layering exists exactly when every arc between on-path nodes
+    adds one to the longest hop count from the source, and then the layer
+    is that count plus one: every path from the source to a node has the
+    same number of arcs.
     """
     graph = instance.graph
     on = instance.on_path
-    head = graph.head
-    layer: dict[int, int] = {instance.source: 1}
-    for v in graph.order[graph.position[instance.source]:]:
-        if not on[v]:
-            continue
-        lv = layer[v]  # set before v is reached: v lies on a path from source
-        for a in graph.out_arcs(v):
-            h = head[a]
-            if not on[h]:
-                continue
-            if h in layer:
-                if layer[h] != lv + 1:
-                    raise NotLayeredError(
-                        f"arc {a} spans layers {lv}->{layer[h]}, expected {lv + 1}"
-                    )
-            else:
-                layer[h] = lv + 1
-    return layer
+    hops = instance.hops
+    for a, (t, h) in enumerate(zip(graph.tail, graph.head)):
+        if on[t] and on[h] and hops[h] != hops[t] + 1:
+            raise NotLayeredError(
+                f"arc {a} spans layers {hops[t] + 1}->{hops[h] + 1}, expected {hops[t] + 2}"
+            )
+    return {v: hops[v] + 1 for v in graph.order if on[v]}
 
 
 def dag_shortest_paths(
-    graph: MultiDigraph, selector: str, source: int, until: int | None = None
-) -> tuple[list, list]:
+    graph: MultiDigraph, cost: list[int], source: int, until: int | None = None
+) -> list:
     """Single-source shortest paths on a DAG; negative costs allowed.
 
-    Returns (dist, parent) where dist[v] is the minimum total selected cost
-    of a source->v path (INF if unreachable) and parent[v] is the arc id of
-    the last arc on one optimal path (None at the source / unreachable).
-    Ties are broken by the smallest incoming arc id.  The sweep pushes
-    along the out-arcs of the nodes it has reached, in topological order,
-    and skips the rest: every node it reads is already reached.  With
-    ``until``, a node at or after the source, the sweep stops on reaching
-    that node: the entries of nodes up to and including it are final, as
-    a node's distance depends only on the nodes before it; later ones are
-    not.
+    Returns ``dist``: ``dist[v]`` is the minimum total ``cost`` (a per-arc
+    column) of a source->v path, INF if unreachable; ``shortest_path``
+    reads a path back from it.  The sweep pushes along the out-arcs of the
+    nodes it has reached, in topological order, and skips the rest: every
+    node it reads is already reached.  With ``until``, a node at or after
+    the source, the sweep stops on reaching that node: the entries of
+    nodes up to and including it are final, as a node's distance depends
+    only on the nodes before it; later ones are not.
     """
-    cost = graph.column(selector)
     head = graph.head
     dist: list = [INF] * graph.node_count
-    parent: list = [None] * graph.node_count
     dist[source] = 0
     position = graph.position
     stop = graph.node_count if until is None else position[until]
@@ -340,24 +318,28 @@ def dag_shortest_paths(
         if d is INF:
             continue
         for a in graph.out_arcs(v):
-            h = head[a]
             e = d + cost[a]
-            # the smallest arc id wins ties, as when pulling along in-arcs
-            if e < dist[h] or (e == dist[h] and a < parent[h]):
-                dist[h] = e
-                parent[h] = a
-    return dist, parent
+            if e < dist[head[a]]:
+                dist[head[a]] = e
+    return dist
 
 
-def reconstruct_path(graph: MultiDigraph, parent: list, source: int, target: int):
-    """Arc-id path source->target from a parent-arc array, or None if unreachable."""
-    if target != source and parent[target] is None:
+def shortest_path(graph: MultiDigraph, cost: list[int], dist: list, source: int, target: int):
+    """A cheapest source->target arc-id path, or None if the target is
+    unreachable, read back from ``dist``: ``dag_shortest_paths`` from
+    ``source`` over ``cost``, swept at least up to ``target``.
+
+    Walks back from the target; each step takes the smallest-id in-arc
+    whose tail's distance plus its cost attains the current distance.
+    """
+    if dist[target] is INF:
         return None
     tail = graph.tail
     arcs = []
     v = target
     while v != source:
-        a = parent[v]
+        d = dist[v]
+        a = next(a for a in graph.in_arcs(v) if dist[tail[a]] == d - cost[a])
         arcs.append(a)
         v = tail[a]
     arcs.reverse()
@@ -367,31 +349,24 @@ def reconstruct_path(graph: MultiDigraph, parent: list, source: int, target: int
 class HopBoundedTable:
     """Hop-indexed shortest path table from one source.
 
-    ``dist[v][l]`` is the minimum selected cost of a source->v path using at
-    most l arcs (INF if none); nonincreasing in l.  Backpointers allow exact
-    reconstruction; on cost ties a path with fewer arcs is preferred, then
-    smaller arc ids.  ``reached`` lists, in topological order, the nodes
-    after the source that some path of at most ``max_hops`` arcs reaches.
+    ``dist[v][l]`` is the minimum ``cost`` (a per-arc column) of a
+    source->v path using at most l arcs (INF if none); nonincreasing in
+    l.  ``reached`` lists, in topological order, the nodes after the
+    source that some path of at most ``max_hops`` arcs reaches.
+    ``path_to`` reads a path back from ``dist``.
     """
 
-    _CARRY = -1
-    _NONE = -2
-
-    def __init__(self, graph: MultiDigraph, selector: str, source: int, max_hops: int):
+    def __init__(self, graph: MultiDigraph, cost: list[int], source: int, max_hops: int):
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
-        cost = graph.column(selector)
         tail, head = graph.tail, graph.head
         self.graph = graph
+        self.cost = cost
         self.source = source
-        self.max_hops = max_hops
         width = max_hops + 1
-        carry, none = self._CARRY, self._NONE
         unreached = [INF] * width  # shared, never written: nodes out of reach
         dist = [unreached] * graph.node_count
-        back: list = [None] * graph.node_count
         dist[source] = [0] * width
-        back[source] = [none] + [carry] * max_hops
         # heads of arcs out of kept rows: no other node can be reached
         marked = [False] * graph.node_count
         reached = []
@@ -401,7 +376,6 @@ class HopBoundedTable:
             if not marked[v]:
                 continue
             row = [INF] * width
-            bp = [none] * width
             for a in graph.in_arcs(v):
                 src = dist[tail[a]]
                 if src is unreached:
@@ -411,39 +385,34 @@ class HopBoundedTable:
                     d = src[l - 1]
                     if d is not INF and d + c < row[l]:
                         row[l] = d + c
-                        bp[l] = a
             if row[max_hops] is INF:
                 continue  # unreachable within max_hops: keep the shared row
-            # carry last, yet winning ties: reuse the best path with fewer arcs
-            for l in range(1, width):
-                d = row[l - 1]
-                if d is not INF and d <= row[l]:
-                    row[l] = d
-                    bp[l] = carry
+            # rows are nonincreasing in l, as the rows they are built from are
             dist[v] = row
-            back[v] = bp
             reached.append(v)
             for a in graph.out_arcs(v):
                 marked[head[a]] = True
         self.dist = dist
         self.reached = reached
-        self._back = back
 
     def path_to(self, v: int, l: int):
-        """One optimal path realizing dist[v][l], or None if it is INF."""
-        if self.dist[v][l] is INF:
+        """One optimal path realizing dist[v][l], or None if it is INF.
+
+        On a cost tie it takes fewer arcs, then the smallest-id last arc.
+        """
+        dist = self.dist
+        if dist[v][l] is INF:
             return None
-        tail = self.graph.tail
+        tail, cost, in_arcs = self.graph.tail, self.cost, self.graph.in_arcs
         arcs = []
-        while True:
-            bp = self._back[v][l]
-            if bp == self._NONE:
-                break
-            if bp == self._CARRY:
+        while v != self.source:
+            d = dist[v][l]
+            if dist[v][l - 1] == d:
                 l -= 1
                 continue
-            arcs.append(bp)
-            v = tail[bp]
+            a = next(a for a in in_arcs(v) if dist[tail[a]][l - 1] == d - cost[a])
+            arcs.append(a)
+            v = tail[a]
             l -= 1
         arcs.reverse()
         return tuple(arcs)
@@ -481,6 +450,6 @@ def path_error(graph: MultiDigraph, arc_ids, source: int, sink: int):
     return None
 
 
-def path_cost(graph: MultiDigraph, arc_ids, selector: str) -> int:
-    cost = graph.column(selector)
+def path_cost(cost: list[int], arc_ids) -> int:
+    """The sum of a per-arc cost column over ``arc_ids``."""
     return sum(cost[a] for a in arc_ids)

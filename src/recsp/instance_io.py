@@ -17,8 +17,10 @@ Lines end where ``str.splitlines`` ends them (``\\n``, ``\\r\\n``, ``\\x1c``
 and the other Unicode line boundaries), and fields are separated by any
 run of Unicode whitespace, as ``str.split`` separates them.  A number is
 an optional sign and decimal digits, Unicode decimal digits included
-(``\u0665`` reads as 5), and must be a signed 64-bit integer; anything
-structurally wrong raises ParseError with a 1-based line and column.
+(``\u0665`` reads as 5).  It must be a signed 64-bit integer, except
+the three costs of an ``s`` line: sums of 64-bit arc costs, they may be
+any integer ``int()`` converts.  Anything structurally wrong raises
+ParseError with a 1-based line and column.
 Semantic problems (out-of-range endpoints, cycles, unreachable sink)
 surface as the usual validation errors when the instance object is
 built.
@@ -70,27 +72,32 @@ def _fail(text: str, lineno: int, index: int, message: str):
     raise ParseError(lineno, start + 1, message)
 
 
-def _ints(tokens) -> list[int] | None:
-    """The tokens as ints, or None unless every one is a signed 64-bit integer."""
+def _ints(tokens, wide: int = 0) -> list[int] | None:
+    """The tokens as ints, or None unless every one is an integer and all
+    but the first ``wide`` are signed 64-bit integers."""
     if not tokens:
         return []
     if not _INTS_RE.fullmatch(" ".join(tokens)):
         return None
-    values = list(map(int, tokens))
-    if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # a token longer than int() converts
+        return None
+    bounded = values[wide:] if wide else values
+    if bounded and (min(bounded) < _INT64_MIN or max(bounded) > _INT64_MAX):
         return None
     return values
 
 
-def _int_fields(text: str, line, first: int, names) -> list[int]:
+def _int_fields(text: str, line, first: int, names, wide: int = 0) -> list[int]:
     """The integers from token ``first`` on; ``names`` says what each one is.
 
-    All tokens are checked at once; only when that fails are they checked
-    one by one, to raise ParseError at the first that is not a signed
-    64-bit integer.
+    The first ``wide`` of them may be any integer, the rest must be signed
+    64-bit integers.  All tokens are checked at once; only when that fails
+    are they checked one by one, to raise ParseError at the first fault.
     """
     lineno, tokens = line
-    values = _ints(tokens[first:])
+    values = _ints(tokens[first:], wide)
     if values is not None:
         return values
     values = []
@@ -98,8 +105,14 @@ def _int_fields(text: str, line, first: int, names) -> list[int]:
         token = tokens[index]
         if not _INTS_RE.fullmatch(token):
             _fail(text, lineno, index, f"{name} must be an integer, got {token!r}")
-        value = int(token)
-        if not _INT64_MIN <= value <= _INT64_MAX:
+        try:
+            value = int(token)
+        except ValueError:  # more digits than int() converts
+            value = None
+        if index - first < wide:
+            if value is None:
+                _fail(text, lineno, index, f"{name} has too many digits")
+        elif value is None or not _INT64_MIN <= value <= _INT64_MAX:
             _fail(text, lineno, index, f"{name} outside the signed 64-bit range")
         values.append(value)
     return values
@@ -176,7 +189,7 @@ def parse_solution(text: str) -> Solution:
     if tokens[1] != "recsp":
         _fail(text, lineno, 1, "solution type must be 'recsp'")
     names = ("total cost", "first-stage cost", "second-stage cost", "divergence")
-    total, first, second, divergence = _int_fields(text, lines[0], 2, names)
+    total, first, second, divergence = _int_fields(text, lines[0], 2, names, wide=3)
 
     def arc_ids(line, head):
         lineno, tokens = line

@@ -52,8 +52,8 @@ def solve_bruteforce(instance: Instance, limit: int = DEFAULT_LIMIT) -> Solution
     """
     graph = instance.graph
     paths = enumerate_st_paths(graph, instance.source, instance.sink, limit)
-    first_costs = [path_cost(graph, p, "first") for p in paths]
-    upper_costs = [path_cost(graph, p, "upper") for p in paths]
+    first_costs = [path_cost(graph.first, p) for p in paths]
+    upper_costs = [path_cost(graph.upper, p) for p in paths]
     arc_sets = [set(p) for p in paths]
     best = None
     best_pair = None
@@ -77,8 +77,8 @@ def bruteforce_root_values(
     graph = instance.graph
     k = instance.k
     paths = enumerate_st_paths(graph, instance.source, instance.sink, limit)
-    first_costs = [path_cost(graph, p, "first") for p in paths]
-    upper_costs = [path_cost(graph, p, "upper") for p in paths]
+    first_costs = [path_cost(graph.first, p) for p in paths]
+    upper_costs = [path_cost(graph.upper, p) for p in paths]
     first = min(first_costs)
     upper = [INF] * (k + 1)
     for p, cu in zip(paths, upper_costs):

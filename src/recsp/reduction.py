@@ -39,7 +39,7 @@ from .graph import (
     Instance,
     compute_layering,
     dag_shortest_paths,
-    reconstruct_path,
+    shortest_path,
 )
 from .solution import Solution, build_solution
 
@@ -179,11 +179,11 @@ def build_dag_reduction(instance: Instance) -> list[tuple]:
         if not on[i]:
             continue
         transitions += _direct(graph, on, i)
-        table = HopBoundedTable(graph, "upper", i, k)
+        table = HopBoundedTable(graph, graph.upper, i, k)
         if not table.reached:
             continue
         # first-stage distances are read only where the table reached
-        dist_first, _ = dag_shortest_paths(graph, "first", i, until=table.reached[-1])
+        dist_first = dag_shortest_paths(graph, graph.first, i, until=table.reached[-1])
         for j in table.reached:
             if not on[j]:
                 continue
@@ -204,9 +204,9 @@ def pair_paths(graph, i: int, j: int, l: int) -> tuple[tuple[int, ...], tuple[in
     These are the paths whose costs the transition was built with, in
     both reductions.
     """
-    _, parent = dag_shortest_paths(graph, "first", i, until=j)
-    y = HopBoundedTable(graph, "upper", i, l).path_to(j, l)
-    return reconstruct_path(graph, parent, i, j), y
+    dist = dag_shortest_paths(graph, graph.first, i, until=j)
+    y = HopBoundedTable(graph, graph.upper, i, l).path_to(j, l)
+    return shortest_path(graph, graph.first, dist, i, j), y
 
 
 def _solve(instance: Instance, transitions: list[tuple]) -> Solution:

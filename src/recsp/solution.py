@@ -46,8 +46,8 @@ def build_solution(instance: Instance, x_arcs, y_arcs) -> Solution:
     div = divergence_count(y_arcs, x_arcs)
     if div > instance.k:
         raise ValidationError(f"recovery differs in {div} arcs, budget is {instance.k}")
-    first = path_cost(graph, x_arcs, "first")
-    second = path_cost(graph, y_arcs, "upper")
+    first = path_cost(graph.first, x_arcs)
+    second = path_cost(graph.upper, y_arcs)
     return Solution(
         x_arcs=x_arcs,
         y_arcs=y_arcs,
@@ -81,12 +81,12 @@ def verify_solution(instance: Instance, solution: Solution) -> VerifyResult:
         return VerifyResult(
             False, f"divergence field is {solution.divergence}, recomputed {div}"
         )
-    first = path_cost(graph, solution.x_arcs, "first")
+    first = path_cost(graph.first, solution.x_arcs)
     if solution.first_cost != first:
         return VerifyResult(
             False, f"first-stage cost is {solution.first_cost}, recomputed {first}"
         )
-    second = path_cost(graph, solution.y_arcs, "upper")
+    second = path_cost(graph.upper, solution.y_arcs)
     if solution.second_cost != second:
         return VerifyResult(
             False, f"second-stage cost is {solution.second_cost}, recomputed {second}"

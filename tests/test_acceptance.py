@@ -94,7 +94,7 @@ def test_c3_zero_budget_collapses_to_combined_shortest_path_for_all_families():
     for family in FAMILY_SOLVERS:
         for trial in range(100):
             inst = small_instance(family, rng, k=0)
-            dist, _ = dag_shortest_paths(inst.graph, "combined", inst.source)
+            dist = dag_shortest_paths(inst.graph, inst.graph.combined, inst.source)
             want = dist[inst.sink]
             for method in ("auto", "asp", "layered", "dag", "oracle"):
                 sol = solve(inst, method)

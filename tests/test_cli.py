@@ -1,8 +1,10 @@
 import csv
 import io
+from types import SimpleNamespace
 
 import pytest
 
+import recsp.cli
 from recsp.cli import main
 from recsp.instance_io import parse_instance, parse_solution, serialize_instance
 from recsp.oracle import solve_bruteforce
@@ -79,6 +81,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("p recsp 2 1 0 1 1\na 0 1 zap 1 0\n")
     assert main(["solve", "-i", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+    # numbers longer than int() converts, in an instance and in a solution
+    long = "9" * 5000
+    bad.write_text(f"p recsp 2 1 0 1 1\na 0 1 {long} 1 1\n")
+    assert main(["solve", "-i", str(bad)]) == 3
+    assert "first-stage cost outside the signed 64-bit range" in capsys.readouterr().err
+    sample = tmp_path / "sample.txt"
+    sample.write_text(SAMPLE)
+    bad.write_text(f"s recsp {long} 1 2 1\nx 1\ny 0\n")
+    assert main(["verify", "-i", str(sample), "-s", str(bad)]) == 3
+    assert "total cost has too many digits" in capsys.readouterr().err
 
 
 def test_validation_and_cycle_exit_codes(tmp_path, capsys):
@@ -151,6 +163,20 @@ def test_verify_solver_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_accepts_what_solve_wrote_past_int64(tmp_path, capsys):
+    # the stage costs sum past the signed 64-bit range of an arc cost
+    big = (1 << 63) - 1
+    inst_path = tmp_path / "inst.txt"
+    inst_path.write_text(f"p recsp 2 1 0 1 1\na 0 1 {big} {big} {big}\n")
+    assert main(["solve", "-i", str(inst_path), "--output", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"s recsp {3 * big} {big} {2 * big} 0"
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text(out)
+    assert main(["verify", "-i", str(inst_path), "-s", str(sol_path)]) == 0
+    assert capsys.readouterr().out == "accepted\n"
+
+
 def test_generate_writes_solvable_instance(tmp_path, capsys):
     out = tmp_path / "gen.txt"
     assert main(["generate", "--family", "layered", "--seed", "7",
@@ -189,6 +215,20 @@ def test_bench_csv_schema_and_agreement(capsys):
             assert int(row[2]) in (8, 12, 16)
             assert row[7] == "yes"
             float(row[6])
+
+
+def test_bench_output_file_holds_the_stdout_bytes(tmp_path, monkeypatch, capsys):
+    # a stopped clock makes the time column repeat
+    monkeypatch.setattr(recsp.cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    args = ["bench", "--family", "layered", "--seed", "4", "--sizes", "12,20", "--k", "2"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "bench.csv"
+    assert main(args + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    assert out.startswith("family,n,m,k,method,total,time_ms,agreement\r\n")
+    assert len(out.splitlines()) == 3
 
 
 def test_bench_limit_skips_cross_check(capsys):

@@ -11,10 +11,9 @@ from recsp.graph import (
     dag_shortest_paths,
     divergence_count,
     longest_hops,
-    on_st_path_mask,
     path_cost,
     path_error,
-    reconstruct_path,
+    shortest_path,
     topological_order,
 )
 from recsp.generator import SplitMix64
@@ -133,7 +132,7 @@ def test_instance_rejects_cycles_with_cyclic_error():
 def test_on_st_path_mask_drops_dangling_nodes():
     # 3 dangles off the path, 4 hangs above it
     g = build(5, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0), (1, 3, 1, 1, 0), (4, 1, 1, 1, 0)])
-    assert on_st_path_mask(g, 0, 2) == [True, True, True, False, False]
+    assert Instance(g, 0, 2, 1).on_path == [True, True, True, False, False]
 
 
 def test_effective_k_caps_at_longest_path():
@@ -171,24 +170,74 @@ def test_layering_conflict_raises():
         compute_layering(Instance(g, 0, 2, 1))
 
 
+def _layering_reference(instance):
+    """compute_layering as it was: layers assigned along out-arcs in
+    topological order, each checked where it is met again."""
+    graph, on = instance.graph, instance.on_path
+    layer = {instance.source: 1}
+    for v in graph.order[graph.position[instance.source]:]:
+        if not on[v]:
+            continue
+        for a in graph.out_arcs(v):
+            h = graph.head[a]
+            if not on[h]:
+                continue
+            if h in layer:
+                if layer[h] != layer[v] + 1:
+                    raise NotLayeredError(f"arc {a}")
+            else:
+                layer[h] = layer[v] + 1
+    return layer
+
+
+def test_layering_gives_the_verdict_and_map_of_the_layer_by_layer_pass():
+    rng = SplitMix64(1234)
+    verdicts = set()
+    for trial in range(400):
+        # nodes 0..n-1 in layers of random width; the sink is node n - 1
+        n = rng.randint(3, 12)
+        cuts = sorted({0, n - 1} | {rng.randint(1, n - 2) for _ in range(rng.randint(0, n))})
+        layers = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])] + [[n - 1]]
+        rows = [(u, after[rng.randint(0, len(after) - 1)], 1, 1, 0)
+                for here, after in zip(layers, layers[1:]) for u in here]
+        for _ in range(rng.randint(0, 2)):  # arcs that may skip layers
+            tail = rng.randint(0, n - 2)
+            rows.append((tail, rng.randint(tail + 1, n - 1), 1, 1, 0))
+        # a stub off every 0 -> n - 1 path: from the path into n, and n + 1 -> n
+        stub_tail = rng.randint(0, n - 2)
+        rows += [(stub_tail, n, 1, 1, 0), (n + 1, n, 1, 1, 0), (n + 1, n - 1, 1, 1, 0)]
+        g = build(n + 2, rows)
+        inst = Instance(g, 0, n - 1, 1)
+        try:
+            want = _layering_reference(inst)
+        except NotLayeredError:
+            with pytest.raises(NotLayeredError):
+                compute_layering(inst)
+            verdicts.add("not layered")
+            continue
+        assert compute_layering(inst) == want
+        verdicts.add("layered")
+    assert verdicts == {"layered", "not layered"}
+
+
 def test_dag_shortest_paths_with_negative_costs():
     g = build(4, [(0, 1, 4, 0, 0), (0, 2, 1, 0, 0), (2, 1, -3, 0, 0),
                   (1, 3, 2, 0, 0)])
-    dist, parent = dag_shortest_paths(g, "first", 0)
+    dist = dag_shortest_paths(g, g.first, 0)
     assert dist == [0, -2, 1, 0]
-    assert reconstruct_path(g, parent, 0, 3) == (1, 2, 3)
+    assert shortest_path(g, g.first, dist, 0, 3) == (1, 2, 3)
 
 
 def test_dag_shortest_paths_unreachable_is_inf():
     g = build(3, [(1, 2, 1, 1, 0)])
-    dist, parent = dag_shortest_paths(g, "first", 0)
+    dist = dag_shortest_paths(g, g.first, 0)
     assert dist[1] is INF and dist[2] is INF
-    assert reconstruct_path(g, parent, 0, 2) is None
+    assert shortest_path(g, g.first, dist, 0, 2) is None
 
 
-def _full_sweep(g, selector, source):
-    """Shortest paths reading the in-arcs of every node after the source."""
-    cost = g.column(selector)
+def _full_sweep(g, cost, source):
+    """Shortest paths reading the in-arcs of every node after the source,
+    with the parent arc of each: the smallest id among the best in-arcs."""
     dist, parent = [INF] * g.node_count, [None] * g.node_count
     dist[source] = 0
     for v in g.after(source):
@@ -197,6 +246,17 @@ def _full_sweep(g, selector, source):
             if d < dist[v]:
                 dist[v], parent[v] = d, a
     return dist, parent
+
+
+def _walk(g, parent, source, target):
+    """The arc path source->target along a parent-arc array, None if unreachable."""
+    if target != source and parent[target] is None:
+        return None
+    arcs = []
+    while target != source:
+        arcs.append(parent[target])
+        target = g.tail[parent[target]]
+    return tuple(reversed(arcs))
 
 
 def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
@@ -209,15 +269,20 @@ def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
             rows.append((tail, rng.randint(tail + 1, n - 1), rng.randint(-5, 5), 0, 0))
         g = build(n, rows)
         for source in range(n):
-            for selector in ("first", "upper", "combined"):
-                want = _full_sweep(g, selector, source)
-                assert dag_shortest_paths(g, selector, source) == want
+            for cost in (g.first, g.upper, g.combined):
+                want, parent = _full_sweep(g, cost, source)
+                dist = dag_shortest_paths(g, cost, source)
+                assert dist == want
+                for v in range(n):
+                    assert shortest_path(g, cost, dist, source, v) == _walk(g, parent, source, v)
                 # stopped on reaching ``until``: final up to it in topological order
                 for until in g.order[g.position[source]:]:
-                    dist, parent = dag_shortest_paths(g, selector, source, until=until)
+                    dist = dag_shortest_paths(g, cost, source, until=until)
                     done = g.order[:g.position[until] + 1]
-                    assert [dist[v] for v in done] == [want[0][v] for v in done]
-                    assert [parent[v] for v in done] == [want[1][v] for v in done]
+                    assert [dist[v] for v in done] == [want[v] for v in done]
+                    for v in done:
+                        got = shortest_path(g, cost, dist, source, v)
+                        assert got == _walk(g, parent, source, v)
 
 
 def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
@@ -236,13 +301,14 @@ def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
     rows += [(v, v + 1, 1, 0, 0) for v in range(m + 1, 2 * m + 1)]
     g = build(2 * m + 2, rows)
     source = m - 10
-    want = _full_sweep(g, "first", source)
+    want, parent = _full_sweep(g, g.first, source)
     for name in ("in_arcs", "out_arcs"):
         monkeypatch.setattr(MultiDigraph, name, counting(getattr(MultiDigraph, name)))
-    dist, parent = dag_shortest_paths(g, "first", source)
-    assert (dist, parent) == want
+    dist = dag_shortest_paths(g, g.first, source)
+    assert dist == want
     assert dist[m] == 10 and dist[m + 1] is INF
     assert calls[0] <= 11  # the full sweep reads the in-arcs of 523 nodes
+    assert shortest_path(g, g.first, dist, source, m) == _walk(g, parent, source, m)
 
 
 def test_dag_shortest_paths_matches_enumeration():
@@ -252,17 +318,17 @@ def test_dag_shortest_paths_matches_enumeration():
     for trial in range(60):
         n = rng.randint(3, 8)
         g = random_dag(rng, n, rng.randint(n, 14))
-        for selector in ("first", "upper", "combined"):
-            dist, parent = dag_shortest_paths(g, selector, 0)
+        for cost in (g.first, g.upper, g.combined):
+            dist = dag_shortest_paths(g, cost, 0)
             for v in range(1, n):
                 paths = enumerate_st_paths(g, 0, v)
                 if not paths:
                     assert dist[v] is INF
                     continue
-                want = min(path_cost(g, p, selector) for p in paths)
+                want = min(path_cost(cost, p) for p in paths)
                 assert dist[v] == want
-                got = reconstruct_path(g, parent, 0, v)
-                assert path_cost(g, got, selector) == want
+                got = shortest_path(g, cost, dist, 0, v)
+                assert path_cost(cost, got) == want
                 assert path_error(g, got, 0, v) is None
 
 
@@ -274,7 +340,7 @@ def test_hop_table_matches_enumeration():
         n = rng.randint(3, 7)
         g = random_dag(rng, n, rng.randint(n, 12))
         max_hops = rng.randint(1, 4)
-        table = HopBoundedTable(g, "upper", 0, max_hops)
+        table = HopBoundedTable(g, g.upper, 0, max_hops)
         for v in range(1, n):
             paths = enumerate_st_paths(g, 0, v)
             for l in range(max_hops + 1):
@@ -283,11 +349,103 @@ def test_hop_table_matches_enumeration():
                     assert table.dist[v][l] is INF
                     assert table.path_to(v, l) is None
                     continue
-                want = min(path_cost(g, p, "upper") for p in fitting)
+                want = min(path_cost(g.upper, p) for p in fitting)
                 assert table.dist[v][l] == want
                 got = table.path_to(v, l)
                 assert len(got) <= l
-                assert path_cost(g, got, "upper") == want
+                assert path_cost(g.upper, got) == want
+
+
+class _BackpointerTable:
+    """The hop-indexed table as it was built with backpointers, kept to
+    pin the paths ``HopBoundedTable.path_to`` reads back from distances."""
+
+    _CARRY = -1
+    _NONE = -2
+
+    def __init__(self, graph, cost, source, max_hops):
+        tail, head = graph.tail, graph.head
+        self.graph = graph
+        width = max_hops + 1
+        carry, none = self._CARRY, self._NONE
+        unreached = [INF] * width
+        dist = [unreached] * graph.node_count
+        back = [None] * graph.node_count
+        dist[source] = [0] * width
+        back[source] = [none] + [carry] * max_hops
+        marked = [False] * graph.node_count
+        for a in graph.out_arcs(source):
+            marked[head[a]] = True
+        for v in graph.after(source):
+            if not marked[v]:
+                continue
+            row = [INF] * width
+            bp = [none] * width
+            for a in graph.in_arcs(v):
+                src = dist[tail[a]]
+                if src is unreached:
+                    continue
+                c = cost[a]
+                for l in range(1, width):
+                    d = src[l - 1]
+                    if d is not INF and d + c < row[l]:
+                        row[l] = d + c
+                        bp[l] = a
+            if row[max_hops] is INF:
+                continue
+            for l in range(1, width):
+                d = row[l - 1]
+                if d is not INF and d <= row[l]:
+                    row[l] = d
+                    bp[l] = carry
+            dist[v] = row
+            back[v] = bp
+            for a in graph.out_arcs(v):
+                marked[head[a]] = True
+        self.dist = dist
+        self._back = back
+
+    def path_to(self, v, l):
+        if self.dist[v][l] is INF:
+            return None
+        arcs = []
+        while True:
+            bp = self._back[v][l]
+            if bp == self._NONE:
+                break
+            if bp == self._CARRY:
+                l -= 1
+                continue
+            arcs.append(bp)
+            v = self.graph.tail[bp]
+            l -= 1
+        arcs.reverse()
+        return tuple(arcs)
+
+
+def test_hop_table_paths_match_the_backpointer_table():
+    # few distinct costs and many parallel arcs: ties in cost and in hops
+    rng = SplitMix64(4242)
+    queries = 0
+    for trial in range(300):
+        n = rng.randint(2, 8)
+        rows = []
+        for _ in range(rng.randint(1, 20)):
+            tail = rng.randint(0, n - 2)
+            head = rng.randint(tail + 1, n - 1)
+            rows += [(tail, head, 0, rng.randint(-2, 2), rng.randint(0, 1))] * rng.randint(1, 2)
+        g = build(n, rows)
+        max_hops = rng.randint(0, n)
+        for source in range(n):
+            for cost in (g.first, g.upper, g.combined):
+                table = HopBoundedTable(g, cost, source, max_hops)
+                want = _BackpointerTable(g, cost, source, max_hops)
+                assert table.dist == want.dist
+                for v in range(n):
+                    for l in range(max_hops + 1):
+                        assert table.path_to(v, l) == want.path_to(v, l)
+                        queries += 1
+    assert queries > 100_000
 
 
 def test_hop_table_values_nonincreasing_in_allowance():
@@ -295,7 +453,7 @@ def test_hop_table_values_nonincreasing_in_allowance():
     for trial in range(30):
         n = rng.randint(3, 7)
         g = random_dag(rng, n, rng.randint(n, 12))
-        table = HopBoundedTable(g, "upper", 0, 5)
+        table = HopBoundedTable(g, g.upper, 0, 5)
         for v in range(n):
             for l in range(1, 6):
                 assert table.dist[v][l] <= table.dist[v][l - 1]

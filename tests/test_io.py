@@ -143,6 +143,24 @@ def test_parse_solution_rejects_bad_shapes():
         parse_solution("s recsp 3 1 2 1\nx 1\ny 0\nx 5\n")
 
 
+def test_solution_costs_may_leave_int64_but_arc_ids_may_not():
+    wide = 3 << 64
+    sol = Solution(x_arcs=(0,), y_arcs=(1,), first_cost=-wide, second_cost=wide + 5,
+                   total_cost=5, divergence=1)
+    assert parse_solution(serialize_solution(sol)) == sol
+    long = "9" * 5000
+    cases = [
+        (f"s recsp 1 {long} 2 1\nx 1\ny 0\n", 1, 11, "first-stage cost has too many digits"),
+        (f"s recsp 3 1 2 {1 << 63}\nx 1\ny 0\n", 1, 15, "divergence outside the signed 64-bit range"),
+        (f"s recsp 3 1 2 1\nx 1 {long}\ny 0\n", 2, 5, "arc id outside the signed 64-bit range"),
+        (f"s recsp 3 1 2 1\nx 1\ny -{long}\n", 3, 3, "arc id outside the signed 64-bit range"),
+    ]
+    for text, line, column, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_solution(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_parse_keeps_the_separators_and_digits_it_accepts():
     # str.split() and str.splitlines() rules: any Unicode whitespace
     # separates fields, \r\n and \x1c end lines, and a Unicode decimal
@@ -216,7 +234,7 @@ def corrupted_instances(draw):
         spot = r, field
         message = f"{names[field - first]} must be an integer, got {token!r}"
     elif fault == "outside int64":
-        rows[r][field] = draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1)]))
+        rows[r][field] = draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1), "9" * 5000]))
         spot = r, field
         message = f"{names[field - first]} outside the signed 64-bit range"
     elif fault == "missing field":

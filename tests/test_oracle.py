@@ -65,7 +65,7 @@ def test_bruteforce_zero_budget_is_combined_shortest_path():
     rng = SplitMix64(1789)
     for trial in range(40):
         inst = random_dag(rng, k=0)
-        dist, _ = dag_shortest_paths(inst.graph, "combined", inst.source)
+        dist = dag_shortest_paths(inst.graph, inst.graph.combined, inst.source)
         sol = solve_bruteforce(inst)
         assert sol.total_cost == dist[inst.sink]
         assert sol.x_arcs == sol.y_arcs

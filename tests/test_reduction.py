@@ -5,6 +5,7 @@ from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph, compute_layering
+from recsp.instance_io import parse_solution, serialize_solution
 from recsp.oracle import solve_bruteforce
 from recsp.reduction import (
     build_dag_reduction,
@@ -207,6 +208,7 @@ def test_layered_build_is_exact_past_int64(sign):
         assert abs(sol.total_cost) > 1 << 63
         assert sol.total_cost == solve_bruteforce(inst).total_cost
         assert verify_solution(inst, sol).accepted
+        assert parse_solution(serialize_solution(sol)) == sol
         assert build_layered_reduction(inst) == _layered_reference(inst)
 
 
@@ -243,6 +245,23 @@ def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
     inst = Instance(made.graph, made.source, made.sink, made.k)
     sol = solve(inst, method)
     assert searches == [inst.source, inst.sink]
+    assert sol.total_cost == solve_bruteforce(inst).total_cost
+
+
+@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
+def test_each_solve_counts_the_longest_hops_once(monkeypatch, method):
+    # the layering check and the effective budget share one sweep
+    sweeps = []
+    original = recsp.graph.longest_hops
+
+    def counting(graph, source):
+        sweeps.append(source)
+        return original(graph, source)
+
+    monkeypatch.setattr(recsp.graph, "longest_hops", counting)
+    inst = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
+    sol = solve(inst, method)
+    assert sweeps == [inst.source]
     assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
