@@ -43,11 +43,12 @@ exceeds ``BLOCK_CELLS`` int64 cells.  A height only touches the columns
 up to the longest path below it; the rest stay infinite.
 
 Store and slots.  Internal nodes' ``opt``/``upper`` rows live in one
-array of shape (slots + 1, 2, width).  ``decompose`` assigns the slots:
-a node of height 1 takes a fresh one, and any other node writes over
-its left child's row (its right child's if the left is a leaf).  That
-is safe because a block gathers its children's rows before it writes
-and no other node reads them.  The last row stays all-infinite; leaf
+array of shape (slots + 1, 2, width).  ``_plan`` assigns every row once,
+from the finished tree: a node of height 1 takes a fresh one (numbered
+in creation order), and any other node writes over its left child's row
+(its right child's if the left is a leaf).  That is safe because a
+block gathers its children's rows before it writes and no other node
+reads them.  The last row stays all-infinite; leaf
 children read it and get their two finite entries (``opt[0]``,
 ``upper[1]``) patched in, so leaves hold no row.  ``first`` is one
 value per tree node.
@@ -57,12 +58,14 @@ the node's place in its batch: parallel batches keep an int8 code per
 ``opt`` entry and a bool side per ``upper`` entry; series batches keep
 the left share of every entry in the smallest unsigned type that holds
 the width.  A parallel node's cheaper ``first`` side is read off the
-per-node ``first`` values.  ``_reconstruct`` finds each node it visits
-by its index in sweep order.
+per-node ``first`` values.  ``_reconstruct`` reads the plan: a node's
+children, kind and batch come from its index in sweep order, and a
+leaf's arc from ``leaf_arcs``.
 
 Exactness.  The guard in ``_check_magnitudes`` keeps the absolute costs
-of all arcs, summed, below ``ASP_INF / 16`` = 2**58, which bounds every
-finite entry.  Inside the sweep infinity is ``_INF =
+of the tree's leaf arcs, summed, below ``ASP_INF / 16`` = 2**58, which
+bounds every finite entry; arcs off every source-sink path are never
+read, so their costs do not count.  Inside the sweep infinity is ``_INF =
 ASP_INF >> 1`` and additions are unmasked: an entry with no path behind
 it is ``_INF`` plus costs of distinct arcs, and each block clamps its
 results at ``_INF`` (one ``np.minimum``), so such an entry stays within
@@ -76,7 +79,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from functools import cached_property
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -114,44 +119,53 @@ class _Plan(NamedTuple):
     ``levels[h - 1]`` is (start, split, end, reach) for height h: its
     parallel nodes are ``ids[start:split]``, its series nodes
     ``ids[split:end]``, and reach is the most arcs on a path below any
-    node of height h or less.  The ``child_*`` arrays hold two entries
-    per node, left then right.  Leaves are nodes ``0 .. len(leaf_arcs) -
-    1``; ``height`` is per node and ``sweep_index[i - leaves]`` is the
-    index of internal node i in ``ids``.
+    node of height h or less.  ``children`` and ``child_row`` hold two
+    entries per node, left then right.  Leaves are nodes ``0 ..
+    len(leaf_arcs) - 1``, leaf i standing for arc ``leaf_arcs[i]``;
+    ``height`` is per node and ``sweep_index[i - leaves]`` is the index of
+    internal node i in ``ids``.  ``out_row`` and ``child_row`` are store
+    rows; leaves read row ``slots``.
     """
 
     ids: np.ndarray
     out_row: np.ndarray
     children: np.ndarray
     child_row: np.ndarray
-    child_leaf: np.ndarray
-    child_arc: np.ndarray
     levels: tuple
     slots: int
-    leaf_arcs: np.ndarray
+    leaf_arcs: list
     height: list
     sweep_index: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompTree:
     """Binary series/parallel decomposition of the pruned graph.
 
-    ``nodes[i]`` is ("leaf", arc_id) or (kind, left, right) with children
-    created before parents.  Same-kind runs are balanced; ``height`` is
-    the most internal nodes on a root-leaf path and ``hops`` the most
-    arcs on a source-sink path.
+    Same-kind runs are balanced; ``height`` is the most internal nodes on
+    a root-leaf path and ``hops`` the most arcs on a source-sink path.
+    ``plan``, derived once from the tree's columns (see ``_Tree``), is
+    the only record kept.  Trees compare by identity.
     """
 
-    nodes: tuple[tuple, ...]
     root: int
     height: int
     hops: int
-    plan: _Plan = field(repr=False, compare=False)
+    plan: _Plan = field(repr=False)
 
     @property
     def leaf_count(self) -> int:
         return len(self.plan.leaf_arcs)
+
+    @cached_property
+    def nodes(self) -> tuple[tuple, ...]:
+        """``nodes[i]`` is ("leaf", arc_id) or (kind, left, right), children
+        created before parents; built from the plan on first read."""
+        plan = self.plan
+        kinds = [SERIES if i >= plan.levels[h - 1][1] else PARALLEL
+                 for i, h in zip(plan.sweep_index, plan.height[len(plan.leaf_arcs):])]
+        kids = plan.children.reshape(-1, 2)[plan.sweep_index].T.tolist()
+        return (*zip(repeat(LEAF), plan.leaf_arcs), *zip(kinds, *kids))
 
 
 @dataclass(frozen=True)
@@ -191,18 +205,14 @@ def decompose(instance: Instance) -> DecompTree:
     else:
         on = instance.on_path
         leaf_arcs = [a for a, (u, w) in enumerate(zip(graph.tail, graph.head)) if on[u] and on[w]]
-        tree = None if len(leaf_arcs) > 1 else _Tree(1)
+        tree = None
         tails = [graph.tail[a] for a in leaf_arcs]
         heads = [graph.head[a] for a in leaf_arcs]
         items, s, t = range(len(leaf_arcs)), instance.source, instance.sink
-    if len(items) > 1:
-        tree = _queue(tails, heads, items, s, t, tree)
-    nodes = list(zip(repeat(LEAF), leaf_arcs))
-    nodes += zip(map((PARALLEL, SERIES).__getitem__, tree.series.tolist()),
-                 *tree.kids.T.tolist())
-    root = len(nodes) - 1  # every other node lies below it
-    return DecompTree(nodes=tuple(nodes), root=root, height=int(tree.height[root]),
-                      hops=int(tree.hops[root]), plan=_plan(leaf_arcs, tree))
+    tree = _queue(tails, heads, items, s, t, tree)
+    root = 2 * tree.leaves - 2  # every other node lies below it
+    return DecompTree(root=root, height=int(tree.height[root]), hops=int(tree.hops[root]),
+                      plan=_plan(leaf_arcs, tree))
 
 
 class _Tree:
@@ -212,13 +222,11 @@ class _Tree:
     creation order, children first.  Internal node i has its left and
     right child in ``kids[i - leaves]`` and its kind in ``series[i -
     leaves]``.  ``height`` (internal nodes on the longest way down to a
-    leaf), ``hops`` (arcs on the longest source-sink path of the subgraph)
-    and ``row`` (store row; -1 for leaves) cover every node.  A node of
-    height 1 takes a fresh row and any other node its left child's (its
-    right child's if the left is a leaf); ``slots`` counts the rows.  A
-    binary tree over the leaves has ``leaves - 1`` internal nodes, so the
-    array rounds allocate every column once; the queue reduction alone
-    hands over its finished columns as lists.
+    leaf) and ``hops`` (arcs on the longest source-sink path of the
+    subgraph) cover every node.  The reduction records nothing else;
+    ``_plan`` derives the rest.  A binary tree over the leaves has ``leaves
+    - 1`` internal nodes, so the array rounds allocate every column once;
+    the queue reduction alone hands over its finished columns as lists.
     """
 
     def __init__(self, leaves: int, columns=None):
@@ -229,16 +237,13 @@ class _Tree:
             self.series = np.empty(leaves - 1, dtype=bool)
             self.height = np.zeros(2 * leaves - 1, dtype=np.intp)
             self.hops = np.ones(2 * leaves - 1, dtype=np.intp)
-            self.row = np.full(2 * leaves - 1, -1, dtype=np.intp)
-            self.slots = 0
         else:
-            kids, series, height, hops, row, self.slots = columns
+            kids, series, height, hops = columns
             self.made = len(height)
             self.kids = np.array(kids, dtype=np.intp).reshape(-1, 2)
             self.series = np.array(series, dtype=bool)
             self.height = np.array(height, dtype=np.intp)
             self.hops = np.array(hops, dtype=np.intp)
-            self.row = np.array(row, dtype=np.intp)
 
     def join(self, series: bool, a, b):
         """New nodes joining a[i] and b[i]; returns their ids."""
@@ -251,23 +256,6 @@ class _Tree:
         self.height[lo:hi] = np.maximum(self.height[a], self.height[b]) + 1
         self.hops[lo:hi] = (np.add if series else np.maximum)(self.hops[a], self.hops[b])
         return np.arange(lo, hi)
-
-    def place(self):
-        """Give the nodes ``join`` made their store rows, all at once.
-
-        Each node follows the children whose row it takes down to a node
-        of height 1, by pointer jumping.
-        """
-        leaves, made = self.leaves, self.made
-        height = self.height[leaves:made]
-        left, right = self.kids[:made - leaves].T
-        fresh = height == 1
-        down = np.where(self.height[left] > 0, left, right) - leaves
-        down[fresh] = np.flatnonzero(fresh)
-        for _ in range(int(height.max(initial=1) - 1).bit_length()):
-            down = down[down]
-        self.row[leaves:made] = (self.slots + np.cumsum(fresh) - 1)[down]
-        self.slots += int(np.count_nonzero(fresh))
 
 
 def _rounds(instance: Instance):
@@ -359,7 +347,6 @@ def _rounds(instance: Instance):
         over = len(tail) < ARRAY_MIN_ARCS or ROUND_SHARE * (live - len(tail)) < live
     if runs.count:
         root = runs.close(tree)
-        tree.place()
         run = item >= len(kept)
         item[run] = root[item[run] - len(kept)]
     return kept.tolist(), tree, (tail.tolist(), head.tolist(), item.tolist(), s, t)
@@ -478,17 +465,16 @@ def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
     an open run: a deque of series operands or a list of parallel ones.
     Nodes are taken from a queue, in id order first; parallel arcs merge
     on insertion, the arc already there staying on the left.  Returns the
-    tree with the new nodes.
+    tree with the new nodes (built from lists when the queue reduces the
+    graph alone); store rows are left to ``_plan``.
     """
     if tree is None:
         made = len(items)
-        height, hops, row, fresh = [0] * made, [1] * made, [-1] * made, count().__next__
+        height, hops = [0] * made, [1] * made
     else:
         made = tree.made
         height = tree.height[:made].tolist()
         hops = tree.hops[:made].tolist()
-        row = tree.row[:made].tolist()
-        fresh = count(tree.slots).__next__
     kids: list[int] = []
     series: list[bool] = []
 
@@ -499,7 +485,6 @@ def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
         height.append((ha if ha > hb else hb) + 1)
         pa, pb = hops[a], hops[b]
         hops.append(pa + pb if is_series else (pa if pa > pb else pb))
-        row.append(row[a] if ha else row[b] if hb else fresh())
         return len(height) - 1
 
     def close(item) -> int:
@@ -582,11 +567,9 @@ def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
     if type(root) is not int:
         close(root)
     if tree is None:
-        return _Tree(made, (kids, series, height, hops, row, fresh()))
+        return _Tree(made, (kids, series, height, hops))
     tree.height[made:] = height[made:]
     tree.hops[made:] = hops[made:]
-    tree.row[made:] = row[made:]
-    tree.slots = fresh()  # the first row not taken
     tree.kids.reshape(-1)[2 * (made - tree.leaves):] = kids
     tree.series[made - tree.leaves:] = series
     tree.made = len(height)
@@ -594,17 +577,32 @@ def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
 
 
 def _plan(leaf_arcs, tree: _Tree) -> _Plan:
-    """Sweep order, batch bounds and store rows of a closed tree."""
+    """Sweep order, batch bounds and store rows of a closed tree.
+
+    Rows are assigned here, once, by the module docstring's rule: each
+    internal node follows the children whose row it takes down to a node
+    of height 1, by pointer jumping.
+    """
     leaves = tree.leaves
     inner = tree.height[leaves:]
+    top = int(inner.max(initial=0))
+    left, right = tree.kids.T
+    fresh = np.flatnonzero(inner == 1)
+    down = np.where(left >= leaves, left, right) - leaves
+    down[fresh] = fresh
+    for _ in range((top - 1).bit_length()):
+        down = down[down]
+    slots = len(fresh)
+    number = np.empty(len(inner), dtype=np.intp)  # fresh rows, in creation order
+    number[fresh] = np.arange(slots)
+    # leaves read the last, all-infinite row
+    row = np.concatenate((np.full(leaves, slots), number[down]))
     key = inner * 2 + tree.series
     order = np.argsort(key, kind="stable")
     ids = order + leaves
     children = tree.kids[order].ravel()
-    row = tree.row
-    row[:leaves] = tree.slots  # leaves read the last, all-infinite row
     # parallel then series nodes of each height, one batch each
-    sizes = np.bincount(key, minlength=2 * int(inner.max(initial=0)) + 2).tolist()
+    sizes = np.bincount(key, minlength=2 * top + 2).tolist()
     levels = []
     end = 0
     for parallel, series in zip(sizes[2::2], sizes[3::2]):
@@ -617,23 +615,23 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
         reach = np.maximum.accumulate(peaks).tolist()
     sweep_index = np.empty(len(ids), dtype=np.intp)
     sweep_index[order] = np.arange(len(ids))
-    arcs = np.array(leaf_arcs, dtype=np.intp)
     return _Plan(
         ids=ids, out_row=row[ids], children=children,
-        child_row=row[children], child_leaf=children < leaves,
-        child_arc=np.take(arcs, children, mode="clip"),
+        child_row=row[children],
         levels=tuple(level + (most,) for level, most in zip(levels, reach)),
-        slots=tree.slots, leaf_arcs=arcs, height=tree.height.tolist(),
+        slots=slots, leaf_arcs=leaf_arcs, height=tree.height.tolist(),
         sweep_index=sweep_index.tolist(),
     )
 
 
-def _check_magnitudes(graph):
-    """Refuse costs that could bring a finite int64 entry near the sentinel."""
-    worst = max(
-        (abs(f) + abs(u) for f, u in zip(graph.first, graph.upper)), default=0
-    )
-    if 16 * (graph.arc_count + 2) * (worst + 1) >= ASP_INF:
+def _check_magnitudes(graph, arcs):
+    """Refuse costs that could bring a finite int64 entry near the sentinel.
+
+    Only ``arcs``, the tree's leaf arcs, count: the sweep reads no other.
+    """
+    worst = max(map(add, map(abs, map(graph.first.__getitem__, arcs)),
+                    map(abs, map(graph.upper.__getitem__, arcs))), default=0)
+    if 16 * (len(arcs) + 2) * (worst + 1) >= ASP_INF:
         raise CostOverflowError(
             "cost magnitudes too large for the exact int64 kernel"
         )
@@ -680,30 +678,34 @@ def _series_step(children, child_first, values, first):
     return (sums.argmin(axis=3).astype(np.min_scalar_type(w - 1)),)
 
 
-def _evaluate(graph, tree: DecompTree, width: int):
-    """Sweep by height.
+def _evaluate(instance: Instance, tree: DecompTree):
+    """Check the costs, then sweep by height, ``min(k, hops) + 1`` wide.
 
     Returns the first cost of every node, the root's (opt, upper) rows
     and the backpointers: per height a (parallel, series) pair of tuples
     of arrays indexed by position in the batch.
     """
-    plan = tree.plan
-    first = np.empty(len(tree.nodes), dtype=np.int64)
-    first[:len(plan.leaf_arcs)] = np.array(graph.first, dtype=np.int64)[plan.leaf_arcs]
+    graph, plan = instance.graph, tree.plan
+    _check_magnitudes(graph, plan.leaf_arcs)
+    width = min(instance.k, tree.hops) + 1
+    leaves = len(plan.leaf_arcs)
+    # (first, combined, upper) of the leaf arcs; no other arc is read
+    costs = np.array([list(map(column.__getitem__, plan.leaf_arcs))
+                      for column in (graph.first, graph.combined, graph.upper)], dtype=np.int64)
+    first = np.empty(2 * leaves - 1, dtype=np.int64)
+    first[:leaves] = costs[0]
     if not plan.levels:  # a single arc
-        arc = tree.nodes[tree.root][1]
         root = np.full((2, width), _INF, dtype=np.int64)
-        root[0, 0] = graph.combined[arc]
+        root[0, 0] = costs[1, 0]
         if width > 1:
-            root[1, 1] = graph.upper[arc]
+            root[1, 1] = costs[2, 0]
         return first, root, []
 
     store = np.full((plan.slots + 1, 2, width), _INF, dtype=np.int64)
-    # a leaf child's only finite entries: opt[0] and upper[1]
-    leaf_values = np.stack((np.array(graph.combined, dtype=np.int64),
-                            np.array(graph.upper, dtype=np.int64)), axis=1)[plan.child_arc]
-    child_leaf = plan.child_leaf[:, None]
     child_row, children, ids, out_row = plan.child_row, plan.children, plan.ids, plan.out_row
+    # a leaf child's only finite entries: opt[0] and upper[1]
+    leaf_values = costs[1:, np.minimum(children, leaves - 1)].T
+    child_leaf = (children < leaves)[:, None]
     back = []
     for start, split, end, reach in plan.levels:
         w = min(width, reach + 1)
@@ -744,18 +746,16 @@ def _reconstruct(tree: DecompTree, first, back, query):
     ``first`` holds every node's first cost: a parallel node's cheaper
     first stage is on the right only when strictly cheaper there.
     """
-    nodes = tree.nodes
     plan = tree.plan
     leaves = len(plan.leaf_arcs)
+    children = plan.children.tolist()
     x: list[int] = []
     y: list[int] = []
     stack = [(tree.root, query)]
     while stack:
         idx, q = stack.pop()
-        node = nodes[idx]
-        kind = node[0]
-        if kind == LEAF:
-            arc = node[1]
+        if idx < leaves:
+            arc = plan.leaf_arcs[idx]
             if q[0] == "opt":
                 x.append(arc)
                 y.append(arc)
@@ -764,11 +764,11 @@ def _reconstruct(tree: DecompTree, first, back, query):
             else:
                 y.append(arc)
             continue
-        left, right = node[1], node[2]
         level = plan.height[idx] - 1
         start, split, _, _ = plan.levels[level]
         i = plan.sweep_index[idx - leaves]
-        if kind == PARALLEL:
+        left, right = children[2 * i:2 * i + 2]
+        if i < split:  # parallel
             opt_code, upper_right = back[level][0]
             p = i - start
             if q[0] == "opt":
@@ -808,10 +808,8 @@ def root_values(instance: Instance) -> RootValues:
     infinite, since no recovery path has that many arcs.
     """
     tree = decompose(instance)
-    _check_magnitudes(instance.graph)
-    width = min(instance.k, tree.hops) + 1
-    first, (opt, upper), _ = _evaluate(instance.graph, tree, width)
-    pad = (INF,) * (instance.k + 1 - width)
+    first, (opt, upper), _ = _evaluate(instance, tree)
+    pad = (INF,) * (instance.k + 1 - len(opt))
 
     def out(arr):
         return tuple(INF if v >= _PIN else int(v) for v in arr) + pad
@@ -824,9 +822,7 @@ def solve_asp(instance: Instance) -> Solution:
     if instance.k < 1:
         raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
     tree = decompose(instance)
-    _check_magnitudes(instance.graph)
-    width = min(instance.k, tree.hops) + 1
-    first, (opt, _), back = _evaluate(instance.graph, tree, width)
+    first, (opt, _), back = _evaluate(instance, tree)
     best = int(np.argmin(opt))  # ties: smallest divergence
     if opt[best] >= _PIN:
         raise InfeasibleError("no stage pair within the recovery budget")

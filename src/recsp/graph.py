@@ -256,17 +256,19 @@ def _search(adjacency, ends, start: int, node_count: int) -> list[bool]:
 
 
 def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
-    """Most arcs on any source->v path, for every v (-1 if unreachable)."""
-    tail = graph.tail
+    """Most arcs on any source->v path, for every v (-1 if unreachable).
+
+    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``.
+    """
+    head = graph.head
     hops = [-1] * graph.node_count
     hops[source] = 0
-    for v in graph.after(source):
-        best = -1
-        for a in graph.in_arcs(v):
-            h = hops[tail[a]]
-            if h >= 0 and h >= best:
-                best = h + 1
-        hops[v] = best
+    for v in graph.order[graph.position[source]:]:
+        h = hops[v] + 1
+        if h:  # v is reached
+            for a in graph.out_arcs(v):
+                if hops[head[a]] < h:
+                    hops[head[a]] = h
     return hops
 
 

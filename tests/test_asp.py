@@ -420,3 +420,59 @@ def test_decompose_memory_follows_the_arcs_not_the_node_count():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _rows_by_the_queue_rule(tree):
+    """Every node's store row and the row count, by the rule the queue
+    reduction once applied as it joined: in creation order, a node of
+    height 1 takes a fresh row, any other its left child's row, or its
+    right child's if the left is a leaf (-1 for leaves)."""
+    height = tree.plan.height
+    row = [-1] * tree.leaf_count
+    fresh = 0
+    for _, a, b in tree.nodes[tree.leaf_count:]:
+        if height[a] or height[b]:
+            row.append(row[a] if height[a] else row[b])
+        else:
+            row.append(fresh)
+            fresh += 1
+    return row, fresh
+
+
+@pytest.mark.parametrize("make", [
+    lambda: long_path(1, 1),
+    lambda: long_path(TALL, 50),
+    lambda: wide_bundle(TALL, 50),
+    lambda: nested_alternation(4096),
+    lambda: generate_instance("asp", 0xB10C, arcs=5000, k=50),
+    lambda: generate_instance("asp", 7, arcs=100, k=3),
+])
+def test_store_rows_follow_the_queue_rule_in_every_phase(monkeypatch, make):
+    # rounds alone (down to one arc), both phases, the queue alone
+    inst = make()
+    for min_arcs in (1, 256, 1 << 62):
+        monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+        tree = decompose(inst)
+        plan = tree.plan
+        row, slots = _rows_by_the_queue_rule(tree)
+        assert plan.slots == slots
+        assert plan.out_row.tolist() == [row[i] for i in plan.ids.tolist()]
+        assert plan.child_row.tolist() == [
+            slots if c < tree.leaf_count else row[c] for c in plan.children.tolist()]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: long_path(1, 1),
+    lambda: parallel_pair(1),
+    lambda: generate_instance("asp", 0xB10C, arcs=5000, k=50),
+])
+def test_solving_never_reads_the_node_tuples(monkeypatch, make):
+    inst = make()
+    want = solve_asp(inst), root_values(inst)
+
+    def unread(tree):
+        raise AssertionError("the solver read DecompTree.nodes")
+
+    monkeypatch.setattr(asp.DecompTree, "nodes", property(unread))
+    assert (solve_asp(inst), root_values(inst)) == want
+    assert verify_solution(inst, want[0]).accepted

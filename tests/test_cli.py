@@ -113,6 +113,18 @@ def test_overflow_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_asp_ignores_huge_costs_off_every_path(tmp_path, capsys):
+    # arc 2 -> 3 lies on no 0-1 path: asp's guard does not count it
+    off = tmp_path / "off.txt"
+    off.write_text(
+        "p recsp 4 3 0 1 1\na 0 1 1 1 0\na 0 1 2 1 0\n"
+        f"a 2 3 5 {(1 << 63) - 1} {(1 << 63) - 1}\n"
+    )
+    for method in ("asp", "auto", "oracle"):
+        assert main(["solve", "-i", str(off), "--method", method]) == 0
+        assert "total 2" in capsys.readouterr().out
+
+
 def test_auto_falls_through_on_overflow_but_asp_exits_10(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text(

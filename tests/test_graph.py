@@ -287,7 +287,8 @@ def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
 
 def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
     # two disjoint 512-arc paths; the second follows the first in
-    # topological order and no node of it is reachable from the first
+    # topological order and no node of it is reachable from the first;
+    # longest_hops pushes along the reached nodes the same way
     calls = [0]
 
     def counting(original):
@@ -309,6 +310,10 @@ def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
     assert dist[m] == 10 and dist[m + 1] is INF
     assert calls[0] <= 11  # the full sweep reads the in-arcs of 523 nodes
     assert shortest_path(g, g.first, dist, source, m) == _walk(g, parent, source, m)
+    calls[0] = 0
+    hops = longest_hops(g, source)
+    assert hops == [v - source if source <= v <= m else -1 for v in range(2 * m + 2)]
+    assert calls[0] <= 11
 
 
 def test_dag_shortest_paths_matches_enumeration():
