@@ -57,7 +57,9 @@ _ERROR_EXITS = (
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 reach the parser as lone surrogates, as
+    # they do on stdin, and fail there as ParseError
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
 
 

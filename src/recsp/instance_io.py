@@ -25,14 +25,23 @@ Semantic problems (out-of-range endpoints, cycles, unreachable sink)
 surface as the usual validation errors when the instance object is
 built.
 
-The arc lines are checked and converted all at once and fill the
-graph's columns directly; a line is looked at on its own only to report
-a fault in it.
+An instance is read one of two ways, to the same result.  An ASCII
+text of at least ``ARRAY_MIN_CHARS`` characters is scanned as one numpy
+array of its bytes: token and line edges, then the arc numbers of all
+lines at once, with no ``str`` per token.  That scan takes only what is
+plainly valid (arc numbers of at most 18 digits, for one) and otherwise
+gives up without raising.  Shorter texts, and the ones it gives up on,
+are split line by line into ``str`` tokens, whose arc lines are still
+checked and converted all at once; a line is looked at on its own only
+to report a fault in it, so every ParseError comes from this path.
+Both fill the graph's columns directly.
 """
 from __future__ import annotations
 
 import re
 from itertools import chain, repeat
+
+import numpy as np
 
 from .errors import ParseError
 from .graph import Instance, MultiDigraph
@@ -44,6 +53,16 @@ _INT = r"[+-]?\d+"
 # integers joined by single spaces; a single integer token matches too
 _INTS_RE = re.compile(rf"{_INT}(?: {_INT})*")
 _ARC_NAMES = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
+
+# Texts this long or longer are scanned as bytes.  The scan has a fixed
+# cost of some 40 numpy calls; reading only the tokens and numbers of
+# generated instances (median of 9 files each, 2 vCPU Xeon, Python 3.11,
+# numpy 2.4) it took 233 us against 219 us split by line at 1.3 KB,
+# 257 against 271 us at 1.6 KB, and 2.1 against 12.7 ms at 98 KB.
+ARRAY_MIN_CHARS = 1500
+# at most 18 digits, so that every number the byte scan takes fits in int64
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def _content_lines(text: str):
@@ -57,7 +76,9 @@ def _content_lines(text: str):
 
 
 def _last_line(text: str) -> int:
-    return text.count("\n") + 1
+    """Number of the last line, counting the empty one after a final line
+    end, with the line ends ``str.splitlines`` knows."""
+    return len((text + "x").splitlines())
 
 
 def _fail(text: str, lineno: int, index: int, message: str):
@@ -146,18 +167,26 @@ def _arc_values(text: str, arc_lines) -> list[int]:
     return values
 
 
-def parse_instance(text: str) -> Instance:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(_last_line(text), 1, "missing problem line")
-    _check_shape(text, lines[0], "p", 7, "problem")
-    lineno, tokens = lines[0]
+def _problem(text: str, line) -> list[int]:
+    """Node count, arc count, source, sink and k of the problem line."""
+    _check_shape(text, line, "p", 7, "problem")
+    lineno, tokens = line
     if tokens[1] != "recsp":
         _fail(text, lineno, 1, "problem type must be 'recsp'")
     names = ("node count", "arc count", "source", "sink", "k")
-    n, m, source, sink, k = _int_fields(text, lines[0], 2, names)
-    if m < 0:
+    values = _int_fields(text, line, 2, names)
+    if values[1] < 0:
         _fail(text, lineno, 3, "arc count must be >= 0")
+    return values
+
+
+def _parse_lines(text: str) -> Instance:
+    """The instance read line by line from ``str`` tokens; raises
+    ParseError at the first fault."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError(_last_line(text), 1, "missing problem line")
+    n, m, source, sink, k = _problem(text, lines[0])
     arc_lines = lines[1:]
     if len(arc_lines) != m:
         where = arc_lines[m][0] if len(arc_lines) > m else _last_line(text)
@@ -165,6 +194,79 @@ def parse_instance(text: str) -> Instance:
     values = _arc_values(text, arc_lines)
     graph = MultiDigraph(n, *(values[i::5] for i in range(5)))
     return Instance(graph, source, sink, k)
+
+
+def _scan_bytes(text: str):
+    """(problem line, arc columns) of an ASCII text, read from its bytes.
+
+    The problem line comes back as ``(line number, tokens)`` for
+    ``_problem`` to check; the arc lines are checked and converted here.
+    Returns None, and never raises, for anything else: no first content
+    line of 7 tokens, an arc line of other than 6 tokens or not tagged
+    ``a``, a number that is not ``[+-]?[0-9]{1,18}``.  The caller then
+    parses the text line by line.
+    """
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    # str.split() separators: \t \n \v \f \r, \x1c-\x1f and space;
+    # comparisons, since a 256-entry table gather takes 30 times as long
+    blank = (data == 32) | (data - 9 <= 4) | (data - 28 <= 3)
+    edges = np.flatnonzero(np.diff(blank, prepend=True, append=True)).astype(np.int32)
+    del blank
+    starts, ends = edges[0::2], edges[1::2]
+    # str.splitlines() boundaries: \n \v \f \r and \x1c-\x1e, \r\n as one
+    breaks = (data - 10 <= 3) | (data - 28 <= 2)
+    breaks[1:] &= (data[1:] != 10) | (data[:-1] != 13)
+    breaks = np.flatnonzero(breaks).astype(np.int32)
+    # the first token of each line that has one, and its token count
+    heads = np.zeros(len(starts) + 1, bool)
+    heads[np.searchsorted(starts, breaks)] = True
+    heads[0] = True
+    heads = np.flatnonzero(heads[:-1]).astype(np.int32)
+    counts = np.diff(heads, append=len(starts))
+    content = data[starts[heads]] != 35  # a line whose first token starts with '#'
+    lines = np.flatnonzero(content)
+    if not len(lines) or counts[lines[0]] != 7 or (counts[lines[1:]] != 6).any():
+        return None
+    first = heads[lines[0]]
+    problem = (int(np.searchsorted(breaks, starts[first])) + 1,
+               [text[s:e] for s, e in zip(starts[first:first + 7].tolist(),
+                                          ends[first:first + 7].tolist())])
+    content[:lines[0] + 1] = False  # now marks the arc lines only
+    arcs = np.repeat(content, counts)
+    starts, ends = starts[arcs].reshape(-1, 6), ends[arcs].reshape(-1, 6)
+    if (ends[:, 0] - starts[:, 0] != 1).any() or (data[starts[:, 0]] != 97).any():
+        return None
+    # the numbers, line by line: an optional sign, then 1 to 18 digits
+    begin, end = starts[:, 1:].ravel(), ends[:, 1:].ravel()
+    sign = data[begin]
+    negative = sign == 45
+    width = end - begin - (negative | (sign == 43))
+    if len(width) and not 1 <= width.min() <= width.max() <= _MAX_DIGITS:
+        return None
+    # digit times 10**place, summed one place at a time from the right
+    values = np.zeros(len(width), np.int64)
+    end -= 1
+    for place in range(width.max() if len(width) else 0):
+        digits = data[end] - np.uint8(48)  # a byte below '0' wraps past 9
+        digits *= width > place
+        if digits.max() > 9:
+            return None
+        values += digits * _POW10[place]
+        end -= 1
+    np.negative(values, out=values, where=negative)
+    return problem, values.reshape(-1, 5).T.tolist()
+
+
+def parse_instance(text: str) -> Instance:
+    # the scan keeps byte positions in int32
+    if ARRAY_MIN_CHARS <= len(text) < 1 << 31 and text.isascii():
+        scanned = _scan_bytes(text)
+        if scanned is not None:
+            line, columns = scanned
+            n, m, source, sink, k = _problem(text, line)
+            if m == len(columns[0]):
+                return Instance(MultiDigraph(n, *columns), source, sink, k)
+    return _parse_lines(text)
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -93,6 +93,33 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "total cost has too many digits" in capsys.readouterr().err
 
 
+def test_files_that_are_not_utf8_fail_to_parse_as_stdin_does(tmp_path, monkeypatch, capsys):
+    # each undecodable byte reaches the parser as a lone surrogate
+    def stdin(raw):
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+
+    raw = b"p recsp 2 1 0 1 1\na 0 1 1 1 \xff\n"
+    message = "line 2, column 11: deviation must be an integer, got '\\udcff'"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    assert main(["solve", "-i", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", stdin(raw))
+    assert main(["solve"]) == 3
+    assert message in capsys.readouterr().err
+
+    raw = b"s recsp 3 1 2 1\nx 1\ny \xfe0\n"
+    message = "line 3, column 3: arc id must be an integer, got '\\udcfe0'"
+    sample = tmp_path / "sample.txt"
+    sample.write_text(SAMPLE)
+    bad.write_bytes(raw)
+    assert main(["verify", "-i", str(sample), "-s", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", stdin(SAMPLE.encode()))
+    assert main(["verify", "-s", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_validation_and_cycle_exit_codes(tmp_path, capsys):
     bad_k = tmp_path / "badk.txt"
     bad_k.write_text("p recsp 2 1 0 1 7\na 0 1 1 1 0\n")

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recsp import instance_io
 from recsp.dispatch import solve
-from recsp.errors import CyclicGraphError, ParseError, ValidationError
+from recsp.errors import CyclicGraphError, ParseError, RecspError, ValidationError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.instance_io import (
+    ARRAY_MIN_CHARS,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -208,6 +212,51 @@ def _layout(draw, rows):
     return "\n".join(lines) + "\n", where
 
 
+def _place_fault(draw, rows):
+    """Put one fault into the token rows of a serialized instance.
+
+    Returns the message it must raise and where: (row, token index) for a
+    fault at a token, (row, None) for column 1 of a row, or None for
+    column 1 of the line after the last.
+    """
+    m = len(rows) - 1
+    fault = draw(st.sampled_from(FAULTS))
+    r = draw(st.integers(0, m))
+    what, names = ("problem", PROBLEM_NAMES) if r == 0 else ("arc", ARC_NAMES)
+    first = 2 if r == 0 else 1  # index of the row's first integer
+    count = len(rows[r])
+    field = draw(st.integers(first, count - 1))
+    if fault == "not integer":
+        token = draw(st.sampled_from(["1.5", "0x10", "1_0", "++3"]))
+        rows[r][field] = token
+        return f"{names[field - first]} must be an integer, got {token!r}", (r, field)
+    if fault == "outside int64":
+        rows[r][field] = draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1), "9" * 5000]))
+        return f"{names[field - first]} outside the signed 64-bit range", (r, field)
+    if fault == "missing field":
+        del rows[r][field]
+        return f"{what} line needs {count} fields, got {count - 1}", (r, count - 2)
+    if fault == "extra field":
+        rows[r].insert(field, "7")
+        return f"{what} line needs {count} fields, got {count + 1}", (r, count)
+    if fault == "wrong tag":
+        rows[r][0] = draw(st.sampled_from(["b", "A", "ap", "a" if r == 0 else "p"]))
+        return f"expected {what} line starting with {'p' if r == 0 else 'a'!r}", (r, 0)
+    if fault == "extra arc line":
+        rows.insert(r + 1, ["a", "0", "1", "1", "1", "0"])
+        return f"expected {m} arc lines, found {m + 1}", (m + 1, None)
+    del rows[max(r, 1)]
+    return f"expected {m} arc lines, found {m - 1}", None
+
+
+def _expected(text, where, spot, message, last_line):
+    """(text, line, column, message) of a fault placed by _place_fault."""
+    if spot is None:
+        return text, last_line, 1, message
+    line, columns = where[spot[0]]
+    return text, line, 1 if spot[1] is None else columns[spot[1]], message
+
+
 @st.composite
 def corrupted_instances(draw):
     """(text, line, column, message): a serialized random instance with one
@@ -220,48 +269,9 @@ def corrupted_instances(draw):
         inst = generate_instance("dag", draw(st.integers(0, 10**6)),
                                  nodes=n, arcs=2 * n, k=1)
     rows = [line.split() for line in serialize_instance(inst).splitlines()]
-    m = len(rows) - 1
-    fault = draw(st.sampled_from(FAULTS))
-    r = draw(st.integers(0, m))
-    what, names = ("problem", PROBLEM_NAMES) if r == 0 else ("arc", ARC_NAMES)
-    first = 2 if r == 0 else 1  # index of the row's first integer
-    count = len(rows[r])
-    field = draw(st.integers(first, count - 1))
-    spot = None  # (row, token index) of the fault, when it is at a token
-    if fault == "not integer":
-        token = draw(st.sampled_from(["1.5", "0x10", "1_0", "++3"]))
-        rows[r][field] = token
-        spot = r, field
-        message = f"{names[field - first]} must be an integer, got {token!r}"
-    elif fault == "outside int64":
-        rows[r][field] = draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1), "9" * 5000]))
-        spot = r, field
-        message = f"{names[field - first]} outside the signed 64-bit range"
-    elif fault == "missing field":
-        del rows[r][field]
-        spot = r, count - 2
-        message = f"{what} line needs {count} fields, got {count - 1}"
-    elif fault == "extra field":
-        rows[r].insert(field, "7")
-        spot = r, count
-        message = f"{what} line needs {count} fields, got {count + 1}"
-    elif fault == "wrong tag":
-        rows[r][0] = draw(st.sampled_from(["b", "A", "ap", "a" if r == 0 else "p"]))
-        spot = r, 0
-        message = f"expected {what} line starting with {'p' if r == 0 else 'a'!r}"
-    elif fault == "extra arc line":
-        rows.insert(r + 1, ["a", "0", "1", "1", "1", "0"])
-        message = f"expected {m} arc lines, found {m + 1}"
-    else:
-        del rows[max(r, 1)]
-        message = f"expected {m} arc lines, found {m - 1}"
+    message, spot = _place_fault(draw, rows)
     text, where = _layout(draw, rows)
-    if spot is not None:
-        line, columns = where[spot[0]]
-        return text, line, columns[spot[1]], message
-    if fault == "extra arc line":
-        return text, where[m + 1][0], 1, message
-    return text, text.count("\n") + 1, 1, message
+    return _expected(text, where, spot, message, text.count("\n") + 1)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -271,3 +281,152 @@ def test_parse_errors_point_at_the_placed_fault(case):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x1c"])
+def test_count_errors_name_the_last_line_at_every_line_end(end):
+    # the line after a final line end counts, as str.splitlines() counts
+    cases = [
+        (parse_instance, f"# nothing{end}{end}", "missing problem line"),
+        (parse_instance, f"p recsp 3 2 0 2 1{end}a 0 1 1 1 0{end}",
+         "expected 2 arc lines, found 1"),
+        (parse_solution, f"s recsp 3 1 2 1{end}x 1{end}", "expected 3 solution lines, found 2"),
+    ]
+    for parse, text, message in cases:
+        for body, line in ((text, 3), (text[:-len(end)], 2)):
+            with pytest.raises(ParseError) as err:
+                parse(body)
+            assert (err.value.line, err.value.column, err.value.message) == (line, 1, message)
+
+
+# within a line: every ASCII whitespace byte that str.splitlines() does not
+# end a line at; then every line end it knows among ASCII bytes
+SPACES = [" ", "\t", "\x1f", "  ", " \t\x1f "]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+NOISE_LINES = ["", "  ", "\t\x1f", "#", "# note", "  #a 0 1 2 3 4", "\x1f#\x00 p recsp"]
+COSTS = ["0", "-0", "+0", "7", "-7", "+12", "007", "-0042", "9" * 18, "-" + "9" * 18,
+         "+" + "1" * 18, "0" * 17 + "5"]
+WIDE_COSTS = [str((1 << 63) - 1), str(-(1 << 63)), str(-(1 << 63) + 1), "+" + str((1 << 63) - 1),
+              "0" * 18 + "1"]  # 19 digits or more
+
+
+def _node(rng, v):
+    forms = [str(v), "0" * rng.randint(1, 4) + str(v), "+" + str(v)]
+    return rng.choice(forms + ["-0", "-000"] if v == 0 else forms)
+
+
+@st.composite
+def long_texts(draw):
+    """(text, wide): a path instance of valid arc lines in every layout
+    the formats allow, at least ARRAY_MIN_CHARS long; ``wide`` when some
+    number has 19 digits or more."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(60, 160))
+    # "ascii" texts are the byte scan's to read; the others it leaves
+    kind = draw(st.sampled_from(["ascii", "ascii", "ascii", "wide", "unicode"]))
+    costs = COSTS + (WIDE_COSTS if kind == "wide" else [])
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=1, max_size=4))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rows = [["p", "recsp", str(m + 1), str(m), "0", str(m), str(rng.randint(0, 3))]]
+    for i in range(m):
+        deviation = rng.choice([c for c in costs if not c.startswith("-") or c == "-0"])
+        rows.append(["a", _node(rng, i), _node(rng, i + 1), rng.choice(costs),
+                     rng.choice(costs), deviation])
+    lines = []
+    for row in rows:
+        while rng.random() < noise:
+            lines.append(rng.choice(NOISE_LINES))
+        tokens = iter(row)
+        line = rng.choice(["", "", " ", "\t"]) + next(tokens)
+        for token in tokens:
+            line += rng.choice(SPACES) + token
+        lines.append(line + rng.choice(["", "", " ", "\x1f"]))
+    text = "".join(line + rng.choice(ends) for line in lines)
+    if len(text) < ARRAY_MIN_CHARS:
+        text += "#" * (ARRAY_MIN_CHARS - len(text)) + rng.choice(ends)
+    if kind == "unicode":
+        text = draw(st.sampled_from([
+            text.replace("\t", "\u00a0"), text.replace(" ", "\u2003", 3),
+            text.replace("5", "\u0665"), text.replace("\r", "\u2028"),
+        ]))
+    return text, any(len(token.lstrip("+-")) > 18 for row in rows for token in row)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(long_texts())
+def test_byte_scan_reads_what_the_line_parse_reads(case):
+    text, wide = case
+    assert len(text) >= ARRAY_MIN_CHARS
+    assert parse_instance(text) == instance_io._parse_lines(text)
+    if text.isascii():
+        assert (instance_io._scan_bytes(text) is None) == wide
+
+
+@st.composite
+def long_corrupted_instances(draw):
+    """(text, line, column, message): corrupted_instances' faults placed in
+    an asp instance of 300 arcs or more, laid out in ASCII."""
+    inst = generate_instance("asp", draw(st.integers(0, 10**6)),
+                             arcs=draw(st.integers(300, 400)), k=1)
+    rows = [line.split() for line in serialize_instance(inst).splitlines()]
+    message, spot = _place_fault(draw, rows)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    end = draw(st.sampled_from(LINE_ENDS))
+    lines, where = [], []
+    for tokens in rows:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(NOISE_LINES))
+        line, columns = rng.choice(["", " ", "\t\x1f"]), []
+        for i, token in enumerate(tokens):
+            if i:
+                line += rng.choice(SPACES)
+            columns.append(len(line) + 1)
+            line += token
+        lines.append(line)
+        where.append((len(lines), columns))
+    text = end.join(lines) + end
+    assert len(text) >= ARRAY_MIN_CHARS
+    return _expected(text, where, spot, message, len(lines) + 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(long_corrupted_instances())
+def test_parse_errors_point_at_the_placed_fault_in_long_texts(case):
+    text, line, column, message = case
+    instance_io._scan_bytes(text)  # gives up on faults, never raises
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(long_texts(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 127)),
+                              min_size=1, max_size=3))
+def test_byte_scan_and_line_parse_fail_alike_on_stray_bytes(case, strays):
+    text = case[0]
+    for spot, byte in strays:
+        spot %= len(text)
+        text = text[:spot] + chr(byte) + text[spot + 1:]
+    outcomes = []
+    for parse in (parse_instance, instance_io._parse_lines):
+        try:
+            outcomes.append(parse(text))
+        except RecspError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_long_ascii_texts_skip_the_str_tokens(monkeypatch):
+    big = serialize_instance(generate_instance("layered", 1, nodes=200, arcs=800, k=5, layers=40))
+    small = serialize_instance(generate_instance("asp", 1, arcs=30, k=1))
+    small += "#" * (1023 - len(small)) + "\n"
+    assert len(small) == 1024 < ARRAY_MIN_CHARS <= len(big)
+    expected = parse_instance(big)
+
+    def refuse(text):
+        raise AssertionError("split into str tokens")
+
+    monkeypatch.setattr(instance_io, "_content_lines", refuse)
+    assert parse_instance(big) == expected
+    with pytest.raises(AssertionError, match="str tokens"):
+        parse_instance(small)
