@@ -38,9 +38,16 @@ path or a bundle of m arcs gets height ceil(log2 m).  Each round of the
 closing joins neighbours no taller than the lowest neighbouring pair, so
 short operands are joined before tall ones.  The sweep then runs once
 per height: the parallel nodes of that height in one batched step and
-the series nodes in another, in blocks of rows so that no temporary
-exceeds ``BLOCK_CELLS`` int64 cells.  A height only touches the columns
-up to the longest path below it; the rest stay infinite.
+the series nodes in another.  A height only touches the columns up to
+the longest path below it; the rest stay infinite.  A series node's
+left child has no finite entry past its own hop count either, so the
+convolution stops there: in trees of ``ARRAY_MIN_ARCS`` leaves or more,
+``_plan`` sorts each height's series nodes by that count, and a block
+convolves as far as its last node needs.
+Blocks are cut so that no temporary exceeds ``BLOCK_CELLS`` int64
+cells, a series node taking 2w times that span.  The values are read
+at the argmin, in the one pass that finds the backpointers; blocks
+smaller than ``GATHER_MIN_CELLS`` take them in a second pass instead.
 
 Store and slots.  Internal nodes' ``opt``/``upper`` rows live in one
 array of shape (slots + 1, 2, width).  ``_plan`` assigns every row once,
@@ -57,7 +64,7 @@ Backpointers are kept per height and kind, as narrow arrays indexed by
 the node's place in its batch: parallel batches keep an int8 code per
 ``opt`` entry and a bool side per ``upper`` entry; series batches keep
 the left share of every entry in the smallest unsigned type that holds
-the width.  A parallel node's cheaper ``first`` side is read off the
+the block's span.  A parallel node's cheaper ``first`` side is read off the
 per-node ``first`` values.  ``_reconstruct`` reads the plan: a node's
 children, kind and batch come from its index in sweep order, and a
 leaf's arc from ``leaf_arcs``.
@@ -65,7 +72,9 @@ leaf's arc from ``leaf_arcs``.
 Exactness.  The guard in ``_check_magnitudes`` keeps the absolute costs
 of the tree's leaf arcs, summed, below ``ASP_INF / 16`` = 2**58, which
 bounds every finite entry; arcs off every source-sink path are never
-read, so their costs do not count.  Inside the sweep infinity is ``_INF =
+read, so their costs do not count.  It reads the graph's int64
+``costs``, clipped to +-``SATURATE`` = 2**61, which it refuses as it
+refuses any larger cost.  Inside the sweep infinity is ``_INF =
 ASP_INF >> 1`` and additions are unmasked: an entry with no path behind
 it is ``_INF`` plus costs of distinct arcs, and each block clamps its
 results at ``_INF`` (one ``np.minimum``), so such an entry stays within
@@ -73,7 +82,8 @@ results at ``_INF`` (one ``np.minimum``), so such an entry stays within
 finite candidate always beats an infinite one.  Entries at or above
 ``_PIN = _INF >> 1`` read as infinite.  Ties: numpy's argmin takes the
 first occurrence, which is the smallest left share in series and the
-left (earlier) side in parallel.
+left (earlier) side in parallel.  Cutting a convolution short drops
+only infinite candidates, so it changes no finite entry and no tie.
 """
 from __future__ import annotations
 
@@ -81,7 +91,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -93,13 +102,22 @@ from .solution import Solution, build_solution
 ASP_INF = 1 << 62
 _INF = ASP_INF >> 1
 _PIN = _INF >> 1
-# int64 cells in the largest temporary of one batched step (512 KB)
+# int64 cells in the largest temporary of one batched step (512 KB): a
+# series node's sums, 2w times its span, or a node's two gathered children
 BLOCK_CELLS = 1 << 16
+# Series steps with fewer sums than this take their values in a second
+# pass (np.minimum.reduce) instead of gathering them at the argmin: the
+# gather's two extra numpy calls cost more than the pass on small blocks.
+# A step of 40 sums took 9.3 us against 10.5 us gathered, one of 800
+# sums 19.6 us against 15.5 us (2 vCPU Xeon, Python 3.11, numpy 2.4).
+GATHER_MIN_CELLS = 512
 # Pruned graphs with fewer arcs skip the array rounds of ``decompose``,
 # and the rounds stop below it.  numpy's fixed cost per call dominates
 # small graphs: on the small-mixed benchmark (20-60 arcs) the queue
 # reduction takes 0.21 s a pass, array rounds from the first arc 1.5 s
-# (2 vCPU Xeon, Python 3.11, numpy 2.4).
+# (2 vCPU Xeon, Python 3.11, numpy 2.4).  Trees with fewer leaves also
+# skip ``_plan``'s sort by left-child hops: on small-mixed it cost about
+# 1.5% of a pass in-process, and the narrower steps saved nothing.
 ARRAY_MIN_ARCS = 256
 # The rounds hand over to the queue once a round removes less than
 # 1/ROUND_SHARE of the live arcs.  A nested alternation ((a|b).c|d).e...
@@ -124,7 +142,12 @@ class _Plan(NamedTuple):
     len(leaf_arcs) - 1``, leaf i standing for arc ``leaf_arcs[i]``;
     ``height`` is per node and ``sweep_index[i - leaves]`` is the index of
     internal node i in ``ids``.  ``out_row`` and ``child_row`` are store
-    rows; leaves read row ``slots``.
+    rows; leaves read row ``slots``.  ``lead`` bounds, in sweep order, the
+    hops of each node's left child, which has no finite entry past them:
+    in a tree of ``ARRAY_MIN_ARCS`` leaves or more it is exactly those
+    hops, and series batches are sorted by it (1 for parallel nodes); in
+    smaller trees, whose steps are too small for a narrower convolution
+    to pay for the sort, it is the root's hops throughout.
     """
 
     ids: np.ndarray
@@ -133,9 +156,10 @@ class _Plan(NamedTuple):
     child_row: np.ndarray
     levels: tuple
     slots: int
-    leaf_arcs: list
+    leaf_arcs: np.ndarray
     height: list
     sweep_index: list
+    lead: list
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +189,7 @@ class DecompTree:
         kinds = [SERIES if i >= plan.levels[h - 1][1] else PARALLEL
                  for i, h in zip(plan.sweep_index, plan.height[len(plan.leaf_arcs):])]
         kids = plan.children.reshape(-1, 2)[plan.sweep_index].T.tolist()
-        return (*zip(repeat(LEAF), plan.leaf_arcs), *zip(kinds, *kids))
+        return (*zip(repeat(LEAF), plan.leaf_arcs.tolist()), *zip(kinds, *kids))
 
 
 @dataclass(frozen=True)
@@ -264,24 +288,23 @@ def _rounds(instance: Instance):
     Each round merges every class of parallel arcs (one stable sort on
     tail and head; a class keeps arc order) and then contracts every
     maximal chain through nodes with one arc in and one arc out, found by
-    list ranking with pointer jumping.  Every array is sized by the arcs
-    or by the compact ids of their endpoints, never by ``node_count``.
-    Rounds run while at least ``ARRAY_MIN_ARCS`` arcs are left and each
-    removes at least ``1 / ROUND_SHARE`` of them; a round that finds
-    nothing to do raises, also the one after the last.  Returns the kept arc
-    ids, the tree with the runs closed, and what the queue reduction
-    takes: the arcs left (tails, heads and the roots of their subtrees, as
-    lists) and the compact source and sink.
+    list ranking with pointer jumping.  The arcs are pruned by
+    ``Instance.on_path`` as a bool array; every array made after that is sized
+    by the kept arcs or by the compact ids of their endpoints, never by
+    ``node_count``.  Rounds run while at least ``ARRAY_MIN_ARCS`` arcs
+    are left and each removes at least ``1 / ROUND_SHARE`` of them; a
+    round that finds nothing to do raises, also the one after the last.
+    Returns the kept arc ids (an array), the tree with the runs closed,
+    and what the queue reduction takes: the arcs left (tails, heads and
+    the roots of their subtrees, as lists) and the compact source and
+    sink.
     """
-    graph = instance.graph
-    m = graph.arc_count
-    ends, compact = np.unique(np.fromiter(graph.tail + graph.head, np.intp, 2 * m),
-                              return_inverse=True)
-    on = instance.on_path
-    kept = np.array([on[v] for v in ends.tolist()])[compact]
-    kept = np.flatnonzero(kept[:m] & kept[m:])
+    tails, heads = instance.graph.ends
+    on = np.frombuffer(bytes(instance.on_path), dtype=bool)
+    kept = np.flatnonzero(on[tails] & on[heads])
+    ends, compact = np.unique(np.concatenate((tails[kept], heads[kept])), return_inverse=True)
     size = len(ends)
-    tail, head = compact[kept], compact[m + kept]
+    tail, head = compact[:len(kept)], compact[len(kept):]
     s, t = np.searchsorted(ends, (instance.source, instance.sink)).tolist()
     tree = _Tree(len(kept))
     item = np.arange(len(kept))
@@ -349,7 +372,7 @@ def _rounds(instance: Instance):
         root = runs.close(tree)
         run = item >= len(kept)
         item[run] = root[item[run] - len(kept)]
-    return kept.tolist(), tree, (tail.tolist(), head.tolist(), item.tolist(), s, t)
+    return kept, tree, (tail.tolist(), head.tolist(), item.tolist(), s, t)
 
 
 class _Runs:
@@ -597,12 +620,24 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     number[fresh] = np.arange(slots)
     # leaves read the last, all-infinite row
     row = np.concatenate((np.full(leaves, slots), number[down]))
-    key = inner * 2 + tree.series
-    order = np.argsort(key, kind="stable")
+    # parallel then series nodes of each height, one batch each, in
+    # creation order; a large tree's series nodes by left-child hops
+    batch = inner * 2 + tree.series
+    longest = int(tree.hops[-1])  # the root's: no node has more
+    if leaves < ARRAY_MIN_ARCS:
+        order = np.argsort(batch, kind="stable")
+        lead = [longest] * len(order)
+    else:
+        lead = np.where(tree.series, tree.hops[left], 1)
+        # numpy sorts 16-bit keys stably by radix: 58 against 147 us for
+        # the 5k internal nodes of an asp-20k tree
+        key = (batch * (longest + 1) + lead).astype(
+            np.uint16 if (2 * top + 2) * (longest + 1) <= 1 << 16 else np.intp, copy=False)
+        order = np.argsort(key, kind="stable")
+        lead = lead[order].tolist()
     ids = order + leaves
     children = tree.kids[order].ravel()
-    # parallel then series nodes of each height, one batch each
-    sizes = np.bincount(key, minlength=2 * top + 2).tolist()
+    sizes = np.bincount(batch, minlength=2 * top + 2).tolist()
     levels = []
     end = 0
     for parallel, series in zip(sizes[2::2], sizes[3::2]):
@@ -619,19 +654,20 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
         ids=ids, out_row=row[ids], children=children,
         child_row=row[children],
         levels=tuple(level + (most,) for level, most in zip(levels, reach)),
-        slots=slots, leaf_arcs=leaf_arcs, height=tree.height.tolist(),
-        sweep_index=sweep_index.tolist(),
+        slots=slots, leaf_arcs=np.asarray(leaf_arcs, dtype=np.intp), height=tree.height.tolist(),
+        sweep_index=sweep_index.tolist(), lead=lead,
     )
 
 
-def _check_magnitudes(graph, arcs):
+def _check_magnitudes(costs):
     """Refuse costs that could bring a finite int64 entry near the sentinel.
 
-    Only ``arcs``, the tree's leaf arcs, count: the sweep reads no other.
+    ``costs`` holds the first-stage and upper costs of the tree's leaf
+    arcs (the sweep reads no other arc), clipped to +-SATURATE: a clipped
+    cost fails the test as its exact value would.
     """
-    worst = max(map(add, map(abs, map(graph.first.__getitem__, arcs)),
-                    map(abs, map(graph.upper.__getitem__, arcs))), default=0)
-    if 16 * (len(arcs) + 2) * (worst + 1) >= ASP_INF:
+    worst = int(np.abs(costs).sum(axis=0).max())
+    if 16 * (costs.shape[1] + 2) * (worst + 1) >= ASP_INF:
         raise CostOverflowError(
             "cost magnitudes too large for the exact int64 kernel"
         )
@@ -657,25 +693,50 @@ def _parallel_step(children, child_first, values, first):
     return cand.argmin(axis=1).astype(np.int8), children[:, 1, 1] < children[:, 0, 1]
 
 
-def _series_step(children, child_first, values, first):
+def _series_step(children, child_first, values, first, span):
     """Series composition of a block: min-plus convolution of both arrays.
 
-    ``values[r, a, l] = min_j left[r, a, j] + right[r, a, l - j]``; the
-    backpointer is the smallest minimising j (the left share).
+    ``values[r, a, l] = min_j left[r, a, j] + right[r, a, l - j]`` over
+    ``j < span``: no left child of the block has a finite entry past it.
+    The backpointer is the smallest minimising j (the left share).
     """
     rows, _, _, w = children.shape
     # the right rows reversed, then infinities: at window l, offset j
     # reads right[l - j] for j <= l and an infinity beyond
-    padded = np.empty((rows, 2, 2 * w - 1), dtype=np.int64)
+    padded = np.empty((rows, 2, w + span - 1), dtype=np.int64)
     padded[:, :, :w] = children[:, 1, :, ::-1]
     padded[:, :, w:] = _INF
     step = padded.itemsize
-    shifted = np.ndarray((rows, 2, w, w), np.int64, padded, (w - 1) * step,
+    shifted = np.ndarray((rows, 2, w, span), np.int64, padded, (w - 1) * step,
                          (*padded.strides[:2], -step, step))
-    sums = children[:, 0, :, None, :] + shifted
-    np.minimum.reduce(sums, axis=3, out=values)
+    sums = children[:, 0, :, None, :span] + shifted
+    if sums.size < GATHER_MIN_CELLS:
+        np.minimum.reduce(sums, axis=3, out=values)
+        share = sums.argmin(axis=3)
+    else:  # the minima are where the argmin points: no second pass over the sums
+        sums = sums.reshape(-1, span)
+        share = sums.argmin(axis=1)
+        values.reshape(-1)[:] = sums[np.arange(len(sums)), share]
+        share = share.reshape(values.shape)
     np.add(child_first[:, 0], child_first[:, 1], out=first)
-    return (sums.argmin(axis=3).astype(np.min_scalar_type(w - 1)),)
+    return (share.astype(np.min_scalar_type(span - 1)),)
+
+
+def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:
+    """Where the block from ``lo`` ends: the most nodes up to ``end`` whose
+    count times the span of the last, ``min(w, lead + 1)``, stays within
+    ``room``, and at least one.  Within a height spans never fall, so the
+    last node's is the widest."""
+    if (end - lo) * min(w, lead[end - 1] + 1) <= room:
+        return end
+    fits, over = lo + 1, end
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if (mid - lo) * min(w, lead[mid - 1] + 1) <= room:
+            fits = mid
+        else:
+            over = mid
+    return fits
 
 
 def _evaluate(instance: Instance, tree: DecompTree):
@@ -685,34 +746,35 @@ def _evaluate(instance: Instance, tree: DecompTree):
     and the backpointers: per height a (parallel, series) pair of tuples
     of arrays indexed by position in the batch.
     """
-    graph, plan = instance.graph, tree.plan
-    _check_magnitudes(graph, plan.leaf_arcs)
+    plan = tree.plan
+    # (first, upper, combined) of the leaf arcs; no other arc is read
+    costs = instance.graph.costs[:, plan.leaf_arcs]
+    _check_magnitudes(costs[:2])
     width = min(instance.k, tree.hops) + 1
     leaves = len(plan.leaf_arcs)
-    # (first, combined, upper) of the leaf arcs; no other arc is read
-    costs = np.array([list(map(column.__getitem__, plan.leaf_arcs))
-                      for column in (graph.first, graph.combined, graph.upper)], dtype=np.int64)
     first = np.empty(2 * leaves - 1, dtype=np.int64)
     first[:leaves] = costs[0]
     if not plan.levels:  # a single arc
         root = np.full((2, width), _INF, dtype=np.int64)
-        root[0, 0] = costs[1, 0]
+        root[0, 0] = costs[2, 0]
         if width > 1:
-            root[1, 1] = costs[2, 0]
+            root[1, 1] = costs[1, 0]
         return first, root, []
 
     store = np.full((plan.slots + 1, 2, width), _INF, dtype=np.int64)
     child_row, children, ids, out_row = plan.child_row, plan.children, plan.ids, plan.out_row
-    # a leaf child's only finite entries: opt[0] and upper[1]
-    leaf_values = costs[1:, np.minimum(children, leaves - 1)].T
+    # a leaf child's only finite entries: opt[0] (combined) and upper[1]
+    leaf_values = costs[:0:-1, np.minimum(children, leaves - 1)].T
     child_leaf = (children < leaves)[:, None]
+    lead = plan.lead
     back = []
     for start, split, end, reach in plan.levels:
         w = min(width, reach + 1)
-        block = max(1, BLOCK_CELLS // (2 * w * w))  # series sums are 2w**2 a node
+        room = BLOCK_CELLS // (2 * w)  # for node count times span
         found = ([], [])
-        for lo in range(start, end, block):
-            hi = min(lo + block, end)
+        lo = start
+        while lo < end:
+            hi = _block_end(lead, lo, end, w, room)
             kids = slice(2 * lo, 2 * hi)
             gathered = store[child_row[kids], :, :w]
             # opt[0] and upper[1] sit w + 1 apart in a flattened (opt, upper) row
@@ -728,11 +790,13 @@ def _evaluate(instance: Instance, tree: DecompTree):
                     gathered[:mid], child_first[:mid], values[:mid], out_first[:mid]))
             if mid < hi - lo:
                 found[1].append(_series_step(
-                    gathered[mid:], child_first[mid:], values[mid:], out_first[mid:]))
+                    gathered[mid:], child_first[mid:], values[mid:], out_first[mid:],
+                    min(w, lead[hi - 1] + 1)))
             # keep infinities at or below _INF; see the module docstring
             np.minimum(values, _INF, out=values)
             store[out_row[lo:hi], :, :w] = values
             first[ids[lo:hi]] = out_first
+            lo = hi
         back.append(tuple(
             parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
             for parts in found
@@ -747,7 +811,8 @@ def _reconstruct(tree: DecompTree, first, back, query):
     first stage is on the right only when strictly cheaper there.
     """
     plan = tree.plan
-    leaves = len(plan.leaf_arcs)
+    leaf_arcs = plan.leaf_arcs.tolist()
+    leaves = len(leaf_arcs)
     children = plan.children.tolist()
     x: list[int] = []
     y: list[int] = []
@@ -755,7 +820,7 @@ def _reconstruct(tree: DecompTree, first, back, query):
     while stack:
         idx, q = stack.pop()
         if idx < leaves:
-            arc = plan.leaf_arcs[idx]
+            arc = leaf_arcs[idx]
             if q[0] == "opt":
                 x.append(arc)
                 y.append(arc)

@@ -5,11 +5,16 @@ Costs are plain Python integers; the unreachable/impossible sentinel is
 so finite values stay exact, and ``x + INF == INF`` gives the saturating
 addition the dynamic programs rely on.
 
-A ``MultiDigraph`` is stored as per-arc integer columns, the form the
-parser fills; it derives per-node arc lists from them once, and keeps its
-topological order once it has been computed (``Instance`` validation does
-so).  The routines here read those and never sort the graph again;
-``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
+A ``MultiDigraph`` is stored as per-arc integer columns, given as lists
+or, by the byte scan of the parser, as int64 arrays.  It derives per-node
+arc lists from them once, and keeps its topological order once it has
+been computed (``Instance`` validation does so).  The routines here read
+those and never sort the graph again.  Each column is built on first
+read in the form its reader wants: the exact Python-int lists the sweeps
+here read, and the int64 ``ends`` and ``costs`` that numpy code reads
+(the costs saturated at ``SATURATE``, so that sums of two stay inside
+int64).  ``Arc`` objects are views built only when ``MultiDigraph.arcs``
+is read.
 
 The shortest-path sweeps take a cost column (``graph.first``,
 ``graph.upper`` or ``graph.combined``) and keep distances only.  A path
@@ -25,6 +30,8 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import CyclicGraphError, NotLayeredError, ValidationError
 
@@ -62,15 +69,40 @@ def _column():
     return field(init=False, repr=False, compare=False)
 
 
+# int64 cost columns are clipped to +-SATURATE: a sum of two stays in range
+SATURATE = 1 << 61
+
+
+class _ListOnRead:
+    """A cost column of a graph given as arrays, made a list on first read.
+
+    Set on the class after ``dataclass`` has made the column a field: the
+    graph keeps the column in its ``__dict__`` when given a list, and
+    drops it there when given an array, so that this is read instead.
+    """
+
+    def __init__(self, name: str, row: int):
+        self.name, self.row = name, row
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        column = graph._arrays[self.row].tolist()
+        graph.__dict__[self.name] = column
+        return column
+
+
 @dataclass(frozen=True)
 class MultiDigraph:
     """Directed multigraph over nodes 0..node_count-1.
 
     Parallel arcs are permitted and stay distinct by arc id.  The graph is
     stored as per-arc columns indexed by arc id: ``tail``, ``head``,
-    ``first``, ``nominal`` and ``deviation`` as given, ``upper`` and
-    ``combined`` derived from them (Python ints, since sums of int64 costs
-    can leave that range).
+    ``first``, ``nominal`` and ``deviation`` as given, as lists or as
+    int64 arrays.  Read as attributes they are lists, built on first read
+    from arrays, and so are ``upper`` and ``combined`` (Python ints, since
+    sums of int64 costs can leave that range); ``ends`` and ``costs`` are
+    their int64 forms.
     """
 
     node_count: int
@@ -79,44 +111,50 @@ class MultiDigraph:
     first: list[int]
     nominal: list[int]
     deviation: list[int]
-    upper: list[int] = _column()
-    combined: list[int] = _column()
     _out: tuple[tuple[int, ...], ...] = _column()
     _in: tuple[tuple[int, ...], ...] = _column()
 
     def __post_init__(self):
         n = self.node_count
-        tail, head, deviation = self.tail, self.head, self.deviation
+        given = (self.tail, self.head, self.first, self.nominal, self.deviation)
+        tail, head, _, _, deviation = given
         m = len(tail)
         if not len(head) == len(self.first) == len(self.nominal) == len(deviation) == m:
             raise ValidationError("arc columns differ in length")
+        arrays = isinstance(tail, np.ndarray)
         # whole-column checks; the arc-by-arc scans only find the culprit
-        if m and (min(deviation) < 0 or any(map(operator.eq, tail, head))):
-            for i, (t, h, d) in enumerate(zip(tail, head, deviation)):
-                if d < 0:
-                    raise ValidationError(f"arc {i}: deviation {d} < 0")
-                if t == h:
-                    raise ValidationError(f"arc {i}: self-loop at node {t}")
+        if arrays:
+            faulty = np.flatnonzero((deviation < 0) | (tail == head))[:1].tolist()
+            inside = not m or 0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n
+        else:
+            faulty = range(m) if m and (min(deviation) < 0 or any(map(operator.eq, tail, head))) else ()
+            inside = not m or 0 <= min(tail) and max(tail) < n and 0 <= min(head) and max(head) < n
+        for i in faulty:
+            if deviation[i] < 0:
+                raise ValidationError(f"arc {i}: deviation {deviation[i]} < 0")
+            if tail[i] == head[i]:
+                raise ValidationError(f"arc {i}: self-loop at node {tail[i]}")
         if n < 1:
             raise ValidationError("node_count must be >= 1")
-        if m and not (0 <= min(tail) and max(tail) < n and 0 <= min(head) and max(head) < n):
-            for i, (t, h) in enumerate(zip(tail, head)):
+        if not inside:
+            for i, t, h in zip(range(m), tail, head):
                 if not (0 <= t < n and 0 <= h < n):
                     raise ValidationError(f"arc {i}: endpoint out of range")
+        if arrays:
+            tail, head = tail.tolist(), head.tolist()
+            columns = {"_arrays": given, "tail": tail, "head": head}
+            for name in ("first", "nominal", "deviation"):
+                del self.__dict__[name]  # read through _ListOnRead
+        else:
+            upper = list(map(operator.add, self.nominal, deviation))
+            columns = {"upper": upper, "combined": list(map(operator.add, self.first, upper))}
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for i, (t, h) in enumerate(zip(tail, head)):
             out[t].append(i)
             inc[h].append(i)
-        upper = list(map(operator.add, self.nominal, deviation))
-        columns = {
-            "upper": upper,
-            "combined": list(map(operator.add, self.first, upper)),
-            "_out": tuple(map(tuple, out)),
-            "_in": tuple(map(tuple, inc)),
-        }
-        for name, value in columns.items():
-            object.__setattr__(self, name, value)
+        columns.update(_out=tuple(map(tuple, out)), _in=tuple(map(tuple, inc)))
+        self.__dict__.update(columns)
 
     @classmethod
     def from_rows(cls, node_count: int, rows) -> "MultiDigraph":
@@ -135,6 +173,55 @@ class MultiDigraph:
     @property
     def arc_count(self) -> int:
         return len(self.tail)
+
+    @cached_property
+    def upper(self) -> list[int]:
+        """Worst-case second-stage cost of each arc, ``nominal + deviation``;
+        made in ``__post_init__`` when the columns are given as lists."""
+        return list(map(operator.add, self.nominal, self.deviation))
+
+    @cached_property
+    def combined(self) -> list[int]:
+        """Both stages' cost of each arc, ``first + upper``; made as ``upper`` is."""
+        return list(map(operator.add, self.first, self.upper))
+
+    @cached_property
+    def ends(self):
+        """``tail`` and ``head`` as two int64 arrays."""
+        if "_arrays" in self.__dict__:
+            return self._arrays[:2]
+        return tuple(np.array((self.tail, self.head), dtype=np.int64))
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """``first``, ``upper`` and ``combined`` as one int64 array of shape
+        (3, arc_count), each clipped to +-SATURATE from its exact value."""
+        given = self.__dict__.get("_arrays")
+        if given is not None and all(-SATURATE <= c.min(initial=0) and c.max(initial=0) <= SATURATE
+                                     for c in given[2:]):
+            # no sum of three such costs leaves int64
+            costs = np.empty((3, self.arc_count), dtype=np.int64)
+            costs[0] = given[2]
+            np.add(given[3], given[4], out=costs[1])
+            np.add(costs[0], costs[1], out=costs[2])
+        else:
+            columns = (self.first, self.upper, self.combined)
+            try:
+                costs = np.array(columns, dtype=np.int64)
+            except OverflowError:
+                costs = np.array([[min(max(c, -SATURATE), SATURATE) for c in column]
+                                  for column in columns], dtype=np.int64)
+        np.minimum(costs, SATURATE, out=costs)
+        return np.maximum(costs, -SATURATE, out=costs)
+
+    def stage_costs(self, x_arcs, y_arcs) -> tuple[int, int]:
+        """The exact first-stage cost of ``x_arcs`` and upper cost of
+        ``y_arcs``; a graph given as arrays sums just their entries."""
+        given = self.__dict__.get("_arrays")
+        if given is None:
+            return path_cost(self.first, x_arcs), path_cost(self.upper, y_arcs)
+        x, y = list(x_arcs), list(y_arcs)
+        return sum(given[2][x].tolist()), sum(given[3][y].tolist()) + sum(given[4][y].tolist())
 
     def out_arcs(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -158,6 +245,10 @@ class MultiDigraph:
     def after(self, v: int) -> tuple[int, ...]:
         """The nodes following v in ``order``: all a sweep from v can reach."""
         return self.order[self.position[v] + 1:]
+
+
+for _row, _name in enumerate(("first", "nominal", "deviation"), start=2):
+    setattr(MultiDigraph, _name, _ListOnRead(_name, _row))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ gives up without raising.  Shorter texts, and the ones it gives up on,
 are split line by line into ``str`` tokens, whose arc lines are still
 checked and converted all at once; a line is looked at on its own only
 to report a fault in it, so every ParseError comes from this path.
-Both fill the graph's columns directly.
+Both fill the graph's columns directly: the scan as int64 arrays, the
+line parse as lists.
 """
 from __future__ import annotations
 
@@ -199,6 +200,8 @@ def _parse_lines(text: str) -> Instance:
 def _scan_bytes(text: str):
     """(problem line, arc columns) of an ASCII text, read from its bytes.
 
+    The arc columns are the rows of one int64 array of shape (5, arcs).
+
     The problem line comes back as ``(line number, tokens)`` for
     ``_problem`` to check; the arc lines are checked and converted here.
     Returns None, and never raises, for anything else: no first content
@@ -236,8 +239,8 @@ def _scan_bytes(text: str):
     starts, ends = starts[arcs].reshape(-1, 6), ends[arcs].reshape(-1, 6)
     if (ends[:, 0] - starts[:, 0] != 1).any() or (data[starts[:, 0]] != 97).any():
         return None
-    # the numbers, line by line: an optional sign, then 1 to 18 digits
-    begin, end = starts[:, 1:].ravel(), ends[:, 1:].ravel()
+    # the numbers, column by column: an optional sign, then 1 to 18 digits
+    begin, end = starts[:, 1:].T.ravel(), ends[:, 1:].T.ravel()
     sign = data[begin]
     negative = sign == 45
     width = end - begin - (negative | (sign == 43))
@@ -254,7 +257,7 @@ def _scan_bytes(text: str):
         values += digits * _POW10[place]
         end -= 1
     np.negative(values, out=values, where=negative)
-    return problem, values.reshape(-1, 5).T.tolist()
+    return problem, values.reshape(5, -1)
 
 
 def parse_instance(text: str) -> Instance:
@@ -264,7 +267,7 @@ def parse_instance(text: str) -> Instance:
         if scanned is not None:
             line, columns = scanned
             n, m, source, sink, k = _problem(text, line)
-            if m == len(columns[0]):
+            if m == columns.shape[1]:
                 return Instance(MultiDigraph(n, *columns), source, sink, k)
     return _parse_lines(text)
 

@@ -46,8 +46,7 @@ def build_solution(instance: Instance, x_arcs, y_arcs) -> Solution:
     div = divergence_count(y_arcs, x_arcs)
     if div > instance.k:
         raise ValidationError(f"recovery differs in {div} arcs, budget is {instance.k}")
-    first = path_cost(graph.first, x_arcs)
-    second = path_cost(graph.upper, y_arcs)
+    first, second = graph.stage_costs(x_arcs, y_arcs)
     return Solution(
         x_arcs=x_arcs,
         y_arcs=y_arcs,

@@ -5,8 +5,17 @@ from types import SimpleNamespace
 import pytest
 
 import recsp.cli
+from recsp import instance_io
 from recsp.cli import main
-from recsp.instance_io import parse_instance, parse_solution, serialize_instance
+from recsp.dispatch import solve
+from recsp.generator import generate_instance
+from recsp.graph import Instance, MultiDigraph
+from recsp.instance_io import (
+    ARRAY_MIN_CHARS,
+    parse_instance,
+    parse_solution,
+    serialize_instance,
+)
 from recsp.oracle import solve_bruteforce
 
 SAMPLE = """\
@@ -162,6 +171,38 @@ def test_auto_falls_through_on_overflow_but_asp_exits_10(tmp_path, capsys):
     assert "total 15" in capsys.readouterr().out
     assert main(["solve", "-i", str(huge), "--method", "asp"]) == 10
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("costs", [(-(1 << 63), (1 << 63) - 1, (1 << 63) - 1), (10**18 - 1,) * 3],
+                         ids=["int64 ends", "18 digits"])
+@pytest.mark.parametrize("on_path", [True, False], ids=["leaf arc", "off every path"])
+def test_long_files_keep_extreme_costs_exact(tmp_path, capsys, costs, on_path):
+    # long enough for the byte scan, which reads numbers of up to 18
+    # digits as int64 arrays and leaves the int64 ends to the line parse
+    inst = generate_instance("asp", 3, arcs=120, k=3)
+    g = inst.graph
+    rows = [*zip(g.tail, g.head, g.first, g.nominal, g.deviation)]
+    n = g.node_count
+    if on_path:
+        arc, rows[0] = 0, (*rows[0][:2], *costs)
+    else:  # an arc out of the sink
+        arc, n = len(rows), n + 1
+        rows.append((inst.sink, n - 1, *costs))
+    text = serialize_instance(Instance(MultiDigraph.from_rows(n, rows), inst.source, inst.sink, 3))
+    assert len(text) >= ARRAY_MIN_CHARS
+    assert (instance_io._scan_bytes(text) is None) == (max(map(abs, costs)) >= 10**18)
+    parsed, by_lines = parse_instance(text), instance_io._parse_lines(text)
+    first, nominal, deviation = costs
+    assert parsed.graph.upper[arc] == nominal + deviation
+    assert parsed.graph.combined[arc] == first + nominal + deviation
+    assert parsed.graph.upper == by_lines.graph.upper
+    assert parsed.graph.combined == by_lines.graph.combined
+    path = tmp_path / "extreme.txt"
+    path.write_text(text)
+    # asp's guard counts the leaf arcs only
+    assert main(["solve", "-i", str(path), "--method", "asp"]) == (10 if on_path else 0)
+    capsys.readouterr()
+    assert solve(parsed).total_cost == solve(parsed, "dag").total_cost
 
 
 def test_too_many_paths_exit_code(tmp_path, capsys):

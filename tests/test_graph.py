@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from recsp.errors import CyclicGraphError, NotLayeredError, ValidationError
@@ -12,6 +13,7 @@ from recsp.graph import (
     divergence_count,
     longest_hops,
     path_cost,
+    SATURATE,
     path_error,
     shortest_path,
     topological_order,
@@ -485,3 +487,52 @@ def test_divergence_count_is_arc_identity_based():
     assert divergence_count((1, 2), (1, 2)) == 0
     # parallel arcs with equal costs still count as different identities
     assert divergence_count((5,), (6,)) == 1
+
+
+def build_from_arrays(n, rows):
+    """The graph of ``rows`` given as int64 arrays, as the byte scan gives it."""
+    return MultiDigraph(n, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+
+def test_array_columns_are_checked_like_lists():
+    rows = [(0, 1, 1, 1, 0)] * 9
+    faults = [(4, {}), (0, {}), (4, {5: (1, 2, 1, 1, -1)}), (4, {7: (3, 3, 1, 1, 0)}),
+              (0, {7: (3, 3, 1, 1, 0)}), (4, {5: (1, 1, 1, 1, -1), 7: (3, 3, 1, 1, 0)})]
+    faults += [(4, {2: (t, h, 1, 1, 0), 6: (2, 2, 1, 1, 0)}) for t, h in ((0, 9), (4, 1), (-1, 1))]
+    faults += [(4, {2: (t, h, 1, 1, 0)}) for t, h in ((0, 9), (0, 4), (4, 1), (-1, 1), (0, -1))]
+    for n, changes in faults:
+        faulty = [changes.get(i, row) for i, row in enumerate(rows)]
+        outcomes = []
+        for make in (build, build_from_arrays):
+            try:
+                outcomes.append(make(n, faulty))
+            except ValidationError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+    with pytest.raises(ValidationError, match=r"^arc columns differ in length$"):
+        MultiDigraph(2, *np.ones((4, 1), dtype=np.int64), np.ones(2, dtype=np.int64))
+
+
+def test_array_columns_become_lists_on_first_read():
+    rows = [(0, 1, 5, 3, 2), (1, 2, -1, 0, 4), (0, 2, 7, -3, 0)]
+    g = build_from_arrays(3, rows)
+    assert g.stage_costs((0, 1), (2,)) == (4, -3)
+    assert not {"first", "nominal", "deviation", "upper", "combined"} & set(g.__dict__)
+    assert g == build(3, rows)
+    assert g.upper == [5, 4, -3] and g.combined == [10, 3, 4]
+    assert type(g.first) is list and all(type(c) is int for c in g.first + g.tail)
+    assert g.costs.tolist() == [[5, -1, 7], [5, 4, -3], [10, 3, 4]]
+
+
+@pytest.mark.parametrize("make", [build, build_from_arrays])
+def test_int64_costs_saturate_from_the_exact_values(make):
+    top, bottom = (1 << 63) - 1, -(1 << 63)
+    rows = [(0, 1, bottom, top, top), (0, 1, top, bottom, 0), (0, 1, bottom, top, 0),
+            (0, 1, SATURATE, -SATURATE, 3), (0, 1, 1 - SATURATE, 2, SATURATE - 3)]
+    g = make(2, rows)
+    assert g.stage_costs((0,), (0,)) == (bottom, 2 * top)
+    assert g.upper == [2 * top, bottom, top, 3 - SATURATE, SATURATE - 1]
+    assert g.combined == [top - 1, top + bottom, -1, 3, 0]
+    assert g.costs.tolist() == [[max(-SATURATE, min(c, SATURATE)) for c in column]
+                                for column in (g.first, g.upper, g.combined)]
+    assert [end.tolist() for end in g.ends] == [[0] * 5, [1] * 5]
