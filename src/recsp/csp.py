@@ -1,6 +1,6 @@
 """Budget-constrained shortest paths by DP over (node, budget used).
 
-The one kernel behind both reduction-based solvers (Joksch 1966; Hassin
+The kernels behind both reduction-based solvers (Joksch 1966; Hassin
 1992).  A transition ``(tail, head, cost, time, arc)`` moves from tail to
 head for an additive cost and spends a nonnegative integer time of the
 budget; ``arc`` is the caller's payload and never influences the search.
@@ -9,12 +9,24 @@ of it (for instance source by source in a topological order), so one
 forward pass computes, for each node and exact time used, the least cost
 of reaching it, with no sort and no adjacency lists; the sink's row is
 then carried from time t - 1 to t to allow any time within the budget.
+
+``solve_csp`` takes the transitions as a list of tuples and relaxes them
+one by one in Python.  ``solve_levels`` takes them as array columns
+together with a level per node, below every transition's head and above
+its tail, and takes one batched numpy step per level.  Both return the
+same optimum: the least cost, then the least time, then, at each node on
+the way back, the earliest transition in list order that attains it.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .graph import INF
 
 _CARRY = -1
+# int64 rows hold no path as this sentinel plus a sum of costs; see
+# solve_levels
+_SENTINEL = 1 << 62
 
 
 def solve_csp(node_count, transitions, source, sink, budget):
@@ -70,3 +82,129 @@ def solve_csp(node_count, transitions, source, sink, budget):
         t -= step[3]
     path.reverse()
     return row[budget], path
+
+
+def run_starts(key):
+    """Where each run of equal values in the sorted array ``key`` starts."""
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
+def solve_levels(level, tail, head, cost, time, source, sink, budget):
+    """``(cost, rows)`` of the optimum ``solve_csp`` finds over the
+    transitions given as columns, or None when there is none.
+
+    ``rows`` are the positions in the columns of the transitions on the
+    path, in path order.  ``tail``, ``head`` and ``time`` are integer
+    arrays, ``cost`` an int64 or object array, all in list order, and
+    ``level[head] > level[tail]`` for every transition.
+
+    One stable sort groups the transitions by head, the heads numbered by
+    level, keeping list order within each head.  Each level then takes one
+    batched step: gather each tail's row shifted by the transition's time,
+    add the costs, and keep the least per head and time
+    (``np.minimum.reduceat``).  The tails lie on lower levels, so their
+    rows are final.  Only the path is read back, from the rows, as
+    ``solve_csp``'s backpointers would give it: at each node, the earliest
+    transition in list order whose tail's row plus its cost attains the
+    node's row.  The temporaries hold one level's transitions times the
+    budget's width, and the rows the nodes times that width.
+
+    Every value the rows hold is a sum of costs along a chain of
+    transitions, and a chain climbs at most the span of levels, so a
+    transition costing at most c per level it climbs bounds every such
+    sum by B = c times that span.  A row with no path is a sentinel above
+    2B plus such a sum, so it stays above B and reads as infinite.  The
+    rows are int64 with the sentinel 2**62 when B < 2**61, and exact
+    Python ints in object arrays, with the sentinel 2B + 1, otherwise.
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    width = budget + 1
+    level = np.asarray(level, dtype=np.int64)
+    if len(time) and time.max() > budget:
+        usable = (time <= budget).nonzero()[0]
+        found = solve_levels(level, tail[usable], head[usable], cost[usable], time[usable],
+                             source, sink, budget)
+        return found and (found[0], usable[found[1]].tolist())
+    size = len(level)
+    climb = level[head] - level[tail]
+    big = cost.dtype == object
+    if not big:
+        big = max(int(cost.max(initial=0)), -int(cost.min(initial=0))) >= _SENTINEL
+    if big:
+        per_level = max((-(-abs(c) // s) for c, s in zip(cost.tolist(), climb.tolist())),
+                        default=0)
+    else:
+        per_level = int((-(-np.abs(cost) // climb)).max(initial=0))
+    bound = per_level * int(level.max() - level.min())
+    if big or bound >= _SENTINEL >> 1:
+        big, sentinel, cost = True, 2 * bound + 1, cost.astype(object)
+    else:
+        sentinel = _SENTINEL
+
+    # number the nodes by level: sorted by that number, the heads come
+    # level by level (a 16-bit key sorts by radix)
+    by_level = level.argsort(kind="stable")
+    number = np.empty(size, np.intp)
+    number[by_level] = np.arange(size)
+    key = number[head].astype(np.uint16 if size <= 1 << 16 else np.intp)
+    order = key.argsort(kind="stable")
+    key, tail, cost, time = key[order], tail[order], cost[order], time[order]
+    cuts = run_starts(key)
+    fed = by_level[key[cuts]]
+    # rows: the heads in that order, then the other nodes
+    row = np.full(size, len(cuts), np.intp)
+    row[fed] = np.arange(len(cuts))
+    rest = (row == len(cuts)).nonzero()[0]
+    row[rest] = np.arange(len(cuts), size)
+    # the heads of each level, and each head's transitions from the first
+    # of its level
+    levels = np.append(run_starts(level[fed]), len(cuts))
+    local = cuts - cuts[levels[:-1]].repeat(np.diff(levels))
+    cuts = np.append(cuts, len(key)).tolist()
+    levels = levels.tolist()
+    # rows padded on the left by budget sentinel columns, so that a
+    # transition of time l reads its tail's row shifted by l
+    span = budget + width
+    dist = np.full((size, span), sentinel, dtype=object if big else np.int64)
+    start = row[source]
+    dist[start, budget] = 0
+    flat = dist.reshape(-1)
+    tail = row[tail]
+    # where each transition's shifted row starts in the flat rows
+    begin = (tail * span + budget - time)[:, None]
+    columns = np.arange(width)
+    for a, b in zip(levels, levels[1:]):
+        lo, hi = cuts[a], cuts[b]
+        sums = flat.take(begin[lo:hi] + columns)
+        sums += cost[lo:hi, None]
+        np.minimum.reduceat(sums, local[a:b], axis=0, out=dist[a:b, budget:])
+        if a <= start < b:
+            # what enters the source comes from a lower level, which no
+            # path from the source reaches
+            dist[start, budget] = 0
+
+    dist = dist[:, budget:]
+    v = row[sink]
+    # the sink carries a lesser time's value forward on ties: the first
+    # least entry is where the path ends
+    t = int(dist[v].argmin())
+    total = dist[v, t]
+    if total > bound:
+        return None
+    dist = dist.tolist()
+    path = []
+    while v != start:
+        want = dist[v][t]
+        lo, hi = cuts[v], cuts[v + 1]
+        for r, u, c, l in zip(range(lo, hi), tail[lo:hi].tolist(), cost[lo:hi].tolist(),
+                              time[lo:hi].tolist()):
+            if l <= t and dist[u][t - l] + c == want:
+                break
+        path.append(int(order[r]))
+        v, t = u, t - l
+    path.reverse()
+    return int(total), path

@@ -190,7 +190,7 @@ class MultiDigraph:
         """``tail`` and ``head`` as two int64 arrays."""
         if "_arrays" in self.__dict__:
             return self._arrays[:2]
-        return tuple(np.array((self.tail, self.head), dtype=np.int64))
+        return np.array(self.tail + self.head, dtype=np.int64).reshape(2, self.arc_count)
 
     @cached_property
     def costs(self) -> np.ndarray:
@@ -446,10 +446,14 @@ class HopBoundedTable:
     source->v path using at most l arcs (INF if none); nonincreasing in
     l.  ``reached`` lists, in topological order, the nodes after the
     source that some path of at most ``max_hops`` arcs reaches.
-    ``path_to`` reads a path back from ``dist``.
+    ``path_to`` reads a path back from ``dist``.  With ``until``, a node
+    at or after the source, the sweep stops after that node, as in
+    ``dag_shortest_paths``: the rows of nodes up to it are final, those
+    of later nodes stay unreached.
     """
 
-    def __init__(self, graph: MultiDigraph, cost: list[int], source: int, max_hops: int):
+    def __init__(self, graph: MultiDigraph, cost: list[int], source: int, max_hops: int,
+                 until: int | None = None):
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
         tail, head = graph.tail, graph.head
@@ -465,7 +469,9 @@ class HopBoundedTable:
         reached = []
         for a in graph.out_arcs(source):
             marked[head[a]] = True
-        for v in graph.after(source):
+        position = graph.position
+        stop = graph.node_count if until is None else position[until] + 1
+        for v in graph.order[position[source] + 1:stop]:
             if not marked[v]:
                 continue
             row = [INF] * width

@@ -2,9 +2,9 @@
 
 Both solvers compile the two-stage problem into one budget-constrained
 shortest path problem over the original node ids, with the recovery
-budget as the time budget, and solve it with the kernel in ``csp``.  The
+budget as the time budget, and solve it with a kernel in ``csp``.  The
 builders list transitions ``(tail, head, cost, time, arc)`` source by
-source in the graph's topological order, as that kernel needs:
+source in the graph's topological order, as those kernels need:
 
 * a direct transition keeps one original arc ``arc`` in both stages: its
   cost is the cheapest combined two-stage cost among parallels, time 0;
@@ -21,6 +21,15 @@ source at once in numpy arrays, one batched step per layer gap.
 table for the recovery stage, and a first-stage sweep that stops at the
 last node the table reached.
 
+Which kernel runs: ``dag``, and ``layered`` on graphs of fewer than
+``LAYERED_ARRAY_MIN_ARCS`` arcs, list the transitions as tuples for
+``solve_csp``.  Larger layered graphs keep them as the build's columns
+(``layered_columns``) and solve them with ``solve_levels``, a node's
+level being its layer; both kernels return the same optimum, ties
+included, so the answer does not depend on the choice.  Costs are exact
+either way: int64 where a bound proves every sum fits, Python ints in
+object arrays otherwise.
+
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
 and time; the stage paths it stands for are rebuilt, by sweeping again
@@ -28,13 +37,14 @@ from its tail, for the pair transitions on the optimum only.
 """
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from .csp import solve_csp
+from .csp import run_starts, solve_csp, solve_levels
 from .errors import InfeasibleError
 from .graph import (
+    SATURATE,
     HopBoundedTable,
     Instance,
     compute_layering,
@@ -42,6 +52,16 @@ from .graph import (
     shortest_path,
 )
 from .solution import Solution, build_solution
+
+# Layered graphs with this many arcs or more are solved by ``solve_levels``
+# over the reduction's columns, smaller ones by ``solve_csp`` over its
+# tuples: numpy's fixed cost per level outweighs the Python loop there.
+# Solving a generated layered instance (k from 1 to 5) after validation
+# took, tuples against columns: 100 arcs 750 / 803 us, 150 arcs 943 /
+# 919 us, 200 arcs 1112 / 1112 us, 300 arcs 1981 / 1676 us with 3 nodes
+# a layer; 1202 / 1018 us at 200 arcs with 5 (medians of 11 interleaved
+# passes over 60 instances, 2 vCPU Xeon, Python 3.11, numpy 2.4).
+LAYERED_ARRAY_MIN_ARCS = 200
 
 
 def _direct(graph, on, i: int) -> list[tuple]:
@@ -56,63 +76,41 @@ def _direct(graph, on, i: int) -> list[tuple]:
     return [(i, j, combined[a], 0, a) for j, a in best.items()]
 
 
-def _starts(key):
-    """Where each run of equal values in the sorted array ``key`` starts."""
-    new = np.empty(len(key), bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    return new.nonzero()[0]
+def layered_columns(instance: Instance):
+    """The transitions ``build_layered_reduction`` lists, as columns.
 
-
-def build_layered_reduction(instance: Instance) -> list[tuple]:
-    """Transitions for a layered instance.
-
-    Raises NotLayeredError (via the layering pass) when the graph, pruned
-    to the nodes on source-sink paths, is not layered.  Pair transitions
-    join every node pair whose layers differ by at most the budget.  A
-    pair's time is the layer gap: split an optimal stage pair at the
-    nodes both paths visit; between two consecutive such nodes the stages
-    either share one arc (a direct transition) or the recovery stretch has
-    no arc of the first-stage path, so it diverges by exactly the gap, as
-    in ``build_dag_reduction``.
-
-    All sources are handled at once, in arrays over compact node ids, the
-    on-path nodes' topological ranks.  The arcs joining on-path nodes are
-    reduced to one entry per (tail, head) pair: the cheapest first-stage
-    and upper costs, and the cheapest combined cost with its first arc on
-    ties (the direct transition).  The pairs one layer apart are the
-    entries; those g + 1 apart extend each pair g apart by the entries out
-    of its head and keep the least first-stage and upper cost per (tail,
-    head).  The direct transitions are sorted by first arc, and each gap's
-    pairs come sorted by tail and head, so one stable sort by tail lists,
-    for each source in topological order, its direct transitions by the
-    first arc to each head, then its pair transitions by gap and by the
-    heads' topological order.  Costs are int64 when no
-    sum formed here can leave that range, and exact Python ints in object
-    arrays otherwise.
+    Returns ``(nodes, tail, head, cost, time, arc)``: ``nodes`` maps the
+    compact ids, the on-path nodes' topological ranks, to node ids; the
+    other five are arrays over the transitions in list order, with tails
+    and heads as compact ids and ``arc`` an object array, None for a pair
+    transition.  See ``build_layered_reduction`` for how they are built.
     """
     compute_layering(instance)
     graph = instance.graph
     k = instance.effective_k
     on = instance.on_path
-    nodes = [v for v in graph.order if on[v]]
+    nodes = np.array([v for v in graph.order if on[v]])
     size = len(nodes)
-    rank = dict(zip(nodes, range(size)))
-    m = graph.arc_count
-    ranks = np.fromiter(map(rank.get, chain(graph.tail, graph.head), repeat(-1)), np.intp, 2 * m)
-    tails, heads = ranks[:m], ranks[m:]
+    rank = np.full(graph.node_count, -1, np.intp)
+    rank[nodes] = np.arange(size)
+    tails, heads = graph.ends
+    tails, heads = rank[tails], rank[heads]
     arcs = (np.minimum(tails, heads) >= 0).nonzero()[0]
-    first, upper = graph.first, graph.upper
-    # a pair sums at most k first-stage and k upper costs
-    bound = max(max(first), -min(first)) + max(max(upper), -min(upper))
-    dtype = np.int64 if 2 * (k + 1) * bound < 1 << 63 else object
-    costs = np.fromiter(chain(first, upper), dtype, 2 * m)
-    first, upper = costs[arcs], costs[arcs + m]
+    costs = graph.costs
+    # a pair sums at most k first-stage and k upper costs; the clipped
+    # columns are exact when no cost reaches SATURATE
+    bound = int(np.abs(costs[:2]).max(axis=1).sum())
+    if bound < SATURATE and 2 * (k + 1) * bound < 1 << 63:
+        first, upper = costs[0, arcs], costs[1, arcs]
+    else:
+        m = graph.arc_count
+        costs = np.fromiter(chain(graph.first, graph.upper), object, 2 * m)
+        first, upper = costs[arcs], costs[arcs + m]
     combined = first + upper
     key = tails[arcs] * size + heads[arcs]
     order = np.lexsort((combined, key))  # stable: the first arc wins ties
     key = key[order]
-    start = _starts(key)
+    start = run_starts(key)
     direct = order[start]
     tail, head = tails[arcs[direct]], heads[arcs[direct]]
     first = np.minimum.reduceat(first[order], start)
@@ -137,7 +135,7 @@ def build_layered_reduction(instance: Instance) -> list[tuple]:
         key = (s * size).repeat(count) + head[out]
         order = key.argsort()
         key = key[order]
-        start = _starts(key)
+        start = run_starts(key)
         s, v = np.divmod(key[start], size)
         f = np.minimum.reduceat((f.repeat(count) + first[out])[order], start)
         u = np.minimum.reduceat((u.repeat(count) + upper[out])[order], start)
@@ -147,9 +145,40 @@ def build_layered_reduction(instance: Instance) -> list[tuple]:
     order = tail.argsort(kind="stable")
     # an empty object array holds None: the pair transitions' arc
     arc = np.concatenate((arcs[direct], np.empty(len(time) - sizes[0], object)))
-    nodes = np.array(nodes)
-    return list(zip(nodes[tail[order]].tolist(), nodes[head[order]].tolist(),
-                    cost[order].tolist(), time[order].tolist(), arc[order].tolist()))
+    return nodes, tail[order], head[order], cost[order], time[order], arc[order]
+
+
+def build_layered_reduction(instance: Instance) -> list[tuple]:
+    """Transitions for a layered instance.
+
+    Raises NotLayeredError (via the layering pass) when the graph, pruned
+    to the nodes on source-sink paths, is not layered.  Pair transitions
+    join every node pair whose layers differ by at most the budget.  A
+    pair's time is the layer gap: split an optimal stage pair at the
+    nodes both paths visit; between two consecutive such nodes the stages
+    either share one arc (a direct transition) or the recovery stretch has
+    no arc of the first-stage path, so it diverges by exactly the gap, as
+    in ``build_dag_reduction``.
+
+    All sources are handled at once, in arrays over compact node ids, the
+    on-path nodes' topological ranks (``layered_columns``).  The arcs
+    joining on-path nodes are reduced to one entry per (tail, head) pair:
+    the cheapest first-stage and upper costs, and the cheapest combined
+    cost with its first arc on ties (the direct transition).  The pairs
+    one layer apart are the entries; those g + 1 apart extend each pair g
+    apart by the entries out of its head and keep the least first-stage
+    and upper cost per (tail, head).  The direct transitions are sorted by
+    first arc, and each gap's pairs come sorted by tail and head, so one
+    stable sort by tail lists, for each source in topological order, its
+    direct transitions by the first arc to each head, then its pair
+    transitions by gap and by the heads' topological order.  Costs are
+    int64, read from the graph's int64 cost columns, when no sum formed
+    here can leave that range, and exact Python ints in object arrays
+    otherwise.
+    """
+    nodes, tail, head, cost, time, arc = layered_columns(instance)
+    return list(zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
+                    arc.tolist()))
 
 
 def build_dag_reduction(instance: Instance) -> list[tuple]:
@@ -199,26 +228,22 @@ def pair_paths(graph, i: int, j: int, l: int) -> tuple[tuple[int, ...], tuple[in
     """The first-stage and recovery paths of the pair transition from
     ``i`` to ``j`` with time ``l``.
 
-    Sweeps again from ``i``: the cheapest first-stage path, swept only
-    up to ``j``, and the cheapest recovery path with at most ``l`` arcs.
-    These are the paths whose costs the transition was built with, in
-    both reductions.
+    Sweeps again from ``i``, both sweeps only up to ``j``: the cheapest
+    first-stage path, and the cheapest recovery path with at most ``l``
+    arcs.  These are the paths whose costs the transition was built with,
+    in both reductions.
     """
     dist = dag_shortest_paths(graph, graph.first, i, until=j)
-    y = HopBoundedTable(graph, graph.upper, i, l).path_to(j, l)
+    y = HopBoundedTable(graph, graph.upper, i, l, until=j).path_to(j, l)
     return shortest_path(graph, graph.first, dist, i, j), y
 
 
-def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
-    result = solve_csp(
-        instance.graph.node_count, transitions, instance.source, instance.sink,
-        instance.effective_k,
-    )
-    if result is None:
-        raise InfeasibleError("no stage pair within the recovery budget")
+def _solution(instance: Instance, steps) -> Solution:
+    """The solution whose stage paths the ``(tail, head, time, arc)``
+    steps of an optimal transition path stand for."""
     x: list[int] = []
     y: list[int] = []
-    for i, j, _, l, a in result[1]:
+    for i, j, l, a in steps:
         if a is None:
             px, py = pair_paths(instance.graph, i, j, l)
             x.extend(px)
@@ -229,6 +254,30 @@ def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
     return build_solution(instance, tuple(x), tuple(y))
 
 
+def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
+    result = solve_csp(
+        instance.graph.node_count, transitions, instance.source, instance.sink,
+        instance.effective_k,
+    )
+    if result is None:
+        raise InfeasibleError("no stage pair within the recovery budget")
+    return _solution(instance, [(i, j, l, a) for i, j, _, l, a in result[1]])
+
+
+def _solve_columns(instance: Instance) -> Solution:
+    """``solve_layered`` through ``solve_levels``, a node's level being its
+    hop count: the source has rank 0 and the sink the last rank."""
+    nodes, tail, head, cost, time, arc = layered_columns(instance)
+    hops = instance.hops
+    result = solve_levels([hops[v] for v in nodes.tolist()], tail, head, cost, time,
+                          0, len(nodes) - 1, instance.effective_k)
+    if result is None:
+        raise InfeasibleError("no stage pair within the recovery budget")
+    rows = result[1]
+    return _solution(instance, zip(nodes[tail[rows]].tolist(), nodes[head[rows]].tolist(),
+                                   time[rows].tolist(), arc[rows].tolist()))
+
+
 def _require_positive_budget(instance: Instance):
     if instance.k < 1:
         raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
@@ -237,7 +286,9 @@ def _require_positive_budget(instance: Instance):
 def solve_layered(instance: Instance) -> Solution:
     """Exact solver for layered instances (every arc advances one layer)."""
     _require_positive_budget(instance)
-    return _solve(instance, build_layered_reduction(instance))
+    if instance.graph.arc_count < LAYERED_ARRAY_MIN_ARCS:
+        return _solve(instance, build_layered_reduction(instance))
+    return _solve_columns(instance)
 
 
 def solve_dag(instance: Instance) -> Solution:

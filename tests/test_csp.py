@@ -1,4 +1,8 @@
-from recsp.csp import solve_csp
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from recsp.csp import solve_csp, solve_levels
 from recsp.generator import SplitMix64
 
 
@@ -87,3 +91,58 @@ def test_matches_enumeration_on_random_instances():
                 assert tr[0] == at
                 at = tr[1]
             assert at == n - 1
+
+
+@st.composite
+def leveled_transitions(draw):
+    """Transitions that climb node levels, listed by their tail's level
+    (so every transition into a node comes before those out of it), with
+    small costs for ties, zero times, unreachable tails and, through the
+    budget, infeasible draws."""
+    n = draw(st.integers(2, 8))
+    level = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)):  # mostly from a lowest node to a highest
+        by_level = sorted(range(n), key=level.__getitem__)
+        source, sink = by_level[0], by_level[-1]
+    else:
+        source, sink = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        tail = draw(st.integers(0, n - 1))
+        above = [v for v in range(n) if level[v] > level[tail]]
+        if above:
+            head = draw(st.sampled_from(above))
+            rows.append((tail, head, draw(st.integers(-6, 6)), draw(st.integers(0, 3))))
+    rows.sort(key=lambda row: level[row[0]])
+    return level, rows, source, sink, draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(leveled_transitions(), st.sampled_from((1, 1 << 58, 1 << 60)))
+def test_level_kernel_finds_the_list_kernels_path(drawn, scale):
+    # 2**58 keeps the costs in int64 but not every sum; 2**60 leaves it
+    level, rows, source, sink, budget = drawn
+    transitions = [(i, j, c * scale, l, r) for r, (i, j, c, l) in enumerate(rows)]
+    want = solve_csp(len(level), transitions, source, sink, budget)
+    columns = [np.array(column, dtype=np.intp) for column in zip(*rows)] or [
+        np.zeros(0, np.intp)] * 4
+    costs = [c * scale for _, _, c, _ in rows]
+    dtype = np.int64 if scale < 1 << 60 else object
+    got = solve_levels(level, columns[0], columns[1], np.array(costs, dtype=dtype), columns[3],
+                       source, sink, budget)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want[0]
+        assert [transitions[r] for r in got[1]] == want[1]
+
+
+def test_level_kernel_keeps_the_source_row_when_fed():
+    # 0 -> 1 enters the source from a lower level, cheaper than its 0
+    transitions = [(0, 1, -5, 0, 0), (1, 2, 3, 0, 1), (0, 2, 1, 0, 2)]
+    tail, head, cost, time, _ = (np.array(column) for column in zip(*transitions))
+    for budget in (0, 1):
+        got = solve_levels([0, 1, 2], tail, head, cost, time, 1, 2, budget)
+        assert got == (3, [1])
+        assert solve_csp(3, transitions, 1, 2, budget) == (3, [transitions[1]])

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recsp import asp
+from recsp import asp, reduction
 from recsp.asp import ASP_INF, decompose, root_values
 from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
 from recsp.graph import Instance, MultiDigraph
+from recsp.instance_io import serialize_solution
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.reduction import build_dag_reduction, build_layered_reduction
 from recsp.solution import verify_solution
@@ -177,6 +178,29 @@ def test_layered_and_dag_reductions_list_the_same_transitions(drawn, scale):
         inst = Instance(graph, s, t, k)
         layered = _transitions(build_layered_reduction, inst)
         assert layered == _transitions(build_dag_reduction, inst)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(layered_dags(), st.sampled_from((1, 1 << 60)))
+def test_both_layered_kernels_match_the_oracle(drawn, scale):
+    # LAYERED_ARRAY_MIN_ARCS 0 sends every solve to solve_levels, 2**62
+    # none; scaled by 2**60, costs and their sums leave int64
+    n, rows, s, t = drawn
+    graph = MultiDigraph.from_rows(n, [(a, b, f * scale, u * scale, d * scale)
+                                       for a, b, f, u, d in rows])
+    for k in range(1, n):
+        inst = Instance(graph, s, t, k)
+        want = solve_bruteforce(inst).total_cost
+        outputs = set()
+        for min_arcs in (0, 1 << 62):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reduction, "LAYERED_ARRAY_MIN_ARCS", min_arcs)
+                sol = solve(inst, "layered")
+            assert sol.total_cost == want
+            assert verify_solution(inst, sol).accepted
+            outputs.add(serialize_solution(sol))
+        assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("offset", [-1, 0])

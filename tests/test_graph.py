@@ -318,6 +318,32 @@ def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
     assert calls[0] <= 11
 
 
+def test_hop_table_until_reads_only_up_to_the_target(monkeypatch):
+    # a 512-step path with two parallel arcs a step; the table from 20
+    # stops at 30 and reads back the same paths as the full table
+    m = 512
+    rows = []
+    for v in range(m):
+        rows += [(v, v + 1, 0, v % 5, 1), (v, v + 1, 0, v % 3, 2)]
+    g = build(m + 1, rows)
+    full = HopBoundedTable(g, g.upper, 20, 40)
+    calls = [0]
+    original = MultiDigraph.in_arcs
+
+    def count(graph, v):
+        calls[0] += 1
+        return original(graph, v)
+
+    monkeypatch.setattr(MultiDigraph, "in_arcs", count)
+    table = HopBoundedTable(g, g.upper, 20, 40, until=30)
+    assert calls[0] == 10  # the full table reads the in-arcs of 41 nodes
+    assert table.reached == full.reached[:10]
+    for v in range(31):
+        for l in range(41):
+            assert table.dist[v][l] == full.dist[v][l]
+            assert table.path_to(v, l) == full.path_to(v, l)
+
+
 def test_dag_shortest_paths_matches_enumeration():
     from recsp.oracle import enumerate_st_paths
 

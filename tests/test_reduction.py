@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 
 import recsp.graph
+import recsp.reduction
+from recsp.csp import solve_levels
 from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
@@ -10,6 +14,7 @@ from recsp.oracle import solve_bruteforce
 from recsp.reduction import (
     build_dag_reduction,
     build_layered_reduction,
+    layered_columns,
     pair_paths,
     solve_dag,
     solve_layered,
@@ -210,6 +215,37 @@ def test_layered_build_is_exact_past_int64(sign):
         assert verify_solution(inst, sol).accepted
         assert parse_solution(serialize_solution(sol)) == sol
         assert build_layered_reduction(inst) == _layered_reference(inst)
+
+
+@pytest.mark.parametrize("min_arcs", [0, 1 << 62])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_both_layered_kernels_are_exact_past_int64(monkeypatch, min_arcs, sign):
+    # 0 sends every layered solve to solve_levels, 2**62 none
+    monkeypatch.setattr(recsp.reduction, "LAYERED_ARRAY_MIN_ARCS", min_arcs)
+    test_layered_build_is_exact_past_int64(sign)
+
+
+def test_level_kernel_memory_follows_the_transitions():
+    # the hub takes 2w + 1 of the 5w + 3 transitions: a kernel padded to
+    # the largest in-degree would hold about (w + 3) * (2w + 1) cells
+    w = 1000
+    hub, sink = w + 1, w + 2
+    rows = [(0, 1 + i, i % 7, 3, i % 5) for i in range(w)]
+    rows += [(1 + i, hub, i * 3 % 11, 2, i % 3) for i in range(w)]
+    rows.append((hub, sink, 1, 1, 1))
+    inst = Instance(MultiDigraph.from_rows(w + 3, rows), 0, sink, 2)
+    nodes, tail, head, cost, time, _ = layered_columns(inst)
+    level = [inst.hops[v] for v in nodes.tolist()]
+    assert len(tail) == 5 * w + 3 and (head == len(nodes) - 2).sum() == 2 * w + 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = solve_levels(level, tail, head, cost, time, 0, len(nodes) - 1, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result[0] == solve(inst, "dag").total_cost
+    assert peak <= 12 * len(tail) * 3 * 8
 
 
 def test_reductions_keep_on_path_nodes_and_the_effective_budget():
