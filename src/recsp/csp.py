@@ -98,8 +98,10 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
 
     ``rows`` are the positions in the columns of the transitions on the
     path, in path order.  ``tail``, ``head`` and ``time`` are integer
-    arrays, ``cost`` an int64 or object array, all in list order, and
-    ``level[head] > level[tail]`` for every transition.
+    arrays, ``cost`` an int64 or object array, all in list order.  Every
+    transition has ``level[head] > level[tail]`` and a time of at most
+    ``budget``, and the source is on the lowest level, so no transition
+    enters it.
 
     One stable sort groups the transitions by head, the heads numbered by
     level, keeping list order within each head.  Each level then takes one
@@ -124,11 +126,6 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
         raise ValueError("budget must be >= 0")
     width = budget + 1
     level = np.asarray(level, dtype=np.int64)
-    if len(time) and time.max() > budget:
-        usable = (time <= budget).nonzero()[0]
-        found = solve_levels(level, tail[usable], head[usable], cost[usable], time[usable],
-                             source, sink, budget)
-        return found and (found[0], usable[found[1]].tolist())
     size = len(level)
     climb = level[head] - level[tail]
     big = cost.dtype == object
@@ -182,10 +179,6 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
         sums = flat.take(begin[lo:hi] + columns)
         sums += cost[lo:hi, None]
         np.minimum.reduceat(sums, local[a:b], axis=0, out=dist[a:b, budget:])
-        if a <= start < b:
-            # what enters the source comes from a lower level, which no
-            # path from the source reaches
-            dist[start, budget] = 0
 
     dist = dist[:, budget:]
     v = row[sink]

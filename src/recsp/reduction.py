@@ -21,14 +21,12 @@ source at once in numpy arrays, one batched step per layer gap.
 table for the recovery stage, and a first-stage sweep that stops at the
 last node the table reached.
 
-Which kernel runs: ``dag``, and ``layered`` on graphs of fewer than
-``LAYERED_ARRAY_MIN_ARCS`` arcs, list the transitions as tuples for
-``solve_csp``.  Larger layered graphs keep them as the build's columns
-(``layered_columns``) and solve them with ``solve_levels``, a node's
-level being its layer; both kernels return the same optimum, ties
-included, so the answer does not depend on the choice.  Costs are exact
-either way: int64 where a bound proves every sum fits, Python ints in
-object arrays otherwise.
+``dag`` lists the transitions as tuples for ``solve_csp``.  ``layered``
+keeps them as the build's columns (``layered_columns``) and solves them
+with ``solve_levels``, a node's level being its layer; it finds the
+optimum ``solve_csp`` finds over ``build_layered_reduction``'s list,
+ties included.  Costs are exact either way: int64 where a bound proves
+every sum fits, Python ints in object arrays otherwise.
 
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
@@ -52,17 +50,6 @@ from .graph import (
     shortest_path,
 )
 from .solution import Solution, build_solution
-
-# Layered graphs with this many arcs or more are solved by ``solve_levels``
-# over the reduction's columns, smaller ones by ``solve_csp`` over its
-# tuples: numpy's fixed cost per level outweighs the Python loop there.
-# Solving a generated layered instance (k from 1 to 5) after validation
-# took, tuples against columns: 100 arcs 750 / 803 us, 150 arcs 943 /
-# 919 us, 200 arcs 1112 / 1112 us, 300 arcs 1981 / 1676 us with 3 nodes
-# a layer; 1202 / 1018 us at 200 arcs with 5 (medians of 11 interleaved
-# passes over 60 instances, 2 vCPU Xeon, Python 3.11, numpy 2.4).
-LAYERED_ARRAY_MIN_ARCS = 200
-
 
 def _direct(graph, on, i: int) -> list[tuple]:
     """The zero-time transitions out of ``i``: to each head on a
@@ -264,9 +251,18 @@ def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
     return _solution(instance, [(i, j, l, a) for i, j, _, l, a in result[1]])
 
 
-def _solve_columns(instance: Instance) -> Solution:
-    """``solve_layered`` through ``solve_levels``, a node's level being its
-    hop count: the source has rank 0 and the sink the last rank."""
+def _require_positive_budget(instance: Instance):
+    if instance.k < 1:
+        raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
+
+
+def solve_layered(instance: Instance) -> Solution:
+    """Exact solver for layered instances (every arc advances one layer).
+
+    Runs ``solve_levels`` over ``layered_columns``, a node's level being
+    its hop count: the source has rank 0 and the sink the last rank.
+    """
+    _require_positive_budget(instance)
     nodes, tail, head, cost, time, arc = layered_columns(instance)
     hops = instance.hops
     result = solve_levels([hops[v] for v in nodes.tolist()], tail, head, cost, time,
@@ -276,19 +272,6 @@ def _solve_columns(instance: Instance) -> Solution:
     rows = result[1]
     return _solution(instance, zip(nodes[tail[rows]].tolist(), nodes[head[rows]].tolist(),
                                    time[rows].tolist(), arc[rows].tolist()))
-
-
-def _require_positive_budget(instance: Instance):
-    if instance.k < 1:
-        raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
-
-
-def solve_layered(instance: Instance) -> Solution:
-    """Exact solver for layered instances (every arc advances one layer)."""
-    _require_positive_budget(instance)
-    if instance.graph.arc_count < LAYERED_ARRAY_MIN_ARCS:
-        return _solve(instance, build_layered_reduction(instance))
-    return _solve_columns(instance)
 
 
 def solve_dag(instance: Instance) -> Solution:

@@ -184,23 +184,18 @@ def test_layered_and_dag_reductions_list_the_same_transitions(drawn, scale):
           suppress_health_check=[HealthCheck.too_slow])
 @given(layered_dags(), st.sampled_from((1, 1 << 60)))
 def test_both_layered_kernels_match_the_oracle(drawn, scale):
-    # LAYERED_ARRAY_MIN_ARCS 0 sends every solve to solve_levels, 2**62
-    # none; scaled by 2**60, costs and their sums leave int64
+    # solve_levels over the columns against solve_csp over the transition
+    # list; scaled by 2**60, costs and their sums leave int64
     n, rows, s, t = drawn
     graph = MultiDigraph.from_rows(n, [(a, b, f * scale, u * scale, d * scale)
                                        for a, b, f, u, d in rows])
     for k in range(1, n):
         inst = Instance(graph, s, t, k)
-        want = solve_bruteforce(inst).total_cost
-        outputs = set()
-        for min_arcs in (0, 1 << 62):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(reduction, "LAYERED_ARRAY_MIN_ARCS", min_arcs)
-                sol = solve(inst, "layered")
-            assert sol.total_cost == want
-            assert verify_solution(inst, sol).accepted
-            outputs.add(serialize_solution(sol))
-        assert len(outputs) == 1
+        sol = solve(inst, "layered")
+        assert sol.total_cost == solve_bruteforce(inst).total_cost
+        assert verify_solution(inst, sol).accepted
+        listed = reduction._solve(inst, build_layered_reduction(inst))
+        assert serialize_solution(listed) == serialize_solution(sol)
 
 
 @pytest.mark.parametrize("offset", [-1, 0])

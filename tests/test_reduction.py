@@ -3,7 +3,6 @@ import tracemalloc
 import pytest
 
 import recsp.graph
-import recsp.reduction
 from recsp.csp import solve_levels
 from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
@@ -215,14 +214,6 @@ def test_layered_build_is_exact_past_int64(sign):
         assert verify_solution(inst, sol).accepted
         assert parse_solution(serialize_solution(sol)) == sol
         assert build_layered_reduction(inst) == _layered_reference(inst)
-
-
-@pytest.mark.parametrize("min_arcs", [0, 1 << 62])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_both_layered_kernels_are_exact_past_int64(monkeypatch, min_arcs, sign):
-    # 0 sends every layered solve to solve_levels, 2**62 none
-    monkeypatch.setattr(recsp.reduction, "LAYERED_ARRAY_MIN_ARCS", min_arcs)
-    test_layered_build_is_exact_past_int64(sign)
 
 
 def test_level_kernel_memory_follows_the_transitions():
