@@ -118,6 +118,8 @@ GATHER_MIN_CELLS = 512
 # (2 vCPU Xeon, Python 3.11, numpy 2.4).  Trees with fewer leaves also
 # skip ``_plan``'s sort by left-child hops: on small-mixed it cost about
 # 1.5% of a pass in-process, and the narrower steps saved nothing.
+# ``too_dense`` counts the pairs of smaller graphs in a set: on
+# small-mixed that took 7 ms a pass in-process, the sort 27 ms.
 ARRAY_MIN_ARCS = 256
 # The rounds hand over to the queue once a round removes less than
 # 1/ROUND_SHARE of the live arcs.  A nested alternation ((a|b).c|d).e...
@@ -239,6 +241,36 @@ def decompose(instance: Instance) -> DecompTree:
                       plan=_plan(leaf_arcs, tree))
 
 
+def too_dense(instance: Instance) -> bool:
+    """Whether the pruned graph has more distinct (tail, head) pairs than
+    a series-parallel graph on its nodes can have, so that ``decompose``
+    would reject it.
+
+    With its parallel arcs merged, a two-terminal series-parallel graph on
+    n >= 2 nodes has treewidth at most 2 and so at most 2n - 3 arcs
+    (Duffin 1965; recognition by Valdes, Tarjan and Lawler 1982).  When
+    the graph has no more arcs than that bound over its on-path nodes, one
+    comparison decides; only denser graphs count their distinct pairs,
+    with one sort, or a set of pairs below ``ARRAY_MIN_ARCS`` arcs.
+    """
+    on = instance.on_path
+    bound = 2 * on.count(True) - 3
+    graph = instance.graph
+    if graph.arc_count <= bound:
+        return False
+    if graph.arc_count < ARRAY_MIN_ARCS:
+        return len({(t, h) for t, h in zip(graph.tail, graph.head) if on[t] and on[h]}) > bound
+    mask = instance.on_mask
+    tails, heads = graph.ends
+    kept = mask[tails] & mask[heads]
+    # node_count**2 fits in int64 for any graph whose per-node lists fit in memory
+    key = tails[kept] * graph.node_count + heads[kept]
+    # argsort, whose code the solvers page in anyway: numpy's in-place
+    # sort would map about 0.15 MB more of it into the process
+    key = key[key.argsort()]
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1])) > bound
+
+
 class _Tree:
     """Node columns of a decomposition tree under construction.
 
@@ -289,7 +321,7 @@ def _rounds(instance: Instance):
     tail and head; a class keeps arc order) and then contracts every
     maximal chain through nodes with one arc in and one arc out, found by
     list ranking with pointer jumping.  The arcs are pruned by
-    ``Instance.on_path`` as a bool array; every array made after that is sized
+    ``Instance.on_mask``; every array made after that is sized
     by the kept arcs or by the compact ids of their endpoints, never by
     ``node_count``.  Rounds run while at least ``ARRAY_MIN_ARCS`` arcs
     are left and each removes at least ``1 / ROUND_SHARE`` of them; a
@@ -300,7 +332,7 @@ def _rounds(instance: Instance):
     sink.
     """
     tails, heads = instance.graph.ends
-    on = np.frombuffer(bytes(instance.on_path), dtype=bool)
+    on = instance.on_mask
     kept = np.flatnonzero(on[tails] & on[heads])
     ends, compact = np.unique(np.concatenate((tails[kept], heads[kept])), return_inverse=True)
     size = len(ends)

@@ -55,7 +55,10 @@ def solve_csp(node_count, transitions, source, sink, budget):
             back[head] = [None] * width
         bp = back[head]
         for t in range(time, width):
-            d = src[t - time] + cost
+            d = src[t - time]
+            if d is INF:
+                continue  # unreached; INF + a cost past the float range raises
+            d += cost
             if d < row[t]:
                 row[t] = d
                 bp[t] = step

@@ -293,9 +293,19 @@ class Instance:
         return list(map(operator.and_, self.reachable, reaches_sink))
 
     @cached_property
+    def on_mask(self) -> np.ndarray:
+        """``on_path`` as a bool array, made once."""
+        return np.frombuffer(bytes(self.on_path), dtype=bool)
+
+    @cached_property
     def hops(self) -> list[int]:
         """``longest_hops`` from the source, computed once."""
         return longest_hops(self.graph, self.source)
+
+    @cached_property
+    def hop_array(self) -> np.ndarray:
+        """``hops`` as an int64 array, made once."""
+        return np.array(self.hops, dtype=np.int64)
 
     @cached_property
     def effective_k(self) -> int:
@@ -363,28 +373,36 @@ def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
     return hops
 
 
-def compute_layering(instance: Instance) -> dict[int, int]:
-    """Layer assignment for the nodes on source-sink paths.
-
-    Returns a map node -> layer with layer(source) = 1 and every surviving
-    arc going from layer h to h+1.  Nodes off all source-sink paths are
-    pruned first; they cannot carry any feasible solution.  Raises
-    NotLayeredError when no such assignment exists on the pruned graph.
+def check_layering(instance: Instance) -> None:
+    """Raise NotLayeredError unless the nodes on source-sink paths can be
+    layered, naming the lowest-id arc that breaks the layering.
 
     Such a layering exists exactly when every arc between on-path nodes
     adds one to the longest hop count from the source, and then the layer
     is that count plus one: every path from the source to a node has the
-    same number of arcs.
+    same number of arcs.  Nodes off all source-sink paths are pruned first;
+    they cannot carry any feasible solution.
     """
-    graph = instance.graph
-    on = instance.on_path
-    hops = instance.hops
-    for a, (t, h) in enumerate(zip(graph.tail, graph.head)):
-        if on[t] and on[h] and hops[h] != hops[t] + 1:
-            raise NotLayeredError(
-                f"arc {a} spans layers {hops[t] + 1}->{hops[h] + 1}, expected {hops[t] + 2}"
-            )
-    return {v: hops[v] + 1 for v in graph.order if on[v]}
+    tails, heads = instance.graph.ends
+    on, level = instance.on_mask, instance.hop_array
+    bad = (on[tails] & on[heads] & (level[heads] != level[tails] + 1)).nonzero()[0]
+    if len(bad):
+        a = int(bad[0])
+        t, h = int(level[tails[a]]), int(level[heads[a]])
+        raise NotLayeredError(f"arc {a} spans layers {t + 1}->{h + 1}, expected {t + 2}")
+
+
+def compute_layering(instance: Instance) -> dict[int, int]:
+    """Layer assignment for the nodes on source-sink paths.
+
+    Returns a map node -> layer with layer(source) = 1 and every surviving
+    arc going from layer h to h+1, the layer being the longest hop count
+    from the source plus one.  Raises NotLayeredError, as
+    ``check_layering``, when no such assignment exists on the pruned graph.
+    """
+    check_layering(instance)
+    on, hops = instance.on_path, instance.hops
+    return {v: hops[v] + 1 for v in instance.graph.order if on[v]}
 
 
 def dag_shortest_paths(

@@ -45,7 +45,7 @@ from .graph import (
     SATURATE,
     HopBoundedTable,
     Instance,
-    compute_layering,
+    check_layering,
     dag_shortest_paths,
     shortest_path,
 )
@@ -72,11 +72,11 @@ def layered_columns(instance: Instance):
     and heads as compact ids and ``arc`` an object array, None for a pair
     transition.  See ``build_layered_reduction`` for how they are built.
     """
-    compute_layering(instance)
+    check_layering(instance)
     graph = instance.graph
     k = instance.effective_k
-    on = instance.on_path
-    nodes = np.array([v for v in graph.order if on[v]])
+    order = np.array(graph.order)
+    nodes = order[instance.on_mask[order]]
     size = len(nodes)
     rank = np.full(graph.node_count, -1, np.intp)
     rank[nodes] = np.arange(size)
@@ -264,8 +264,7 @@ def solve_layered(instance: Instance) -> Solution:
     """
     _require_positive_budget(instance)
     nodes, tail, head, cost, time, arc = layered_columns(instance)
-    hops = instance.hops
-    result = solve_levels([hops[v] for v in nodes.tolist()], tail, head, cost, time,
+    result = solve_levels(instance.hop_array[nodes], tail, head, cost, time,
                           0, len(nodes) - 1, instance.effective_k)
     if result is None:
         raise InfeasibleError("no stage pair within the recovery budget")

@@ -85,6 +85,18 @@ def test_solve_method_mismatch_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_asp_exits_7_on_a_graph_too_dense_to_be_series_parallel(tmp_path, capsys):
+    # all 6 arcs of the 4-node tournament, past the 2 * 4 - 3 a
+    # series-parallel graph can have: auto skips asp, --method asp runs it
+    dense = tmp_path / "dense.txt"
+    dense.write_text("p recsp 4 6 0 3 1\n" + "".join(
+        f"a {u} {w} 1 1 0\n" for u in range(4) for w in range(u + 1, 4)))
+    assert main(["solve", "-i", str(dense), "--method", "asp"]) == 7
+    assert "reduction stalled" in capsys.readouterr().err
+    assert main(["solve", "-i", str(dense)]) == 0
+    capsys.readouterr()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("p recsp 2 1 0 1 1\na 0 1 zap 1 0\n")

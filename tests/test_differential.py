@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recsp import asp, reduction
-from recsp.asp import ASP_INF, decompose, root_values
+from recsp.asp import ASP_INF, decompose, root_values, too_dense
 from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
@@ -246,3 +246,43 @@ def test_array_rounds_match_the_oracle_and_the_queue(drawn):
     assert verdicts[0] == verdicts[1]
     if roots:
         assert roots[0] == roots[1] == list(map(bruteforce_root_values, insts))
+
+
+@st.composite
+def generated_asp(draw):
+    """Generated series-parallel instances, past the array rounds' size."""
+    inst = generate_instance("asp", draw(st.integers(0, 10**6)),
+                             arcs=draw(st.integers(10, 300)), k=1)
+    g = inst.graph
+    return g.node_count, list(zip(g.tail, g.head, g.first, g.nominal, g.deviation)), \
+        inst.source, inst.sink
+
+
+@st.composite
+def dense_dags(draw):
+    """A chain through all n nodes plus at least 2n - 3 distinct forward
+    pairs: at or past the density bound."""
+    n = draw(st.integers(3, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2 * n - 3, unique=True))
+    rows = [_row(draw, a, b) for a, b in [(i, i + 1) for i in range(n - 1)] + chosen]
+    return n, rows, 0, n - 1
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(series_parallel(), nested_alternations(), random_dags(), generated_asp(),
+                 dense_dags()))
+def test_the_density_test_rejects_only_what_decompose_rejects(drawn):
+    n, rows, s, t = drawn
+    inst = Instance(MultiDigraph.from_rows(n, rows), s, t, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        verdicts = []
+        for min_arcs in (1, 1 << 62):  # pairs sorted in arrays, pairs in a set
+            patch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
+            verdicts.append(too_dense(inst))
+    assert verdicts[0] == verdicts[1]
+    # sparse graphs may still be rejected; dense ones always are
+    if verdicts[0]:
+        with pytest.raises(NotSeriesParallelError):
+            decompose(inst)

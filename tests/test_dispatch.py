@@ -1,5 +1,7 @@
 import pytest
 
+from recsp import dispatch
+from recsp.asp import solve_asp, too_dense
 from recsp.dispatch import METHODS, solve
 from recsp.errors import (
     CostOverflowError,
@@ -9,6 +11,7 @@ from recsp.errors import (
 )
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph
+from recsp.instance_io import serialize_solution
 from recsp.oracle import solve_bruteforce
 
 
@@ -85,3 +88,49 @@ def test_oracle_method_propagates_the_path_limit():
     inst = Instance(MultiDigraph.from_rows(18, rows), 0, 17, 1)
     with pytest.raises(TooManyPathsError):
         solve(inst, "oracle")
+
+
+def test_costs_past_the_float_range_do_not_overflow():
+    # an unreached entry is INF, and INF + 10**400 raises in float arithmetic
+    g = MultiDigraph.from_rows(3, [(0, 1, 10**400, 1, 0), (1, 2, 1, 1, 1), (0, 2, 5, 5, 5)])
+    inst = Instance(g, 0, 2, 1)
+    want = solve_bruteforce(inst).total_cost
+    assert solve(inst, "dag").total_cost == solve(inst).total_cost == want
+
+
+def _calls_to_asp(monkeypatch):
+    calls = []
+
+    def spy(instance):
+        calls.append(instance)
+        return solve_asp(instance)
+
+    monkeypatch.setattr(dispatch, "solve_asp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1, 3, 1, 4), (0, 2, 1, 2, 0), (1, 3, 1, 0, 2), (2, 3, 2, 2, 1)],
+    [(0, 1, 1, 2, 3), (1, 2, 2, 1, 0), (2, 3, 1, 1, 5), (1, 2, 0, 4, 1)],
+], ids=["diamond", "chain with a parallel"])
+def test_auto_keeps_asp_on_layered_series_parallel_graphs(monkeypatch, rows):
+    inst = Instance(MultiDigraph.from_rows(4, rows), 0, 3, 1)
+    want = serialize_solution(solve(inst, "asp"))
+    calls = _calls_to_asp(monkeypatch)
+    assert serialize_solution(solve(inst)) == want
+    assert calls == [inst]
+    assert not too_dense(inst)
+
+
+def test_auto_skips_asp_on_graphs_too_dense_to_be_series_parallel(monkeypatch):
+    # every arc of the 4-node tournament: 6 pairs, past 2 * 4 - 3
+    rows = [(u, w, u + w, 1, w) for u in range(4) for w in range(u + 1, 4)]
+    inst = Instance(MultiDigraph.from_rows(4, rows), 0, 3, 1)
+    assert too_dense(inst)
+    with pytest.raises(NotSeriesParallelError):
+        solve(inst, "asp")
+    calls = _calls_to_asp(monkeypatch)
+    assert solve(inst).total_cost == solve_bruteforce(inst).total_cost
+    assert calls == []
+    # the bridge has 5 pairs on 4 nodes: asp runs and rejects it
+    assert not too_dense(bridge_instance())

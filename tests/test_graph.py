@@ -8,6 +8,7 @@ from recsp.graph import (
     HopBoundedTable,
     Instance,
     MultiDigraph,
+    check_layering,
     compute_layering,
     dag_shortest_paths,
     divergence_count,
@@ -217,6 +218,53 @@ def test_layering_gives_the_verdict_and_map_of_the_layer_by_layer_pass():
                 compute_layering(inst)
             verdicts.add("not layered")
             continue
+        assert compute_layering(inst) == want
+        verdicts.add("layered")
+    assert verdicts == {"layered", "not layered"}
+
+
+def _layering_loop(instance):
+    """compute_layering as an arc-by-arc loop over the hop counts."""
+    graph, on, hops = instance.graph, instance.on_path, instance.hops
+    for a, (t, h) in enumerate(zip(graph.tail, graph.head)):
+        if on[t] and on[h] and hops[h] != hops[t] + 1:
+            raise NotLayeredError(
+                f"arc {a} spans layers {hops[t] + 1}->{hops[h] + 1}, expected {hops[t] + 2}"
+            )
+    return {v: hops[v] + 1 for v in graph.order if on[v]}
+
+
+def test_layering_gives_the_error_text_and_map_of_the_arc_loop():
+    rng = SplitMix64(4321)
+    verdicts = set()
+    for trial in range(400):
+        n = rng.randint(3, 10)
+        if trial % 2:
+            g = random_dag(rng, n, rng.randint(n - 1, 2 * n))
+            rows = list(zip(g.tail, g.head, g.first, g.nominal, g.deviation))
+        else:  # layers of random width, each node joined to the next layer
+            cuts = sorted({0, n - 1} | {rng.randint(1, n - 2) for _ in range(rng.randint(0, n))})
+            layers = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])] + [[n - 1]]
+            rows = [(u, after[rng.randint(0, len(after) - 1)], 1, 1, 0)
+                    for here, after in zip(layers, layers[1:]) for u in here]
+            for _ in range(rng.randint(0, 2)):  # arcs that may skip layers
+                tail = rng.randint(0, n - 2)
+                rows.append((tail, rng.randint(tail + 1, n - 1), 1, 1, 0))
+        # stubs off every 0 -> n - 1 path, skipping layers: into n, and out of n + 1
+        stub_tail = rng.randint(0, n - 2)
+        rows += [(stub_tail, n, 1, 1, 0), (0, n, 1, 1, 0), (n + 1, n - 1, 1, 1, 0)]
+        order = sorted(range(len(rows)), key=lambda _: rng.randint(0, 1 << 30))
+        inst = Instance(build(n + 2, [rows[i] for i in order]), 0, n - 1, 1)
+        try:
+            want = _layering_loop(inst)
+        except NotLayeredError as err:
+            for check in (check_layering, compute_layering):
+                with pytest.raises(NotLayeredError) as got:
+                    check(inst)
+                assert str(got.value) == str(err)
+            verdicts.add("not layered")
+            continue
+        assert check_layering(inst) is None
         assert compute_layering(inst) == want
         verdicts.add("layered")
     assert verdicts == {"layered", "not layered"}
