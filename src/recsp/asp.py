@@ -263,7 +263,7 @@ def too_dense(instance: Instance) -> bool:
     mask = instance.on_mask
     tails, heads = graph.ends
     kept = mask[tails] & mask[heads]
-    # node_count**2 fits in int64 for any graph whose per-node lists fit in memory
+    # node_count**2 fits in int64 for any graph whose CSR offsets fit in memory
     key = tails[kept] * graph.node_count + heads[kept]
     # argsort, whose code the solvers page in anyway: numpy's in-place
     # sort would map about 0.15 MB more of it into the process
@@ -314,14 +314,31 @@ class _Tree:
         return np.arange(lo, hi)
 
 
+def _compact(instance: Instance):
+    """The arcs between on-path nodes (``Instance.on_mask``) and compact
+    ids for their ends.
+
+    A node's compact id is its rank among the on-path nodes
+    (``Instance.on_rank``), which are exactly the ends of those arcs: the
+    source has an on-path out-arc and every other on-path node an on-path
+    in-arc.  Returns the kept arc ids, their tails and heads as compact
+    ids, the number of compact ids, and the compact source and sink.
+    """
+    tails, heads = instance.graph.ends
+    on, rank = instance.on_mask, instance.on_rank
+    kept = np.flatnonzero(on[tails] & on[heads])
+    s, t = rank[[instance.source, instance.sink]].tolist()
+    return kept, rank[tails[kept]], rank[heads[kept]], int(rank[-1]) + 1, s, t
+
+
 def _rounds(instance: Instance):
     """Prune in arrays, then reduce in array rounds over compact node ids.
 
     Each round merges every class of parallel arcs (one stable sort on
     tail and head; a class keeps arc order) and then contracts every
     maximal chain through nodes with one arc in and one arc out, found by
-    list ranking with pointer jumping.  The arcs are pruned by
-    ``Instance.on_mask``; every array made after that is sized
+    list ranking with pointer jumping.  The arcs are pruned and the
+    nodes renumbered by ``_compact``; every array made after that is sized
     by the kept arcs or by the compact ids of their endpoints, never by
     ``node_count``.  Rounds run while at least ``ARRAY_MIN_ARCS`` arcs
     are left and each removes at least ``1 / ROUND_SHARE`` of them; a
@@ -331,13 +348,7 @@ def _rounds(instance: Instance):
     the roots of their subtrees, as lists) and the compact source and
     sink.
     """
-    tails, heads = instance.graph.ends
-    on = instance.on_mask
-    kept = np.flatnonzero(on[tails] & on[heads])
-    ends, compact = np.unique(np.concatenate((tails[kept], heads[kept])), return_inverse=True)
-    size = len(ends)
-    tail, head = compact[:len(kept)], compact[len(kept):]
-    s, t = np.searchsorted(ends, (instance.source, instance.sink)).tolist()
+    kept, tail, head, size, s, t = _compact(instance)
     tree = _Tree(len(kept))
     item = np.arange(len(kept))
     runs = _Runs(len(kept))

@@ -6,15 +6,18 @@ so finite values stay exact, and ``x + INF == INF`` gives the saturating
 addition the dynamic programs rely on.
 
 A ``MultiDigraph`` is stored as per-arc integer columns, given as lists
-or, by the byte scan of the parser, as int64 arrays.  It derives per-node
-arc lists from them once, and keeps its topological order once it has
-been computed (``Instance`` validation does so).  The routines here read
-those and never sort the graph again.  Each column is built on first
-read in the form its reader wants: the exact Python-int lists the sweeps
-here read, and the int64 ``ends`` and ``costs`` that numpy code reads
-(the costs saturated at ``SATURATE``, so that sums of two stay inside
-int64).  ``Arc`` objects are views built only when ``MultiDigraph.arcs``
-is read.
+or, by the byte scan of the parser, as int64 arrays.  It derives its
+adjacency from them once, as two flat CSR (compressed sparse row) arrays:
+the arc ids ordered stably by tail and by head, each with ``node_count +
+1`` offsets, so that a node's out- or in-arcs are one slice, in ascending
+id order.  It keeps its topological order once it has been computed;
+``Instance`` validation does so in one forward sweep that also counts the
+longest hops from the source.  The routines here read those and never
+sort the graph again.  Each column is built on first read in the form
+its reader wants: the exact Python-int lists the sweeps here read, and
+the int64 ``ends`` and ``costs`` that numpy code reads (the costs
+saturated at ``SATURATE``, so that sums of two stay inside int64).
+``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
 
 The shortest-path sweeps take a cost column (``graph.first``,
 ``graph.upper`` or ``graph.combined``) and keep distances only.  A path
@@ -30,6 +33,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -103,6 +107,11 @@ class MultiDigraph:
     from arrays, and so are ``upper`` and ``combined`` (Python ints, since
     sums of int64 costs can leave that range); ``ends`` and ``costs`` are
     their int64 forms.
+
+    The adjacency is CSR: ``_out`` is a pair ``(ids, starts)`` of tuples,
+    ``ids`` the arc ids ordered stably by tail and ``starts`` the
+    ``node_count + 1`` offsets into it, so that v's out-arcs are
+    ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head.
     """
 
     node_count: int
@@ -111,8 +120,8 @@ class MultiDigraph:
     first: list[int]
     nominal: list[int]
     deviation: list[int]
-    _out: tuple[tuple[int, ...], ...] = _column()
-    _in: tuple[tuple[int, ...], ...] = _column()
+    _out: tuple[tuple[int, ...], tuple[int, ...]] = _column()
+    _in: tuple[tuple[int, ...], tuple[int, ...]] = _column()
 
     def __post_init__(self):
         n = self.node_count
@@ -141,19 +150,34 @@ class MultiDigraph:
                 if not (0 <= t < n and 0 <= h < n):
                     raise ValidationError(f"arc {i}: endpoint out of range")
         if arrays:
-            tail, head = tail.tolist(), head.tolist()
-            columns = {"_arrays": given, "tail": tail, "head": head}
+            # ids ordered by (node, id): node and arc ids fit in 32 bits in
+            # any graph whose CSR offsets and columns fit in memory, and no
+            # two keys tie, so the quick argsort is stable here
+            by_tail, by_head = (((column << 32) | np.arange(m)).argsort() for column in (tail, head))
+            # the ids and offsets share their int objects, and so do both end lists
+            ids = list(range(m + 1))
+            out_ids, in_ids = _pick(ids, by_tail), _pick(ids, by_head)
+            # v's offset counts the arcs whose end is below v
+            starts = [_pick(ids, np.bincount(column + 1, minlength=n + 1).cumsum())
+                      for column in (tail, head)]
+            nodes = list(range(max(tail.max(), head.max()) + 1 if m else 0))
+            columns = {"_arrays": given, "tail": list(_pick(nodes, tail)),
+                       "head": list(_pick(nodes, head))}
             for name in ("first", "nominal", "deviation"):
                 del self.__dict__[name]  # read through _ListOnRead
         else:
+            ids = list(range(m))
+            out_ids = tuple(sorted(ids, key=tail.__getitem__))
+            in_ids = tuple(sorted(ids, key=head.__getitem__))
+            starts = []
+            for column in (tail, head):
+                count = [0] * n
+                for v in column:
+                    count[v] += 1
+                starts.append(tuple(accumulate(count, initial=0)))
             upper = list(map(operator.add, self.nominal, deviation))
             columns = {"upper": upper, "combined": list(map(operator.add, self.first, upper))}
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for i, (t, h) in enumerate(zip(tail, head)):
-            out[t].append(i)
-            inc[h].append(i)
-        columns.update(_out=tuple(map(tuple, out)), _in=tuple(map(tuple, inc)))
+        columns.update(_out=(out_ids, starts[0]), _in=(in_ids, starts[1]))
         self.__dict__.update(columns)
 
     @classmethod
@@ -224,15 +248,20 @@ class MultiDigraph:
         return sum(given[2][x].tolist()), sum(given[3][y].tolist()) + sum(given[4][y].tolist())
 
     def out_arcs(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        """The ids of the arcs leaving v, ascending."""
+        ids, starts = self._out
+        return ids[starts[v]:starts[v + 1]]
 
     def in_arcs(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
+        """The ids of the arcs entering v, ascending."""
+        ids, starts = self._in
+        return ids[starts[v]:starts[v + 1]]
 
     @cached_property
     def order(self) -> tuple[int, ...]:
-        """``topological_order`` of the graph, computed on first use and kept."""
-        return tuple(topological_order(self))
+        """``topological_order`` of the graph, computed on first use and
+        kept; ``Instance`` validation sets it."""
+        return tuple(topological_order(self)[0])
 
     @cached_property
     def position(self) -> list[int]:
@@ -249,6 +278,13 @@ class MultiDigraph:
 
 for _row, _name in enumerate(("first", "nominal", "deviation"), start=2):
     setattr(MultiDigraph, _name, _ListOnRead(_name, _row))
+
+
+def _pick(pool: list, index: np.ndarray) -> tuple:
+    """``pool``'s entries at ``index``, sharing their objects."""
+    if len(index) > 1:
+        return operator.itemgetter(*index.tolist())(pool)
+    return tuple(map(pool.__getitem__, index.tolist()))
 
 
 @dataclass(frozen=True)
@@ -270,15 +306,27 @@ class Instance:
             raise ValidationError("source and sink must differ")
         if not (0 <= self.k < n):
             raise ValidationError(f"k={self.k} outside 0 <= k < {n}")
-        self.graph.order  # sorts the graph once, raising CyclicGraphError
-        if not self.reachable[self.sink]:
+        graph = self.graph
+        if "order" in graph.__dict__:  # sorted for another instance
+            hops = longest_hops(graph, self.source)
+        else:  # raises CyclicGraphError
+            order, hops = topological_order(graph, self.source)
+            graph.__dict__["order"] = tuple(order)
+        if hops[self.sink] < 0:
             raise ValidationError("sink is not reachable from source")
+        self.__dict__["_hops"] = hops
+
+    @property
+    def hops(self) -> list[int]:
+        """Most arcs on any source->v path, for every node v, -1 where v
+        is unreachable: ``longest_hops`` from the source, counted by
+        validation in the sweep that sorts the graph."""
+        return self._hops
 
     @cached_property
     def reachable(self) -> list[bool]:
-        """Nodes reachable from the source, computed once, by validation."""
-        graph = self.graph
-        return _search(graph._out, graph.head, self.source, graph.node_count)
+        """Nodes reachable from the source: those with ``hops`` >= 0."""
+        return list(map((-1).__lt__, self._hops))
 
     @cached_property
     def on_path(self) -> list[bool]:
@@ -286,11 +334,11 @@ class Instance:
 
         In a DAG these are exactly the nodes reachable from the source that
         also reach the sink, and every arc joining two such nodes lies on
-        some source-sink path as well.
+        some source-sink path as well: one search back from the sink over
+        the in-arcs, entering only nodes the source reaches.
         """
         graph = self.graph
-        reaches_sink = _search(graph._in, graph.tail, self.sink, graph.node_count)
-        return list(map(operator.and_, self.reachable, reaches_sink))
+        return _search(*graph._in, graph.tail, self.sink, self._hops)
 
     @cached_property
     def on_mask(self) -> np.ndarray:
@@ -298,9 +346,12 @@ class Instance:
         return np.frombuffer(bytes(self.on_path), dtype=bool)
 
     @cached_property
-    def hops(self) -> list[int]:
-        """``longest_hops`` from the source, computed once."""
-        return longest_hops(self.graph, self.source)
+    def on_rank(self) -> np.ndarray:
+        """Each node's rank among the on-path nodes, the number of them
+        below it, as an int64 array made once."""
+        rank = np.cumsum(self.on_mask, dtype=np.int64)
+        rank -= 1
+        return rank
 
     @cached_property
     def hop_array(self) -> np.ndarray:
@@ -317,40 +368,53 @@ class Instance:
         return min(self.k, self.hops[self.sink])
 
 
-def topological_order(graph: MultiDigraph) -> list[int]:
-    """Topological node order, smallest node id first among ready nodes.
+def topological_order(graph: MultiDigraph, source: int | None = None):
+    """Topological node order, smallest node id first among ready nodes
+    (Kahn 1962), and the longest hop counts from ``source``.
 
-    Raises CyclicGraphError if the graph has a directed cycle.
+    Returns ``(order, hops)``: ``hops`` is ``longest_hops`` from the
+    source, pushed along the out-arcs of each reached node as it leaves
+    the heap; every entry is -1 without a source.  Raises
+    CyclicGraphError if the graph has a directed cycle, wherever it lies.
     """
-    head = graph.head
-    indeg = [0] * graph.node_count
-    for h in head:
-        indeg[h] += 1
-    ready = [v for v in range(graph.node_count) if indeg[v] == 0]
-    heapq.heapify(ready)
+    head, (ids, starts), in_starts = graph.head, graph._out, graph._in[1]
+    n = graph.node_count
+    indeg = list(map(operator.sub, islice(in_starts, 1, None), in_starts))
+    ready = list(compress(range(n), map(operator.not_, indeg)))  # ascending: a heap
+    hops = [-1] * n
+    if source is not None:
+        hops[source] = 0
     order = []
+    push, pop = heapq.heappush, heapq.heappop
     while ready:
-        v = heapq.heappop(ready)
+        v = pop(ready)
         order.append(v)
-        for a in graph.out_arcs(v):
-            h = head[a]
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                heapq.heappush(ready, h)
-    if len(order) != graph.node_count:
+        h = hops[v] + 1  # 0 if v is not reached
+        for a in ids[starts[v]:starts[v + 1]]:
+            w = head[a]
+            if h and hops[w] < h:
+                hops[w] = h
+            d = indeg[w] - 1
+            indeg[w] = d
+            if not d:
+                push(ready, w)
+    if len(order) != n:
         raise CyclicGraphError("graph contains a directed cycle")
-    return order
+    return order, hops
 
 
-def _search(adjacency, ends, start: int, node_count: int) -> list[bool]:
-    seen = [False] * node_count
+def _search(ids, starts, ends, start: int, hops: list[int]) -> list[bool]:
+    """The nodes reached from ``start`` along the CSR ``ids`` and
+    ``starts``, each arc leading to its entry in ``ends``, through nodes
+    whose ``hops`` are >= 0 only."""
+    seen = [False] * len(hops)
     seen[start] = True
     stack = [start]
     while stack:
         v = stack.pop()
-        for a in adjacency[v]:
+        for a in ids[starts[v]:starts[v + 1]]:
             w = ends[a]
-            if not seen[w]:
+            if not seen[w] and hops[w] >= 0:
                 seen[w] = True
                 stack.append(w)
     return seen
@@ -359,15 +423,17 @@ def _search(adjacency, ends, start: int, node_count: int) -> list[bool]:
 def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
     """Most arcs on any source->v path, for every v (-1 if unreachable).
 
-    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``.
+    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``;
+    ``Instance`` validation runs it only on a graph already sorted, and
+    otherwise counts the hops in ``topological_order``.
     """
-    head = graph.head
+    head, (ids, starts) = graph.head, graph._out
     hops = [-1] * graph.node_count
     hops[source] = 0
     for v in graph.order[graph.position[source]:]:
         h = hops[v] + 1
         if h:  # v is reached
-            for a in graph.out_arcs(v):
+            for a in ids[starts[v]:starts[v + 1]]:
                 if hops[head[a]] < h:
                     hops[head[a]] = h
     return hops
@@ -419,7 +485,7 @@ def dag_shortest_paths(
     nodes up to and including it are final, as a node's distance depends
     only on the nodes before it; later ones are not.
     """
-    head = graph.head
+    head, (ids, starts) = graph.head, graph._out
     dist: list = [INF] * graph.node_count
     dist[source] = 0
     position = graph.position
@@ -428,7 +494,7 @@ def dag_shortest_paths(
         d = dist[v]
         if d is INF:
             continue
-        for a in graph.out_arcs(v):
+        for a in ids[starts[v]:starts[v + 1]]:
             e = d + cost[a]
             if e < dist[head[a]]:
                 dist[head[a]] = e
@@ -445,12 +511,12 @@ def shortest_path(graph: MultiDigraph, cost: list[int], dist: list, source: int,
     """
     if dist[target] is INF:
         return None
-    tail = graph.tail
+    tail, (ids, starts) = graph.tail, graph._in
     arcs = []
     v = target
     while v != source:
         d = dist[v]
-        a = next(a for a in graph.in_arcs(v) if dist[tail[a]] == d - cost[a])
+        a = next(a for a in ids[starts[v]:starts[v + 1]] if dist[tail[a]] == d - cost[a])
         arcs.append(a)
         v = tail[a]
     arcs.reverse()
@@ -474,7 +540,7 @@ class HopBoundedTable:
                  until: int | None = None):
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
-        tail, head = graph.tail, graph.head
+        tail, head, (ids, starts) = graph.tail, graph.head, graph._out
         self.graph = graph
         self.cost = cost
         self.source = source
@@ -482,10 +548,11 @@ class HopBoundedTable:
         unreached = [INF] * width  # shared, never written: nodes out of reach
         dist = [unreached] * graph.node_count
         dist[source] = [0] * width
-        # heads of arcs out of kept rows: no other node can be reached
+        # heads of arcs out of the source and of rows finite below max_hops:
+        # no other node can be reached within max_hops
         marked = [False] * graph.node_count
         reached = []
-        for a in graph.out_arcs(source):
+        for a in ids[starts[source]:starts[source + 1]]:
             marked[head[a]] = True
         position = graph.position
         stop = graph.node_count if until is None else position[until] + 1
@@ -498,17 +565,21 @@ class HopBoundedTable:
                 if src is unreached:
                     continue
                 c = cost[a]
-                for l in range(1, width):
-                    d = src[l - 1]
-                    if d is not INF and d + c < row[l]:
-                        row[l] = d + c
+                for l, d in enumerate(src, 1):  # src[l - 1], up to l = max_hops
+                    if l == width:
+                        break
+                    if d is not INF:
+                        d += c
+                        if d < row[l]:
+                            row[l] = d
             if row[max_hops] is INF:
                 continue  # unreachable within max_hops: keep the shared row
             # rows are nonincreasing in l, as the rows they are built from are
             dist[v] = row
             reached.append(v)
-            for a in graph.out_arcs(v):
-                marked[head[a]] = True
+            if row[max_hops - 1] is not INF:  # a path through v may go on
+                for a in ids[starts[v]:starts[v + 1]]:
+                    marked[head[a]] = True
         self.dist = dist
         self.reached = reached
 
@@ -520,14 +591,15 @@ class HopBoundedTable:
         dist = self.dist
         if dist[v][l] is INF:
             return None
-        tail, cost, in_arcs = self.graph.tail, self.cost, self.graph.in_arcs
+        graph, cost = self.graph, self.cost
+        tail, (ids, starts) = graph.tail, graph._in
         arcs = []
         while v != self.source:
             d = dist[v][l]
             if dist[v][l - 1] == d:
                 l -= 1
                 continue
-            a = next(a for a in in_arcs(v) if dist[tail[a]][l - 1] == d - cost[a])
+            a = next(a for a in ids[starts[v]:starts[v + 1]] if dist[tail[a]][l - 1] == d - cost[a])
             arcs.append(a)
             v = tail[a]
             l -= 1

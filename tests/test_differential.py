@@ -12,6 +12,7 @@ transitions.  A last property forces asp's array rounds onto these small
 graphs and onto nested alternations, and checks them against the oracle
 and against the queue reduction alone.
 """
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -246,6 +247,55 @@ def test_array_rounds_match_the_oracle_and_the_queue(drawn):
     assert verdicts[0] == verdicts[1]
     if roots:
         assert roots[0] == roots[1] == list(map(bruteforce_root_values, insts))
+
+
+def _unique_compact(instance):
+    """asp's compact ids as they were made: the sorted distinct ends of
+    the kept arcs, each end's id its index among them."""
+    tails, heads = instance.graph.ends
+    on = instance.on_mask
+    kept = np.flatnonzero(on[tails] & on[heads])
+    ends, compact = np.unique(np.concatenate((tails[kept], heads[kept])), return_inverse=True)
+    s, t = np.searchsorted(ends, (instance.source, instance.sink)).tolist()
+    return kept, compact[:len(kept)], compact[len(kept):], len(ends), s, t
+
+
+@st.composite
+def with_off_path_nodes(draw, graphs):
+    """A drawn graph with a dead end fed from a random node, a node
+    hanging above one, and an isolated node."""
+    n, rows, s, t = draw(graphs)
+    rows = rows + [_row(draw, draw(st.integers(0, n - 1)), n),
+                   _row(draw, n + 1, draw(st.integers(0, n - 1)))]
+    return n + 3, rows, s, t
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(with_off_path_nodes(st.one_of(random_dags(), series_parallel(), nested_alternations())))
+def test_rank_ids_match_the_unique_relabel(drawn):
+    # ranks among the on-path nodes are the sorted distinct ends of the
+    # kept arcs; the array rounds build the same trees from either
+    n, rows, s, t = drawn
+    inst = Instance(MultiDigraph.from_rows(n, rows), s, t, 1)
+    got, want = asp._compact(inst), _unique_compact(inst)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asp, "ARRAY_MIN_ARCS", 1)  # the array rounds from the first arc
+        outcomes = []
+        for compact in (asp._compact, _unique_compact):
+            patch.setattr(asp, "_compact", compact)
+            try:
+                tree = decompose(inst)
+            except NotSeriesParallelError as err:
+                outcomes.append(str(err))
+                continue
+            plan = [x.tolist() if isinstance(x, np.ndarray) else x for x in tree.plan]
+            outcomes.append((tree.root, tree.height, tree.hops, plan,
+                             serialize_solution(solve(inst, "asp"))))
+    assert outcomes[0] == outcomes[1]
 
 
 @st.composite

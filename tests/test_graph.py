@@ -1,5 +1,9 @@
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recsp.errors import CyclicGraphError, NotLayeredError, ValidationError
 from recsp.graph import (
@@ -103,8 +107,10 @@ def test_graph_rejects_bad_endpoints():
 
 
 def test_topological_order_prefers_small_ids():
+    # the hops are counted from the source only: -1 everywhere without one
     g = build(4, [(0, 3, 1, 1, 0), (1, 3, 1, 1, 0), (2, 3, 1, 1, 0)])
-    assert topological_order(g) == [0, 1, 2, 3]
+    assert topological_order(g) == ([0, 1, 2, 3], [-1, -1, -1, -1])
+    assert topological_order(g, 1) == ([0, 1, 2, 3], [-1, 0, -1, 1])
 
 
 def test_topological_order_detects_cycle():
@@ -610,3 +616,111 @@ def test_int64_costs_saturate_from_the_exact_values(make):
     assert g.costs.tolist() == [[max(-SATURATE, min(c, SATURATE)) for c in column]
                                 for column in (g.first, g.upper, g.combined)]
     assert [end.tolist() for end in g.ends] == [[0] * 5, [1] * 5]
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, rows): arcs between random distinct nodes, parallels and
+    isolated nodes allowed, not necessarily acyclic."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    ends = draw(st.lists(pairs, max_size=14))
+    if ends and draw(st.booleans()):
+        ends += [ends[0]] * draw(st.integers(1, 2))  # parallel arcs
+    return n, [(t, h, draw(st.integers(-5, 5)), 1, 0) for t, h in ends]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(multigraphs())
+@example((1, []))
+@example((3, []))
+@example((3, [(2, 0, 4, 1, 0)]))
+def test_csr_lists_each_node_s_arcs_in_ascending_id_order(drawn):
+    n, rows = drawn
+    for make in (build, build_from_arrays):
+        g = make(n, rows)
+        assert g.tail == [r[0] for r in rows] and g.head == [r[1] for r in rows]
+        for v in range(n):
+            assert g.out_arcs(v) == tuple(a for a, r in enumerate(rows) if r[0] == v)
+            assert g.in_arcs(v) == tuple(a for a, r in enumerate(rows) if r[1] == v)
+            assert all(type(a) is int for a in g.out_arcs(v) + g.in_arcs(v))
+
+
+def _heap_order(graph):
+    """topological_order as it was: its own in-degree count, then the heap
+    loop over each node's out-arcs."""
+    indeg = [0] * graph.node_count
+    for h in graph.head:
+        indeg[h] += 1
+    ready = [v for v in range(graph.node_count) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for a in graph.out_arcs(v):
+            indeg[graph.head[a]] -= 1
+            if indeg[graph.head[a]] == 0:
+                heapq.heappush(ready, graph.head[a])
+    return order
+
+
+def _reached(graph, start, step):
+    """Nodes reached from ``start`` by repeated ``step(v)``, brute force."""
+    seen = {start}
+    while True:
+        more = {w for v in seen for w in step(v)} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+@st.composite
+def dags(draw):
+    """(n, rows, source): arcs forward in a shuffled node order, parallels,
+    isolated nodes and nodes above the source allowed."""
+    n = draw(st.integers(1, 9))
+    label = draw(st.permutations(range(n)))
+    rows = []
+    for _ in range(draw(st.integers(0, 16)) if n > 1 else 0):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        rows += [(label[a], label[b], draw(st.integers(-5, 5)), 1, 0)] * draw(st.integers(1, 2))
+    return n, rows, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(dags())
+def test_sweep_gives_the_heap_order_and_the_longest_hops(drawn):
+    n, rows, source = drawn
+    for make in (build, build_from_arrays):
+        g = make(n, rows)
+        order, hops = topological_order(g, source)
+        assert order == _heap_order(g)
+        assert hops == longest_hops(g, source)
+        assert topological_order(g) == (order, [-1] * n)
+        reach = _reached(g, source, lambda v: [g.head[a] for a in g.out_arcs(v)])
+        for sink in sorted(reach - {source}):
+            inst = Instance(make(n, rows), source, sink, 0)
+            assert inst.graph.order == tuple(order)
+            assert inst.hops == hops and inst.reachable == [h >= 0 for h in hops]
+            back = _reached(g, sink, lambda v: [g.tail[a] for a in g.in_arcs(v)])
+            assert inst.on_path == [v in reach and v in back for v in range(n)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dags(), st.integers(2, 3), st.booleans())
+def test_a_cycle_off_every_path_is_rejected(drawn, length, entered):
+    # a cycle on new nodes, left alone or entered from the source: off
+    # every path to the sink either way
+    n, rows, source = drawn
+    cycle = list(range(n + 1, n + 1 + length))
+    rows = rows + [(source, n, 1, 1, 0)]
+    rows += [(v, w, 1, 1, 0) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+    if entered:
+        rows.append((n, cycle[0], 1, 1, 0))
+    for make in (build, build_from_arrays):
+        with pytest.raises(CyclicGraphError):
+            Instance(make(n + 1 + length, rows), source, n, 0)
+        with pytest.raises(CyclicGraphError):
+            topological_order(make(n + 1 + length, rows), source)

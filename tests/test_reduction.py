@@ -258,26 +258,35 @@ def test_reductions_keep_on_path_nodes_and_the_effective_budget():
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
 def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
-    # forward from the source to validate, backward from the sink for the
-    # on-path mask, which reuses the forward mask
-    searches = []
-    original = recsp.graph._search
+    # forward from the source in the sort that validates, backward from
+    # the sink for the on-path mask, which reuses the forward hop counts
+    sorts, searches = [], []
+    sort, search = recsp.graph.topological_order, recsp.graph._search
 
-    def counting(adjacency, ends, start, node_count):
-        searches.append(start)
-        return original(adjacency, ends, start, node_count)
+    def sorting(graph, source=None):
+        sorts.append(source)
+        return sort(graph, source)
+
+    def searching(ids, starts, ends, start, hops):
+        searches.append((start, ends))
+        return search(ids, starts, ends, start, hops)
 
     made = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
-    monkeypatch.setattr(recsp.graph, "_search", counting)
-    inst = Instance(made.graph, made.source, made.sink, made.k)
+    graph = MultiDigraph(made.graph.node_count, made.graph.tail, made.graph.head,
+                         made.graph.first, made.graph.nominal, made.graph.deviation)
+    monkeypatch.setattr(recsp.graph, "topological_order", sorting)
+    monkeypatch.setattr(recsp.graph, "_search", searching)
+    inst = Instance(graph, made.source, made.sink, made.k)
     sol = solve(inst, method)
-    assert searches == [inst.source, inst.sink]
+    assert sorts == [inst.source]
+    assert searches == [(inst.sink, graph.tail)]
     assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
 def test_each_solve_counts_the_longest_hops_once(monkeypatch, method):
-    # the layering check and the effective budget share one sweep
+    # the layering check and the effective budget share the hop counts of
+    # the sort that validates: no solve sweeps them again
     sweeps = []
     original = recsp.graph.longest_hops
 
@@ -285,26 +294,38 @@ def test_each_solve_counts_the_longest_hops_once(monkeypatch, method):
         sweeps.append(source)
         return original(graph, source)
 
-    monkeypatch.setattr(recsp.graph, "longest_hops", counting)
     inst = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
+    monkeypatch.setattr(recsp.graph, "longest_hops", counting)
     sol = solve(inst, method)
-    assert sweeps == [inst.source]
+    assert sweeps == []
+    assert inst.hops == original(inst.graph, inst.source)
     assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
 def test_each_instance_sorts_its_graph_once(monkeypatch, method):
-    sorts = []
-    original = recsp.graph.topological_order
+    # an instance on a graph already sorted counts its hops alone
+    sorts, sweeps = [], []
+    sort, sweep = recsp.graph.topological_order, recsp.graph.longest_hops
 
-    def counting(graph):
+    def sorting(graph, source=None):
         sorts.append(graph)
-        return original(graph)
+        return sort(graph, source)
 
-    monkeypatch.setattr(recsp.graph, "topological_order", counting)
+    def sweeping(graph, source):
+        sweeps.append(source)
+        return sweep(graph, source)
+
+    monkeypatch.setattr(recsp.graph, "topological_order", sorting)
+    monkeypatch.setattr(recsp.graph, "longest_hops", sweeping)
     inst = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
     sol = solve(inst, method)
-    assert sorts == [inst.graph]
+    assert sorts == [inst.graph] and sweeps == []
+    again = Instance(inst.graph, inst.source, inst.sink, inst.k)
+    assert sorts == [inst.graph] and sweeps == [inst.source]
+    assert again.hops == inst.hops
+    assert solve(again, method) == sol
+    assert sorts == [inst.graph] and sweeps == [inst.source]
     assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
