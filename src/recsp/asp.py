@@ -328,7 +328,9 @@ def _compact(instance: Instance):
     on, rank = instance.on_mask, instance.on_rank
     kept = np.flatnonzero(on[tails] & on[heads])
     s, t = rank[[instance.source, instance.sink]].tolist()
-    return kept, rank[tails[kept]], rank[heads[kept]], int(rank[-1]) + 1, s, t
+    # int64 ids, so that the rounds' keys tail * size + head cannot overflow
+    tail, head = (rank[ends[kept]].astype(np.int64) for ends in (tails, heads))
+    return kept, tail, head, int(rank[-1]) + 1, s, t
 
 
 def _rounds(instance: Instance):

@@ -111,7 +111,9 @@ class MultiDigraph:
     The adjacency is CSR: ``_out`` is a pair ``(ids, starts)`` of tuples,
     ``ids`` the arc ids ordered stably by tail and ``starts`` the
     ``node_count + 1`` offsets into it, so that v's out-arcs are
-    ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head.
+    ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head.  The
+    sweeps of this module slice these pairs themselves; other code reads
+    ``out_arcs`` and ``in_arcs``.
     """
 
     node_count: int
@@ -306,12 +308,8 @@ class Instance:
             raise ValidationError("source and sink must differ")
         if not (0 <= self.k < n):
             raise ValidationError(f"k={self.k} outside 0 <= k < {n}")
-        graph = self.graph
-        if "order" in graph.__dict__:  # sorted for another instance
-            hops = longest_hops(graph, self.source)
-        else:  # raises CyclicGraphError
-            order, hops = topological_order(graph, self.source)
-            graph.__dict__["order"] = tuple(order)
+        order, hops = topological_order(self.graph, self.source)  # raises CyclicGraphError
+        self.graph.__dict__["order"] = tuple(order)
         if hops[self.sink] < 0:
             raise ValidationError("sink is not reachable from source")
         self.__dict__["_hops"] = hops
@@ -320,7 +318,8 @@ class Instance:
     def hops(self) -> list[int]:
         """Most arcs on any source->v path, for every node v, -1 where v
         is unreachable: ``longest_hops`` from the source, counted by
-        validation in the sweep that sorts the graph."""
+        validation in the ``topological_order`` sweep that sorts the
+        graph."""
         return self._hops
 
     @cached_property
@@ -348,8 +347,9 @@ class Instance:
     @cached_property
     def on_rank(self) -> np.ndarray:
         """Each node's rank among the on-path nodes, the number of them
-        below it, as an int64 array made once."""
-        rank = np.cumsum(self.on_mask, dtype=np.int64)
+        below it, as an int32 array made once (4 bytes a declared node,
+        as ``on_mask`` takes 1)."""
+        rank = np.cumsum(self.on_mask, dtype=np.int32)
         rank -= 1
         return rank
 
@@ -423,9 +423,8 @@ def _search(ids, starts, ends, start: int, hops: list[int]) -> list[bool]:
 def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
     """Most arcs on any source->v path, for every v (-1 if unreachable).
 
-    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``;
-    ``Instance`` validation runs it only on a graph already sorted, and
-    otherwise counts the hops in ``topological_order``.
+    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``.
+    ``Instance`` validation counts the same hops in ``topological_order``.
     """
     head, (ids, starts) = graph.head, graph._out
     hops = [-1] * graph.node_count
@@ -540,7 +539,8 @@ class HopBoundedTable:
                  until: int | None = None):
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
-        tail, head, (ids, starts) = graph.tail, graph.head, graph._out
+        tail, head = graph.tail, graph.head
+        (out_ids, out_starts), (in_ids, in_starts) = graph._out, graph._in
         self.graph = graph
         self.cost = cost
         self.source = source
@@ -552,7 +552,7 @@ class HopBoundedTable:
         # no other node can be reached within max_hops
         marked = [False] * graph.node_count
         reached = []
-        for a in ids[starts[source]:starts[source + 1]]:
+        for a in out_ids[out_starts[source]:out_starts[source + 1]]:
             marked[head[a]] = True
         position = graph.position
         stop = graph.node_count if until is None else position[until] + 1
@@ -560,7 +560,7 @@ class HopBoundedTable:
             if not marked[v]:
                 continue
             row = [INF] * width
-            for a in graph.in_arcs(v):
+            for a in in_ids[in_starts[v]:in_starts[v + 1]]:
                 src = dist[tail[a]]
                 if src is unreached:
                     continue
@@ -578,7 +578,7 @@ class HopBoundedTable:
             dist[v] = row
             reached.append(v)
             if row[max_hops - 1] is not INF:  # a path through v may go on
-                for a in ids[starts[v]:starts[v + 1]]:
+                for a in out_ids[out_starts[v]:out_starts[v + 1]]:
                     marked[head[a]] = True
         self.dist = dist
         self.reached = reached
@@ -591,8 +591,7 @@ class HopBoundedTable:
         dist = self.dist
         if dist[v][l] is INF:
             return None
-        graph, cost = self.graph, self.cost
-        tail, (ids, starts) = graph.tail, graph._in
+        tail, cost, (ids, starts) = self.graph.tail, self.cost, self.graph._in
         arcs = []
         while v != self.source:
             d = dist[v][l]

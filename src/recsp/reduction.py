@@ -205,9 +205,9 @@ def build_dag_reduction(instance: Instance) -> list[tuple]:
                 continue
             row = table.dist[j]
             base = dist_first[j]
-            transitions += [
-                (i, j, base + row[l], l, None) for l in range(1, k + 1) if row[l] < row[l - 1]
-            ]
+            for l in range(1, k + 1):
+                if row[l] < row[l - 1]:
+                    transitions.append((i, j, base + row[l], l, None))
     return transitions
 
 

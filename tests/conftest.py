@@ -1,0 +1,27 @@
+import pytest
+
+
+@pytest.fixture
+def count_reads():
+    """``count_reads(graph, *names)`` makes ``graph`` count its adjacency
+    reads from then on and returns the one-entry list that holds the count.
+
+    ``names`` picks the CSR pairs, ``"_out"`` and ``"_in"``: every slice of
+    their arc ids is one node's arcs read, whether a sweep slices the CSR
+    itself or calls ``out_arcs``/``in_arcs``.
+    """
+    def wrap(graph, *names):
+        calls = [0]
+
+        class Counted(tuple):
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    calls[0] += 1
+                return tuple.__getitem__(self, index)
+
+        for name in names:
+            ids, starts = graph.__dict__[name]
+            graph.__dict__[name] = (Counted(ids), starts)
+        return calls
+
+    return wrap

@@ -341,26 +341,17 @@ def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
                         assert got == _walk(g, parent, source, v)
 
 
-def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
+def test_dag_shortest_paths_reads_only_reached_nodes(count_reads):
     # two disjoint 512-arc paths; the second follows the first in
     # topological order and no node of it is reachable from the first;
     # longest_hops pushes along the reached nodes the same way
-    calls = [0]
-
-    def counting(original):
-        def count(graph, v):
-            calls[0] += 1
-            return original(graph, v)
-        return count
-
     m = 512
     rows = [(v, v + 1, 1, 0, 0) for v in range(m)]
     rows += [(v, v + 1, 1, 0, 0) for v in range(m + 1, 2 * m + 1)]
     g = build(2 * m + 2, rows)
     source = m - 10
     want, parent = _full_sweep(g, g.first, source)
-    for name in ("in_arcs", "out_arcs"):
-        monkeypatch.setattr(MultiDigraph, name, counting(getattr(MultiDigraph, name)))
+    calls = count_reads(g, "_in", "_out")
     dist = dag_shortest_paths(g, g.first, source)
     assert dist == want
     assert dist[m] == 10 and dist[m + 1] is INF
@@ -372,7 +363,17 @@ def test_dag_shortest_paths_reads_only_reached_nodes(monkeypatch):
     assert calls[0] <= 11
 
 
-def test_hop_table_until_reads_only_up_to_the_target(monkeypatch):
+def test_hop_table_reads_the_in_arcs_of_nodes_in_reach_only(count_reads):
+    # along a 512-arc path the table from 0 with 50 hops reads the
+    # in-arcs of nodes 1 to 50 and of no node after them
+    g = build(513, [(v, v + 1, 1, 0, 0) for v in range(512)])
+    calls = count_reads(g, "_in")
+    table = HopBoundedTable(g, g.upper, 0, 50)
+    assert calls[0] == 50
+    assert table.reached == list(range(1, 51))
+
+
+def test_hop_table_until_reads_only_up_to_the_target(count_reads):
     # a 512-step path with two parallel arcs a step; the table from 20
     # stops at 30 and reads back the same paths as the full table
     m = 512
@@ -381,14 +382,7 @@ def test_hop_table_until_reads_only_up_to_the_target(monkeypatch):
         rows += [(v, v + 1, 0, v % 5, 1), (v, v + 1, 0, v % 3, 2)]
     g = build(m + 1, rows)
     full = HopBoundedTable(g, g.upper, 20, 40)
-    calls = [0]
-    original = MultiDigraph.in_arcs
-
-    def count(graph, v):
-        calls[0] += 1
-        return original(graph, v)
-
-    monkeypatch.setattr(MultiDigraph, "in_arcs", count)
+    calls = count_reads(g, "_in")
     table = HopBoundedTable(g, g.upper, 20, 40, until=30)
     assert calls[0] == 10  # the full table reads the in-arcs of 41 nodes
     assert table.reached == full.reached[:10]
