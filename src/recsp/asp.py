@@ -95,6 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csp import run_starts
 from .errors import CostOverflowError, InfeasibleError, NotSeriesParallelError
 from .graph import INF, Instance
 from .solution import Solution, build_solution
@@ -212,18 +213,17 @@ def decompose(instance: Instance) -> DecompTree:
     is raised otherwise.  The reduction is confluent, so the order of the
     steps changes the tree's shape but not the verdict.
 
-    Two phases.  A pruned graph of at least ``ARRAY_MIN_ARCS`` arcs is
-    first reduced in array rounds (``_rounds``), which recognise before
-    they build: a round with nothing to do raises before any tree node
-    exists, also when it would be the first after the rounds stop, and
-    the runs are recorded as they open but spliced and closed only once
-    the rounds end (splicing them as they opened kept the rejection of
-    layered-40's 800-arc graphs at the queue's 0.54 ms; those that stall
-    in the rounds now take 0.38 ms).  The queue
-    reduction (``_queue``) finishes what the rounds leave, with their
-    closed subtrees as its leaves, and alone reduces smaller graphs.  The
-    comments on ``ARRAY_MIN_ARCS`` and ``ROUND_SHARE`` give the
-    measurements behind both limits.
+    Two phases, which build one ``_Tree`` over the leaf arcs.  A pruned
+    graph of at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array
+    rounds (``_rounds``), which recognise before they build: a round with
+    nothing to do raises before any tree node exists, also when it would
+    be the first after the rounds stop, and the runs are recorded as they
+    open but spliced and closed only once the rounds end, so a graph the
+    rounds reject gets no tree.  The queue reduction (``_queue``)
+    finishes what the rounds leave, with their closed subtrees as its
+    leaves, and alone reduces smaller graphs.  The comments on
+    ``ARRAY_MIN_ARCS`` and ``ROUND_SHARE`` give the measurements behind
+    both limits.
     """
     graph = instance.graph
     if graph.arc_count >= ARRAY_MIN_ARCS:
@@ -231,11 +231,11 @@ def decompose(instance: Instance) -> DecompTree:
     else:
         on = instance.on_path
         leaf_arcs = [a for a, (u, w) in enumerate(zip(graph.tail, graph.head)) if on[u] and on[w]]
-        tree = None
+        tree = _Tree(len(leaf_arcs))
         tails = [graph.tail[a] for a in leaf_arcs]
         heads = [graph.head[a] for a in leaf_arcs]
         items, s, t = range(len(leaf_arcs)), instance.source, instance.sink
-    tree = _queue(tails, heads, items, s, t, tree)
+    _queue(tails, heads, items, s, t, tree)
     root = 2 * tree.leaves - 2  # every other node lies below it
     return DecompTree(root=root, height=int(tree.height[root]), hops=int(tree.hops[root]),
                       plan=_plan(leaf_arcs, tree))
@@ -266,9 +266,10 @@ def too_dense(instance: Instance) -> bool:
     # node_count**2 fits in int64 for any graph whose CSR offsets fit in memory
     key = tails[kept] * graph.node_count + heads[kept]
     # argsort, whose code the solvers page in anyway: numpy's in-place
-    # sort would map about 0.15 MB more of it into the process
-    key = key[key.argsort()]
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1])) > bound
+    # sort would map about 0.15 MB more of it into the process; the key is
+    # never empty, since the sink is reachable and so some arc joins two
+    # on-path nodes
+    return len(run_starts(key[key.argsort()])) > bound
 
 
 class _Tree:
@@ -281,25 +282,17 @@ class _Tree:
     leaf) and ``hops`` (arcs on the longest source-sink path of the
     subgraph) cover every node.  The reduction records nothing else;
     ``_plan`` derives the rest.  A binary tree over the leaves has ``leaves
-    - 1`` internal nodes, so the array rounds allocate every column once;
-    the queue reduction alone hands over its finished columns as lists.
+    - 1`` internal nodes, so every column is allocated once, and the array
+    rounds and the queue reduction fill it in turn.
     """
 
-    def __init__(self, leaves: int, columns=None):
+    def __init__(self, leaves: int):
         self.leaves = leaves
-        if columns is None:
-            self.made = leaves
-            self.kids = np.empty((leaves - 1, 2), dtype=np.intp)
-            self.series = np.empty(leaves - 1, dtype=bool)
-            self.height = np.zeros(2 * leaves - 1, dtype=np.intp)
-            self.hops = np.ones(2 * leaves - 1, dtype=np.intp)
-        else:
-            kids, series, height, hops = columns
-            self.made = len(height)
-            self.kids = np.array(kids, dtype=np.intp).reshape(-1, 2)
-            self.series = np.array(series, dtype=bool)
-            self.height = np.array(height, dtype=np.intp)
-            self.hops = np.array(hops, dtype=np.intp)
+        self.made = leaves
+        self.kids = np.empty((leaves - 1, 2), dtype=np.intp)
+        self.series = np.empty(leaves - 1, dtype=bool)
+        self.height = np.zeros(2 * leaves - 1, dtype=np.intp)
+        self.hops = np.ones(2 * leaves - 1, dtype=np.intp)
 
     def join(self, series: bool, a, b):
         """New nodes joining a[i] and b[i]; returns their ids."""
@@ -362,14 +355,10 @@ def _rounds(instance: Instance):
         live = len(tail)
         key = tail * size + head
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = np.empty(live, dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        if not new.all():
+        first = run_starts(key[order])
+        if len(first) < live:
             if over:
                 break
-            first = np.flatnonzero(new)
             sizes = np.diff(first, append=live)
             merged = sizes > 1
             kept_arc = order[first]  # each class's first arc stands for it
@@ -525,24 +514,20 @@ def _close_runs(ops, size, series: bool, tree: _Tree):
     return root
 
 
-def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
+def _queue(tails, heads, items, s, t, tree: _Tree):
     """Queue reduction of the arcs left, whose subtrees are closed.
 
-    The items are the roots of the arcs' subtrees in ``tree``, or, with
-    no tree, its leaves.  A reduced arc stands for a closed subtree or for
-    an open run: a deque of series operands or a list of parallel ones.
-    Nodes are taken from a queue, in id order first; parallel arcs merge
-    on insertion, the arc already there staying on the left.  Returns the
-    tree with the new nodes (built from lists when the queue reduces the
-    graph alone); store rows are left to ``_plan``.
+    The items are the roots of the arcs' subtrees in ``tree``: leaves, or
+    the runs the array rounds closed.  A reduced arc stands for a closed
+    subtree or for an open run: a deque of series operands or a list of
+    parallel ones.  Nodes are taken from a queue, in id order first;
+    parallel arcs merge on insertion, the arc already there staying on the
+    left.  The new nodes extend ``tree`` in place; store rows are left to
+    ``_plan``.
     """
-    if tree is None:
-        made = len(items)
-        height, hops = [0] * made, [1] * made
-    else:
-        made = tree.made
-        height = tree.height[:made].tolist()
-        hops = tree.hops[:made].tolist()
+    made = tree.made
+    height = tree.height[:made].tolist()
+    hops = tree.hops[:made].tolist()
     kids: list[int] = []
     series: list[bool] = []
 
@@ -634,14 +619,11 @@ def _queue(tails, heads, items, s, t, tree: _Tree | None = None) -> _Tree:
     root = succ[s][t]  # the one arc left joins the terminals
     if type(root) is not int:
         close(root)
-    if tree is None:
-        return _Tree(made, (kids, series, height, hops))
     tree.height[made:] = height[made:]
     tree.hops[made:] = hops[made:]
     tree.kids.reshape(-1)[2 * (made - tree.leaves):] = kids
     tree.series[made - tree.leaves:] = series
     tree.made = len(height)
-    return tree
 
 
 def _plan(leaf_arcs, tree: _Tree) -> _Plan:

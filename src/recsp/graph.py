@@ -104,9 +104,9 @@ class MultiDigraph:
     stored as per-arc columns indexed by arc id: ``tail``, ``head``,
     ``first``, ``nominal`` and ``deviation`` as given, as lists or as
     int64 arrays.  Read as attributes they are lists, built on first read
-    from arrays, and so are ``upper`` and ``combined`` (Python ints, since
-    sums of int64 costs can leave that range); ``ends`` and ``costs`` are
-    their int64 forms.
+    from arrays; ``upper`` and ``combined`` are lists built on first read
+    (Python ints, since sums of int64 costs can leave that range); ``ends``
+    and ``costs`` are their int64 forms.
 
     The adjacency is CSR: ``_out`` is a pair ``(ids, starts)`` of tuples,
     ``ids`` the arc ids ordered stably by tail and ``starts`` the
@@ -163,8 +163,8 @@ class MultiDigraph:
             starts = [_pick(ids, np.bincount(column + 1, minlength=n + 1).cumsum())
                       for column in (tail, head)]
             nodes = list(range(max(tail.max(), head.max()) + 1 if m else 0))
-            columns = {"_arrays": given, "tail": list(_pick(nodes, tail)),
-                       "head": list(_pick(nodes, head))}
+            self.__dict__.update(_arrays=given, ends=given[:2], tail=list(_pick(nodes, tail)),
+                                 head=list(_pick(nodes, head)))
             for name in ("first", "nominal", "deviation"):
                 del self.__dict__[name]  # read through _ListOnRead
         else:
@@ -177,10 +177,7 @@ class MultiDigraph:
                 for v in column:
                     count[v] += 1
                 starts.append(tuple(accumulate(count, initial=0)))
-            upper = list(map(operator.add, self.nominal, deviation))
-            columns = {"upper": upper, "combined": list(map(operator.add, self.first, upper))}
-        columns.update(_out=(out_ids, starts[0]), _in=(in_ids, starts[1]))
-        self.__dict__.update(columns)
+        self.__dict__.update(_out=(out_ids, starts[0]), _in=(in_ids, starts[1]))
 
     @classmethod
     def from_rows(cls, node_count: int, rows) -> "MultiDigraph":
@@ -202,8 +199,8 @@ class MultiDigraph:
 
     @cached_property
     def upper(self) -> list[int]:
-        """Worst-case second-stage cost of each arc, ``nominal + deviation``;
-        made in ``__post_init__`` when the columns are given as lists."""
+        """Worst-case second-stage cost of each arc, ``nominal + deviation``,
+        made on first read."""
         return list(map(operator.add, self.nominal, self.deviation))
 
     @cached_property
@@ -213,9 +210,8 @@ class MultiDigraph:
 
     @cached_property
     def ends(self):
-        """``tail`` and ``head`` as two int64 arrays."""
-        if "_arrays" in self.__dict__:
-            return self._arrays[:2]
+        """``tail`` and ``head`` as two int64 arrays; a graph given as
+        arrays stores its own."""
         return np.array(self.tail + self.head, dtype=np.int64).reshape(2, self.arc_count)
 
     @cached_property
@@ -321,11 +317,6 @@ class Instance:
         validation in the ``topological_order`` sweep that sorts the
         graph."""
         return self._hops
-
-    @cached_property
-    def reachable(self) -> list[bool]:
-        """Nodes reachable from the source: those with ``hops`` >= 0."""
-        return list(map((-1).__lt__, self._hops))
 
     @cached_property
     def on_path(self) -> list[bool]:

@@ -1,8 +1,8 @@
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from recsp.csp import solve_csp, solve_levels
+from recsp.csp import run_starts, solve_csp, solve_levels
 from recsp.generator import SplitMix64
 
 
@@ -138,3 +138,17 @@ def test_level_kernel_finds_the_list_kernels_path(drawn, scale):
     else:
         assert got is not None and got[0] == want[0]
         assert [transitions[r] for r in got[1]] == want[1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from((np.int64, np.uint16)), st.integers(0, 5),
+       st.lists(st.integers(0, 3), max_size=40))
+@example(np.int64, 3, [])
+@example(np.uint16, 3, [2])
+@example(np.int64, 0, [1, 2, 3])
+def test_run_starts_finds_every_run_of_equal_keys(dtype, top, draws):
+    """``run_starts`` against a scan, on sorted keys: empty, one key, all
+    equal (``top = 0``) and runs of every length."""
+    key = np.sort(np.array([min(d, top) for d in draws], dtype=dtype))
+    starts = run_starts(key)
+    assert starts.tolist() == [i for i in range(len(key)) if i == 0 or key[i] != key[i - 1]]
