@@ -36,12 +36,16 @@ operands (series runs in path order, parallel runs in arrival order)
 and closes it into a balanced binary subtree.  No total changes, and a
 path or a bundle of m arcs gets height ceil(log2 m).  Each round of the
 closing joins neighbours no taller than the lowest neighbouring pair, so
-short operands are joined before tall ones.  The sweep then runs once
-per height: the parallel nodes of that height in one batched step and
-the series nodes in another.  A height only touches the columns up to
-the longest path below it; the rest stay infinite.  A series node's
-left child has no finite entry past its own hop count either, so the
-convolution stops there: in trees of ``ARRAY_MIN_ARCS`` leaves or more,
+short operands are joined before tall ones.  A tree of fewer than
+``ARRAY_MIN_ARCS`` leaves is swept in plain Python (``_sweep_lists``),
+node by node in creation order, over the queue reduction's own lists;
+its rows are Python lists, ``min(k, hops) + 1`` long.  A larger tree
+is swept in numpy once per height: the parallel nodes of that height in
+one batched step and the series nodes in another.  A height only
+touches the columns up to the longest path below it; the rest stay
+infinite.  A series node's left child has no finite entry past its own
+hop count either, so the convolution stops there: the Python sweep
+reads no further than the left child's row, and for the numpy one
 ``_plan`` sorts each height's series nodes by that count, and a block
 convolves as far as its last node needs.
 Blocks are cut so that no temporary exceeds ``BLOCK_CELLS`` int64
@@ -49,48 +53,55 @@ cells, a series node taking 2w times that span.  The values are read
 at the argmin, in the one pass that finds the backpointers; blocks
 smaller than ``GATHER_MIN_CELLS`` take them in a second pass instead.
 
-Store and slots.  Internal nodes' ``opt``/``upper`` rows live in one
-array of shape (slots + 1, 2, width).  ``_plan`` assigns every row once,
-from the finished tree: a node of height 1 takes a fresh one (numbered
-in creation order), and any other node writes over its left child's row
-(its right child's if the left is a leaf).  That is safe because a
-block gathers its children's rows before it writes and no other node
-reads them.  The last row stays all-infinite; leaf
-children read it and get their two finite entries (``opt[0]``,
-``upper[1]``) patched in, so leaves hold no row.  ``first`` is one
-value per tree node.
+Store and slots.  In the numpy sweep, internal nodes' ``opt``/``upper``
+rows live in one array of shape (slots + 1, 2, width).  ``_plan``
+assigns every row once, from the finished tree: a node of height 1
+takes a fresh one (numbered in creation order), and any other node
+writes over its left child's row (its right child's if the left is a
+leaf).  That is safe because a block gathers its children's rows before
+it writes and no other node reads them.  The last row stays
+all-infinite; leaf children read it and get their two finite entries
+(``opt[0]``, ``upper[1]``) patched in, so leaves hold no row.
+``first`` is one value per tree node.
 
 Backpointers are kept per height and kind, as narrow arrays indexed by
 the node's place in its batch: parallel batches keep an int8 code per
 ``opt`` entry and a bool side per ``upper`` entry; series batches keep
 the left share of every entry in the smallest unsigned type that holds
 the block's span.  A parallel node's cheaper ``first`` side is read off the
-per-node ``first`` values.  ``_reconstruct`` reads the plan: a node's
-children, kind and batch come from its index in sweep order, and a
-leaf's arc from ``leaf_arcs``.
+per-node ``first`` values.  The Python sweep keeps the same
+backpointers as lists, one pair per internal node.  ``_read_back``
+walks either kind: a numpy node's children, kind and batch come from
+its index in sweep order, and a leaf's arc from ``leaf_arcs``.
 
 Exactness.  The guard in ``_check_magnitudes`` keeps the absolute costs
 of the tree's leaf arcs, summed, below ``ASP_INF / 16`` = 2**58, which
 bounds every finite entry; arcs off every source-sink path are never
-read, so their costs do not count.  It reads the graph's int64
-``costs``, clipped to +-``SATURATE`` = 2**61, which it refuses as it
-refuses any larger cost.  Inside the sweep infinity is ``_INF =
-ASP_INF >> 1`` and additions are unmasked: an entry with no path behind
-it is ``_INF`` plus costs of distinct arcs, and each block clamps its
-results at ``_INF`` (one ``np.minimum``), so such an entry stays within
-2**58 below ``_INF``, a sum of two entries stays inside int64, and a
-finite candidate always beats an infinite one.  Entries at or above
-``_PIN = _INF >> 1`` read as infinite.  Ties: numpy's argmin takes the
-first occurrence, which is the smallest left share in series and the
-left (earlier) side in parallel.  Cutting a convolution short drops
-only infinite candidates, so it changes no finite entry and no tie.
+read, so their costs do not count.  The numpy sweep reads the graph's
+int64 ``costs``, clipped to +-``SATURATE`` = 2**61, which the guard
+refuses as it refuses any larger cost.  The Python sweep adds exact
+ints with ``INF`` for no path and cannot overflow; it applies the same
+guard to the exact costs, which gives the same verdict, so both sides
+raise ``CostOverflowError`` on the same instances.  Inside the numpy
+sweep infinity is ``_INF = ASP_INF >> 1`` and additions are unmasked:
+an entry with no path behind it is ``_INF`` plus costs of distinct
+arcs, and each block clamps its results at ``_INF`` (one
+``np.minimum``), so such an entry stays within 2**58 below ``_INF``, a
+sum of two entries stays inside int64, and a finite candidate always
+beats an infinite one.  Entries at or above ``_PIN = _INF >> 1`` read
+as infinite.  Ties: numpy's argmin takes the first occurrence, which is
+the smallest left share in series and the left (earlier) side in
+parallel; the Python sweep takes the first minimum in the same order.
+Cutting a convolution short drops only infinite candidates, so it
+changes no finite entry and no tie.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -116,11 +127,14 @@ GATHER_MIN_CELLS = 512
 # and the rounds stop below it.  numpy's fixed cost per call dominates
 # small graphs: on the small-mixed benchmark (20-60 arcs) the queue
 # reduction takes 0.21 s a pass, array rounds from the first arc 1.5 s
-# (2 vCPU Xeon, Python 3.11, numpy 2.4).  Trees with fewer leaves also
-# skip ``_plan``'s sort by left-child hops: on small-mixed it cost about
-# 1.5% of a pass in-process, and the narrower steps saved nothing.
-# ``too_dense`` counts the pairs of smaller graphs in a set: on
-# small-mixed that took 7 ms a pass in-process, the sort 27 ms.
+# (2 vCPU Xeon, Python 3.11, numpy 2.4).  Trees with fewer leaves are
+# swept in Python and build no ``_plan``: on small-mixed's 400 asp trees
+# that took 61 ms a pass in-process, ``_plan`` and the numpy sweep 176
+# ms.  On generated trees at k = 2, 5 and 50 the Python sweep took
+# 0.2x the numpy one's time at 16 arcs, 0.6-0.9x at 128 and 1.1-1.3x at
+# 256, and the gap widens with size.  ``too_dense`` counts the pairs of
+# smaller graphs in a set: on small-mixed that took 7 ms a pass
+# in-process, the sort 27 ms.
 ARRAY_MIN_ARCS = 256
 # The rounds hand over to the queue once a round removes less than
 # 1/ROUND_SHARE of the live arcs.  A nested alternation ((a|b).c|d).e...
@@ -145,12 +159,9 @@ class _Plan(NamedTuple):
     len(leaf_arcs) - 1``, leaf i standing for arc ``leaf_arcs[i]``;
     ``height`` is per node and ``sweep_index[i - leaves]`` is the index of
     internal node i in ``ids``.  ``out_row`` and ``child_row`` are store
-    rows; leaves read row ``slots``.  ``lead`` bounds, in sweep order, the
-    hops of each node's left child, which has no finite entry past them:
-    in a tree of ``ARRAY_MIN_ARCS`` leaves or more it is exactly those
-    hops, and series batches are sorted by it (1 for parallel nodes); in
-    smaller trees, whose steps are too small for a narrower convolution
-    to pay for the sort, it is the root's hops throughout.
+    rows; leaves read row ``slots``.  ``lead`` holds, in sweep order, the
+    hops of each series node's left child, which has no finite entry past
+    them, and 1 for each parallel node; series batches are sorted by it.
     """
 
     ids: np.ndarray
@@ -165,34 +176,62 @@ class _Plan(NamedTuple):
     lead: list
 
 
+class _Columns(NamedTuple):
+    """A small tree as the queue reduction left it: ``_Tree``'s columns
+    as lists, ``kids`` flat (left, right, left, ...), and the leaf arcs."""
+
+    leaf_arcs: list
+    kids: list
+    series: list
+    height: list
+    hops: list
+
+
 @dataclass(frozen=True, eq=False)
 class DecompTree:
     """Binary series/parallel decomposition of the pruned graph.
 
     Same-kind runs are balanced; ``height`` is the most internal nodes on
     a root-leaf path and ``hops`` the most arcs on a source-sink path.
-    ``plan``, derived once from the tree's columns (see ``_Tree``), is
-    the only record kept.  Trees compare by identity.
+    ``built`` is the only record kept: for a tree of ``ARRAY_MIN_ARCS``
+    leaves or more the plan, derived once from the tree's columns (see
+    ``_Tree``), and for a smaller one the columns themselves, as lists,
+    which the Python sweep reads; its ``plan`` is then derived on first
+    read.  Trees compare by identity.
     """
 
     root: int
     height: int
     hops: int
-    plan: _Plan = field(repr=False)
+    built: _Plan | _Columns = field(repr=False)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.plan.leaf_arcs)
+        return len(self.built.leaf_arcs)
+
+    @cached_property
+    def plan(self) -> _Plan:
+        built = self.built
+        if type(built) is _Plan:
+            return built
+        tree = _Tree(len(built.leaf_arcs))
+        tree.extend(built.kids, built.series, built.height, built.hops)
+        return _plan(built.leaf_arcs, tree)
 
     @cached_property
     def nodes(self) -> tuple[tuple, ...]:
         """``nodes[i]`` is ("leaf", arc_id) or (kind, left, right), children
-        created before parents; built from the plan on first read."""
-        plan = self.plan
-        kinds = [SERIES if i >= plan.levels[h - 1][1] else PARALLEL
-                 for i, h in zip(plan.sweep_index, plan.height[len(plan.leaf_arcs):])]
-        kids = plan.children.reshape(-1, 2)[plan.sweep_index].T.tolist()
-        return (*zip(repeat(LEAF), plan.leaf_arcs.tolist()), *zip(kinds, *kids))
+        created before parents; built on first read."""
+        built = self.built
+        if type(built) is _Plan:
+            leaf_arcs = built.leaf_arcs.tolist()
+            series = [i >= built.levels[h - 1][1]
+                      for i, h in zip(built.sweep_index, built.height[len(leaf_arcs):])]
+            kids = built.children.reshape(-1, 2)[built.sweep_index].ravel().tolist()
+        else:
+            leaf_arcs, kids, series = built[:3]
+        kinds = [SERIES if s else PARALLEL for s in series]
+        return (*zip(repeat(LEAF), leaf_arcs), *zip(kinds, kids[::2], kids[1::2]))
 
 
 @dataclass(frozen=True)
@@ -213,32 +252,42 @@ def decompose(instance: Instance) -> DecompTree:
     is raised otherwise.  The reduction is confluent, so the order of the
     steps changes the tree's shape but not the verdict.
 
-    Two phases, which build one ``_Tree`` over the leaf arcs.  A pruned
-    graph of at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array
-    rounds (``_rounds``), which recognise before they build: a round with
-    nothing to do raises before any tree node exists, also when it would
-    be the first after the rounds stop, and the runs are recorded as they
-    open but spliced and closed only once the rounds end, so a graph the
-    rounds reject gets no tree.  The queue reduction (``_queue``)
-    finishes what the rounds leave, with their closed subtrees as its
-    leaves, and alone reduces smaller graphs.  The comments on
-    ``ARRAY_MIN_ARCS`` and ``ROUND_SHARE`` give the measurements behind
-    both limits.
+    Two phases, which build one tree over the leaf arcs.  A pruned graph
+    of at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds
+    (``_rounds``) into a ``_Tree``, which recognise before they build: a
+    round with nothing to do raises before any tree node exists, also
+    when it would be the first after the rounds stop, and the runs are
+    recorded as they open but spliced and closed only once the rounds
+    end, so a graph the rounds reject gets no tree.  The queue reduction
+    (``_queue``) finishes what the rounds leave, with their closed
+    subtrees as its leaves, and alone reduces smaller graphs, in lists.
+    A tree of fewer than ``ARRAY_MIN_ARCS`` leaves keeps those lists for
+    the Python sweep; a larger one extends the ``_Tree`` with them and
+    keeps only its plan.  The comments on ``ARRAY_MIN_ARCS`` and
+    ``ROUND_SHARE`` give the measurements behind both limits.
     """
     graph = instance.graph
     if graph.arc_count >= ARRAY_MIN_ARCS:
         leaf_arcs, tree, (tails, heads, items, s, t) = _rounds(instance)
+        height, hops = tree.height[:tree.made].tolist(), tree.hops[:tree.made].tolist()
     else:
         on = instance.on_path
         leaf_arcs = [a for a, (u, w) in enumerate(zip(graph.tail, graph.head)) if on[u] and on[w]]
-        tree = _Tree(len(leaf_arcs))
         tails = [graph.tail[a] for a in leaf_arcs]
         heads = [graph.head[a] for a in leaf_arcs]
         items, s, t = range(len(leaf_arcs)), instance.source, instance.sink
-    _queue(tails, heads, items, s, t, tree)
-    root = 2 * tree.leaves - 2  # every other node lies below it
-    return DecompTree(root=root, height=int(tree.height[root]), hops=int(tree.hops[root]),
-                      plan=_plan(leaf_arcs, tree))
+        height, hops = [0] * len(leaf_arcs), [1] * len(leaf_arcs)
+    kids, series = _queue(tails, heads, items, s, t, height, hops)
+    root = len(height) - 1  # every other node lies below it
+    if len(leaf_arcs) < ARRAY_MIN_ARCS:
+        # the rounds never run on so few arcs, so the queue made every node
+        if type(leaf_arcs) is not list:
+            leaf_arcs = leaf_arcs.tolist()
+        built = _Columns(leaf_arcs, kids, series, height, hops)
+    else:
+        tree.extend(kids, series, height, hops)
+        built = _plan(leaf_arcs, tree)
+    return DecompTree(root=root, height=height[root], hops=hops[root], built=built)
 
 
 def too_dense(instance: Instance) -> bool:
@@ -283,7 +332,7 @@ class _Tree:
     subgraph) cover every node.  The reduction records nothing else;
     ``_plan`` derives the rest.  A binary tree over the leaves has ``leaves
     - 1`` internal nodes, so every column is allocated once, and the array
-    rounds and the queue reduction fill it in turn.
+    rounds and then the queue reduction's lists (``extend``) fill it.
     """
 
     def __init__(self, leaves: int):
@@ -305,6 +354,16 @@ class _Tree:
         self.height[lo:hi] = np.maximum(self.height[a], self.height[b]) + 1
         self.hops[lo:hi] = (np.add if series else np.maximum)(self.hops[a], self.hops[b])
         return np.arange(lo, hi)
+
+    def extend(self, kids: list, series: list, height: list, hops: list):
+        """Append the nodes the queue reduction made: their ``kids`` (flat)
+        and ``series``, and ``height`` and ``hops`` of every node."""
+        made = self.made
+        self.height[made:] = height[made:]
+        self.hops[made:] = hops[made:]
+        self.kids.reshape(-1)[2 * (made - self.leaves):] = kids
+        self.series[made - self.leaves:] = series
+        self.made = len(height)
 
 
 def _compact(instance: Instance):
@@ -514,20 +573,18 @@ def _close_runs(ops, size, series: bool, tree: _Tree):
     return root
 
 
-def _queue(tails, heads, items, s, t, tree: _Tree):
+def _queue(tails, heads, items, s, t, height: list, hops: list):
     """Queue reduction of the arcs left, whose subtrees are closed.
 
-    The items are the roots of the arcs' subtrees in ``tree``: leaves, or
-    the runs the array rounds closed.  A reduced arc stands for a closed
-    subtree or for an open run: a deque of series operands or a list of
-    parallel ones.  Nodes are taken from a queue, in id order first;
-    parallel arcs merge on insertion, the arc already there staying on the
-    left.  The new nodes extend ``tree`` in place; store rows are left to
-    ``_plan``.
+    The items are the roots of the arcs' subtrees: leaves, or the runs the
+    array rounds closed.  ``height`` and ``hops`` hold the columns of the
+    nodes made so far (see ``_Tree``) and are extended in place; returns
+    the new nodes' ``kids``, flat, and ``series``.  A reduced arc stands
+    for a closed subtree or for an open run: a deque of series operands or
+    a list of parallel ones.  Nodes are taken from a queue, in id order
+    first; parallel arcs merge on insertion, the arc already there staying
+    on the left.
     """
-    made = tree.made
-    height = tree.height[:made].tolist()
-    hops = tree.hops[:made].tolist()
     kids: list[int] = []
     series: list[bool] = []
 
@@ -619,11 +676,7 @@ def _queue(tails, heads, items, s, t, tree: _Tree):
     root = succ[s][t]  # the one arc left joins the terminals
     if type(root) is not int:
         close(root)
-    tree.height[made:] = height[made:]
-    tree.hops[made:] = hops[made:]
-    tree.kids.reshape(-1)[2 * (made - tree.leaves):] = kids
-    tree.series[made - tree.leaves:] = series
-    tree.made = len(height)
+    return kids, series
 
 
 def _plan(leaf_arcs, tree: _Tree) -> _Plan:
@@ -647,21 +700,17 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     number[fresh] = np.arange(slots)
     # leaves read the last, all-infinite row
     row = np.concatenate((np.full(leaves, slots), number[down]))
-    # parallel then series nodes of each height, one batch each, in
-    # creation order; a large tree's series nodes by left-child hops
+    # parallel then series nodes of each height, one batch each, series
+    # nodes by left-child hops, and in creation order within that
     batch = inner * 2 + tree.series
     longest = int(tree.hops[-1])  # the root's: no node has more
-    if leaves < ARRAY_MIN_ARCS:
-        order = np.argsort(batch, kind="stable")
-        lead = [longest] * len(order)
-    else:
-        lead = np.where(tree.series, tree.hops[left], 1)
-        # numpy sorts 16-bit keys stably by radix: 58 against 147 us for
-        # the 5k internal nodes of an asp-20k tree
-        key = (batch * (longest + 1) + lead).astype(
-            np.uint16 if (2 * top + 2) * (longest + 1) <= 1 << 16 else np.intp, copy=False)
-        order = np.argsort(key, kind="stable")
-        lead = lead[order].tolist()
+    lead = np.where(tree.series, tree.hops[left], 1)
+    # numpy sorts 16-bit keys stably by radix: 58 against 147 us for the 5k
+    # internal nodes of an asp-20k tree
+    key = (batch * (longest + 1) + lead).astype(
+        np.uint16 if (2 * top + 2) * (longest + 1) <= 1 << 16 else np.intp, copy=False)
+    order = np.argsort(key, kind="stable")
+    lead = lead[order].tolist()
     ids = order + leaves
     children = tree.kids[order].ravel()
     sizes = np.bincount(batch, minlength=2 * top + 2).tolist()
@@ -686,15 +735,15 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     )
 
 
-def _check_magnitudes(costs):
+def _check_magnitudes(worst: int, arcs: int):
     """Refuse costs that could bring a finite int64 entry near the sentinel.
 
-    ``costs`` holds the first-stage and upper costs of the tree's leaf
-    arcs (the sweep reads no other arc), clipped to +-SATURATE: a clipped
-    cost fails the test as its exact value would.
+    ``worst`` is the largest ``|first| + |upper|`` over the tree's ``arcs``
+    leaf arcs (the sweep reads no other arc), from exact costs or from
+    costs clipped to +-SATURATE: a clipped cost fails the test as its
+    exact value would, so both give the same verdict.
     """
-    worst = int(np.abs(costs).sum(axis=0).max())
-    if 16 * (costs.shape[1] + 2) * (worst + 1) >= ASP_INF:
+    if 16 * (arcs + 2) * (worst + 1) >= ASP_INF:
         raise CostOverflowError(
             "cost magnitudes too large for the exact int64 kernel"
         )
@@ -776,7 +825,7 @@ def _evaluate(instance: Instance, tree: DecompTree):
     plan = tree.plan
     # (first, upper, combined) of the leaf arcs; no other arc is read
     costs = instance.graph.costs[:, plan.leaf_arcs]
-    _check_magnitudes(costs[:2])
+    _check_magnitudes(int(np.abs(costs[:2]).sum(axis=0).max()), costs.shape[1])
     width = min(instance.k, tree.hops) + 1
     leaves = len(plan.leaf_arcs)
     first = np.empty(2 * leaves - 1, dtype=np.int64)
@@ -831,66 +880,163 @@ def _evaluate(instance: Instance, tree: DecompTree):
     return first, store[out_row[-1]], back
 
 
-def _reconstruct(tree: DecompTree, first, back, query):
-    """Walk backpointers, collecting original arc ids for both stages.
+def _sweep_lists(instance: Instance, columns: _Columns):
+    """Check the costs, then sweep a small tree node by node in Python.
 
-    ``first`` holds every node's first cost: a parallel node's cheaper
-    first stage is on the right only when strictly cheaper there.
+    Nodes are visited in creation order, children first.  Each keeps
+    ``first`` and its ``opt`` and ``upper`` rows, ``min(k, hops) + 1``
+    long, as exact ints with ``INF`` where no path is; a series node's
+    convolution stops at its left child's hops.  Ties go as in
+    ``_evaluate``: the smallest left share, the first of the four
+    parallel candidates, the right side only when strictly cheaper.
+    Returns every node's first cost, the root's opt and upper rows, and
+    per internal node the backpointer rows ``_read_back`` takes.
     """
-    plan = tree.plan
-    leaf_arcs = plan.leaf_arcs.tolist()
+    leaf_arcs, kids, series, _, hops = columns
+    graph = instance.graph
+    first_cost, upper_cost, combined = graph.first, graph.upper, graph.combined
+    first = [first_cost[a] for a in leaf_arcs]
+    uppers = [upper_cost[a] for a in leaf_arcs]
+    _check_magnitudes(max(map(add, map(abs, first), map(abs, uppers))), len(leaf_arcs))
+    k = instance.k
+    if k:
+        opt = [[combined[a], INF] for a in leaf_arcs]
+        upper = [[INF, u] for u in uppers]
+    else:
+        opt = [[combined[a]] for a in leaf_arcs]
+        upper = [[INF] for _ in leaf_arcs]
+    back = []
+    for node, is_series, a, b in zip(range(len(leaf_arcs), len(hops)), series,
+                                     kids[::2], kids[1::2]):
+        w = min(k, hops[node]) + 1
+        fa, fb, oa, ob, ua, ub = first[a], first[b], opt[a], opt[b], upper[a], upper[b]
+        if is_series:
+            first.append(fa + fb)
+            wb = len(ob)
+            rows = []
+            for x, y in ((oa, ob), (ua, ub)):
+                row, shares = [INF] * w, [0] * w
+                # left shares in ascending order, so a tie keeps the smallest
+                for j, left in enumerate(x):
+                    if left != INF:
+                        for l in range(j, min(w, j + wb)):
+                            if left + y[l - j] < row[l]:
+                                row[l], shares[l] = left + y[l - j], j
+                rows += row, shares
+            o, opt_back, u, upper_back = rows
+        else:
+            first.append(fb if fb < fa else fa)
+            # the narrower side has no path past its width
+            if len(oa) < w:
+                oa, ua = oa + [INF] * (w - len(oa)), ua + [INF] * (w - len(oa))
+            if len(ob) < w:
+                ob, ub = ob + [INF] * (w - len(ob)), ub + [INF] * (w - len(ob))
+            o, opt_back, u, upper_back = [], [], [], []
+            for l in range(w):
+                # the first candidate that attains the minimum
+                best, code = oa[l], 0
+                if ob[l] < best:
+                    best, code = ob[l], 1
+                if fa + ub[l] < best:
+                    best, code = fa + ub[l], 2
+                if fb + ua[l] < best:
+                    best, code = fb + ua[l], 3
+                o.append(best)
+                opt_back.append(code)
+                right = ub[l] < ua[l]
+                u.append(ub[l] if right else ua[l])
+                upper_back.append(right)
+        opt.append(o)
+        upper.append(u)
+        back.append((opt_back, upper_back))
+    return first, opt[-1], upper[-1], back
+
+
+_OPT, _FIRST, _UPPER = range(3)
+
+
+def _read_back(root: int, leaf_arcs: list, node, first, l: int):
+    """Walk backpointers down from the root's ``opt[l]``; returns the arc
+    ids of both stages, each in path order.
+
+    ``node(i)`` gives internal node i as (series, left, right, back), back
+    a pair of rows indexed by l: a series node's left shares of its opt
+    and upper entries; a parallel node's code per opt entry (0/1 for both
+    stages on the left/right, 2 for the first stage on the left and the
+    recovery on the right, 3 the reverse) and, per upper entry, whether
+    the right side is strictly cheaper.  ``first`` holds every node's
+    first cost: a parallel node's cheaper first stage is on the right only
+    when strictly cheaper there.
+    """
     leaves = len(leaf_arcs)
-    children = plan.children.tolist()
     x: list[int] = []
     y: list[int] = []
-    stack = [(tree.root, query)]
+    stack = [(root, _OPT, l)]
     while stack:
-        idx, q = stack.pop()
-        if idx < leaves:
-            arc = leaf_arcs[idx]
-            if q[0] == "opt":
-                x.append(arc)
-                y.append(arc)
-            elif q[0] == "first":
-                x.append(arc)
-            else:
-                y.append(arc)
+        i, q, l = stack.pop()
+        if i < leaves:
+            if q != _UPPER:
+                x.append(leaf_arcs[i])
+            if q != _FIRST:
+                y.append(leaf_arcs[i])
             continue
-        level = plan.height[idx] - 1
-        start, split, _, _ = plan.levels[level]
-        i = plan.sweep_index[idx - leaves]
-        left, right = children[2 * i:2 * i + 2]
-        if i < split:  # parallel
-            opt_code, upper_right = back[level][0]
-            p = i - start
-            if q[0] == "opt":
-                l = q[1]
-                code = int(opt_code[p, l])
-                if code == 0:
-                    stack.append((left, q))
-                elif code == 1:
-                    stack.append((right, q))
-                elif code == 2:
-                    stack.append((right, ("upper", l)))
-                    stack.append((left, ("first",)))
-                else:
-                    stack.append((left, ("upper", l)))
-                    stack.append((right, ("first",)))
-            elif q[0] == "first":
-                stack.append((right if first[right] < first[left] else left, q))
+        series, left, right, (opt_back, upper_back) = node(i)
+        if series:
+            if q == _FIRST:
+                stack += (right, q, 0), (left, q, 0)
             else:
-                stack.append((right if upper_right[p, q[1]] else left, q))
+                j = int((opt_back if q == _OPT else upper_back)[l])
+                stack += (right, q, l - j), (left, q, j)
+        elif q == _FIRST:
+            stack.append((right if first[right] < first[left] else left, q, 0))
+        elif q == _UPPER:
+            stack.append((right if upper_back[l] else left, q, l))
         else:
-            (shares,) = back[level][1]
-            if q[0] == "first":
-                stack.append((right, q))
-                stack.append((left, q))
+            code = opt_back[l]
+            if code < 2:
+                stack.append((right if code else left, q, l))
+            elif code == 2:
+                stack += (right, _UPPER, l), (left, _FIRST, 0)
             else:
-                l = q[1]
-                j = int(shares[i - split, 0 if q[0] == "opt" else 1, l])
-                stack.append((right, (q[0], l - j)))
-                stack.append((left, (q[0], j)))
+                stack += (left, _UPPER, l), (right, _FIRST, 0)
     return x, y
+
+
+def _sweep(instance: Instance, tree: DecompTree):
+    """Sweep a tree of fewer than ``ARRAY_MIN_ARCS`` leaves in Python
+    (``_sweep_lists``) and a larger one in numpy (``_evaluate``).
+
+    Returns the root's first cost, its opt and upper rows as exact ints
+    with ``INF`` where no path is, and ``read_back(l)``, the stage paths
+    of ``opt[l]`` (see ``_read_back``).
+    """
+    built = tree.built
+    if type(built) is _Columns:
+        first, opt, upper, back = _sweep_lists(instance, built)
+        leaf_arcs, kids, series = built[:3]
+        leaves = len(leaf_arcs)
+
+        def node(i):
+            i -= leaves
+            return series[i], kids[2 * i], kids[2 * i + 1], back[i]
+    else:
+        first, rows, back = _evaluate(instance, tree)
+        opt, upper = ([INF if v >= _PIN else v for v in row.tolist()] for row in rows)
+        plan, leaf_arcs = built, built.leaf_arcs.tolist()
+        leaves, children = len(leaf_arcs), plan.children.tolist()
+
+        def node(i):
+            level = plan.height[i] - 1
+            start, split, _, _ = plan.levels[level]
+            p = plan.sweep_index[i - leaves]
+            left, right = children[2 * p:2 * p + 2]
+            if p < split:
+                opt_code, upper_right = back[level][0]
+                return False, left, right, (opt_code[p - start], upper_right[p - start])
+            (shares,) = back[level][1]
+            return True, left, right, shares[p - split]
+
+    return int(first[tree.root]), opt, upper, partial(_read_back, tree.root, leaf_arcs, node, first)
 
 
 def root_values(instance: Instance) -> RootValues:
@@ -899,24 +1045,18 @@ def root_values(instance: Instance) -> RootValues:
     The arrays have k + 1 entries; those past the effective budget are
     infinite, since no recovery path has that many arcs.
     """
-    tree = decompose(instance)
-    first, (opt, upper), _ = _evaluate(instance, tree)
+    first, opt, upper, _ = _sweep(instance, decompose(instance))
     pad = (INF,) * (instance.k + 1 - len(opt))
-
-    def out(arr):
-        return tuple(INF if v >= _PIN else int(v) for v in arr) + pad
-
-    return RootValues(first=int(first[tree.root]), upper=out(upper), opt=out(opt))
+    return RootValues(first=first, upper=(*upper, *pad), opt=(*opt, *pad))
 
 
 def solve_asp(instance: Instance) -> Solution:
     """Exact solver for arc series-parallel instances."""
     if instance.k < 1:
         raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
-    tree = decompose(instance)
-    first, (opt, _), back = _evaluate(instance, tree)
-    best = int(np.argmin(opt))  # ties: smallest divergence
-    if opt[best] >= _PIN:
+    _, opt, _, read_back = _sweep(instance, decompose(instance))
+    best = min(opt)
+    if best == INF:
         raise InfeasibleError("no stage pair within the recovery budget")
-    x, y = _reconstruct(tree, first, back, ("opt", best))
+    x, y = read_back(opt.index(best))  # ties: smallest divergence
     return build_solution(instance, tuple(x), tuple(y))

@@ -533,6 +533,53 @@ def test_series_window_keeps_finite_values_and_shares(block):
         assert (got_first == first).all()
 
 
+def test_small_trees_build_no_plan_and_take_no_numpy_step(monkeypatch):
+    # below ARRAY_MIN_ARCS leaves the Python sweep alone solves the tree
+    inst = generate_instance("asp", 0x5EED, arcs=asp.ARRAY_MIN_ARCS - 1, k=4)
+    want = solve_asp(inst), root_values(inst)
+
+    def unused(*args):
+        raise AssertionError("a small tree reached the numpy sweep")
+
+    for name in ("_plan", "_parallel_step", "_series_step"):
+        monkeypatch.setattr(asp, name, unused)
+    assert (solve_asp(inst), root_values(inst)) == want
+    assert len(decompose(inst).nodes) == 2 * inst.graph.arc_count - 1
+
+
+@st.composite
+def costed_asp(draw):
+    """A generated series-parallel graph of 1 to 300 arcs with drawn
+    costs: spreads of 0-2, where minima tie, or wider, costs of either
+    sign, and up to three isolated nodes, so that k, drawn from 0 to
+    n - 1, may pass the longest path."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = generate_instance("asp", rng.getrandbits(32), arcs=rng.randint(1, 300)).graph
+    spread = rng.choice([0, 1, 2, 1000])
+    rows = [(t, h, rng.randint(-spread, spread), rng.randint(-spread, spread),
+             rng.randint(0, spread)) for t, h in zip(g.tail, g.head)]
+    n = g.node_count + rng.randint(0, 3)
+    k = rng.randint(0, min(n - 1, rng.choice([4, 12, n])))
+    return Instance(MultiDigraph.from_rows(n, rows), 0, 1, k)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(costed_asp())
+def test_python_and_numpy_sweeps_agree_on_one_tree(inst):
+    # one tree from the queue reduction, swept once from its own lists
+    # and once in numpy from its plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asp, "ARRAY_MIN_ARCS", 1 << 62)  # lists at every size
+        tree = decompose(inst)
+    as_arrays = asp.DecompTree(tree.root, tree.height, tree.hops, tree.plan)
+    assert asp._sweep_lists(inst, tree.built)[0] == asp._evaluate(inst, as_arrays)[0].tolist()
+    got, want = asp._sweep(inst, tree), asp._sweep(inst, as_arrays)
+    assert got[:3] == want[:3]
+    for l, value in enumerate(got[1]):
+        if value != INF:
+            assert got[3](l) == want[3](l)
+
+
 # tracemalloc peak of parse_instance plus solve(..., "asp") on the text
 # below while MultiDigraph kept every column as a list: the lowest of
 # three runs (x86-64, Python 3.11, numpy 2.4)
