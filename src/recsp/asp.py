@@ -19,16 +19,16 @@ Recognition.  ``decompose`` merges parallel arcs and contracts nodes
 with one arc in and one arc out until a single source-sink arc is left,
 which happens exactly on series-parallel graphs (Valdes, Tarjan & Lawler
 1982).  It has two phases.  A pruned graph of at least
-``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds over compact
-node ids: each round merges every class of parallel arcs with one sort
-and contracts every maximal chain, ranked by pointer jumping.  The
-rounds recognise first and build after: a round with nothing to do
-raises (the reduction is confluent, so the queue would stall too), and
-the runs are closed into subtrees only once the rounds stop.  They stop
-once fewer than ``ARRAY_MIN_ARCS`` arcs are left or a round removes
-less than ``1 / ROUND_SHARE`` of them, after checking that work is left;
-the queue reduction then finishes with the closed subtrees as its
-leaves, and it alone reduces smaller graphs.
+``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds over the
+compact node ids of ``Instance.core``: each round merges every class of
+parallel arcs with one sort and contracts every maximal chain, ranked by
+pointer jumping.  The rounds recognise first and build after: a round
+with nothing to do raises (the reduction is confluent, so the queue
+would stall too), and the runs are closed into subtrees only once the
+rounds stop.  They stop once fewer than ``ARRAY_MIN_ARCS`` arcs are left
+or a round removes less than ``1 / ROUND_SHARE`` of them, after checking
+that work is left; the queue reduction then finishes with the closed
+subtrees as its leaves, and it alone reduces smaller graphs.
 
 Height first.  Series and parallel composition are both associative, so
 the reduction collects every maximal run of one kind as a list of
@@ -50,8 +50,7 @@ reads no further than the left child's row, and for the numpy one
 convolves as far as its last node needs.
 Blocks are cut so that no temporary exceeds ``BLOCK_CELLS`` int64
 cells, a series node taking 2w times that span.  The values are read
-at the argmin, in the one pass that finds the backpointers; blocks
-smaller than ``GATHER_MIN_CELLS`` take them in a second pass instead.
+at the argmin, in the one pass that finds the backpointers.
 
 Store and slots.  In the numpy sweep, internal nodes' ``opt``/``upper``
 rows live in one array of shape (slots + 1, 2, width).  ``_plan``
@@ -117,12 +116,6 @@ _PIN = _INF >> 1
 # int64 cells in the largest temporary of one batched step (512 KB): a
 # series node's sums, 2w times its span, or a node's two gathered children
 BLOCK_CELLS = 1 << 16
-# Series steps with fewer sums than this take their values in a second
-# pass (np.minimum.reduce) instead of gathering them at the argmin: the
-# gather's two extra numpy calls cost more than the pass on small blocks.
-# A step of 40 sums took 9.3 us against 10.5 us gathered, one of 800
-# sums 19.6 us against 15.5 us (2 vCPU Xeon, Python 3.11, numpy 2.4).
-GATHER_MIN_CELLS = 512
 # Pruned graphs with fewer arcs skip the array rounds of ``decompose``,
 # and the rounds stop below it.  numpy's fixed cost per call dominates
 # small graphs: on the small-mixed benchmark (20-60 arcs) the queue
@@ -366,34 +359,16 @@ class _Tree:
         self.made = len(height)
 
 
-def _compact(instance: Instance):
-    """The arcs between on-path nodes (``Instance.on_mask``) and compact
-    ids for their ends.
-
-    A node's compact id is its rank among the on-path nodes
-    (``Instance.on_rank``), which are exactly the ends of those arcs: the
-    source has an on-path out-arc and every other on-path node an on-path
-    in-arc.  Returns the kept arc ids, their tails and heads as compact
-    ids, the number of compact ids, and the compact source and sink.
-    """
-    tails, heads = instance.graph.ends
-    on, rank = instance.on_mask, instance.on_rank
-    kept = np.flatnonzero(on[tails] & on[heads])
-    s, t = rank[[instance.source, instance.sink]].tolist()
-    # int64 ids, so that the rounds' keys tail * size + head cannot overflow
-    tail, head = (rank[ends[kept]].astype(np.int64) for ends in (tails, heads))
-    return kept, tail, head, int(rank[-1]) + 1, s, t
-
-
 def _rounds(instance: Instance):
-    """Prune in arrays, then reduce in array rounds over compact node ids.
+    """Reduce the pruned graph in array rounds over compact node ids.
 
     Each round merges every class of parallel arcs (one stable sort on
     tail and head; a class keeps arc order) and then contracts every
     maximal chain through nodes with one arc in and one arc out, found by
-    list ranking with pointer jumping.  The arcs are pruned and the
-    nodes renumbered by ``_compact``; every array made after that is sized
-    by the kept arcs or by the compact ids of their endpoints, never by
+    list ranking with pointer jumping.  The rounds start from
+    ``Instance.core``, the kept arcs with their ends renumbered, and
+    write nothing into it; every array made here is sized by the kept
+    arcs or by the compact ids of their endpoints, never by
     ``node_count``.  Rounds run while at least ``ARRAY_MIN_ARCS`` arcs
     are left and each removes at least ``1 / ROUND_SHARE`` of them; a
     round that finds nothing to do raises, also the one after the last.
@@ -402,7 +377,7 @@ def _rounds(instance: Instance):
     the roots of their subtrees, as lists) and the compact source and
     sink.
     """
-    kept, tail, head, size, s, t = _compact(instance)
+    kept, tail, head, size, s, t = instance.core
     tree = _Tree(len(kept))
     item = np.arange(len(kept))
     runs = _Runs(len(kept))
@@ -785,17 +760,12 @@ def _series_step(children, child_first, values, first, span):
     step = padded.itemsize
     shifted = np.ndarray((rows, 2, w, span), np.int64, padded, (w - 1) * step,
                          (*padded.strides[:2], -step, step))
-    sums = children[:, 0, :, None, :span] + shifted
-    if sums.size < GATHER_MIN_CELLS:
-        np.minimum.reduce(sums, axis=3, out=values)
-        share = sums.argmin(axis=3)
-    else:  # the minima are where the argmin points: no second pass over the sums
-        sums = sums.reshape(-1, span)
-        share = sums.argmin(axis=1)
-        values.reshape(-1)[:] = sums[np.arange(len(sums)), share]
-        share = share.reshape(values.shape)
+    sums = (children[:, 0, :, None, :span] + shifted).reshape(-1, span)
+    share = sums.argmin(axis=1)
+    # the minima are where the argmin points: no second pass over the sums
+    values.reshape(-1)[:] = sums[np.arange(len(sums)), share]
     np.add(child_first[:, 0], child_first[:, 1], out=first)
-    return (share.astype(np.min_scalar_type(span - 1)),)
+    return (share.reshape(values.shape).astype(np.min_scalar_type(span - 1)),)
 
 
 def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:

@@ -269,10 +269,6 @@ class MultiDigraph:
             pos[v] = p
         return pos
 
-    def after(self, v: int) -> tuple[int, ...]:
-        """The nodes following v in ``order``: all a sweep from v can reach."""
-        return self.order[self.position[v] + 1:]
-
 
 for _row, _name in enumerate(("first", "nominal", "deviation"), start=2):
     setattr(MultiDigraph, _name, _ListOnRead(_name, _row))
@@ -336,13 +332,26 @@ class Instance:
         return np.frombuffer(bytes(self.on_path), dtype=bool)
 
     @cached_property
-    def on_rank(self) -> np.ndarray:
-        """Each node's rank among the on-path nodes, the number of them
-        below it, as an int32 array made once (4 bytes a declared node,
-        as ``on_mask`` takes 1)."""
-        rank = np.cumsum(self.on_mask, dtype=np.int32)
+    def core(self) -> tuple:
+        """The arcs between on-path nodes and compact ids for their ends,
+        made once: ``(arcs, tail, head, size, source, sink)``.
+
+        A compact id is the node's rank among the on-path nodes in node-id
+        order; those nodes are exactly the kept arcs' ends.  ``tail`` and
+        ``head`` are int64, so that keys ``tail * size + head`` cannot
+        overflow.  The arrays are read-only and sized by the kept arcs;
+        the rank over every declared node is not kept.
+        """
+        tails, heads = self.graph.ends
+        on = self.on_mask
+        rank = np.cumsum(on, dtype=np.int32)
         rank -= 1
-        return rank
+        arcs = np.flatnonzero(on[tails] & on[heads])
+        tail, head = (rank[ends[arcs]].astype(np.int64) for ends in (tails, heads))
+        for column in (arcs, tail, head):
+            column.flags.writeable = False
+        s, t = rank[[self.source, self.sink]].tolist()
+        return arcs, tail, head, int(rank[-1]) + 1, s, t
 
     @cached_property
     def hop_array(self) -> np.ndarray:

@@ -506,31 +506,26 @@ def series_blocks(draw):
     return children, child_first, hops[-1]
 
 
-def _series(children, child_first, span, gather_min_cells):
+def _series(children, child_first, span):
     rows, _, _, w = children.shape
     values, first = np.empty((rows, 2, w), dtype=np.int64), np.empty(rows, dtype=np.int64)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(asp, "GATHER_MIN_CELLS", gather_min_cells)
-        (shares,) = asp._series_step(children, child_first, values, first, span)
+    (shares,) = asp._series_step(children, child_first, values, first, span)
     return values, shares, first
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(series_blocks())
 def test_series_window_keeps_finite_values_and_shares(block):
-    # the window stops past the last left child's hops; minima taken by
-    # a second pass and gathered at the argmin agree too
+    # the window stops past the last left child's hops
     children, child_first, hops = block
     w = children.shape[3]
-    values, shares, first = _series(children, child_first, w, 1 << 62)
+    values, shares, first = _series(children, child_first, w)
     finite = values < asp._PIN
-    for gather_min_cells in (0, 1 << 62):
-        got, got_shares, got_first = _series(
-            children, child_first, min(w, hops + 1), gather_min_cells)
-        assert (got[finite] == values[finite]).all()
-        assert (got_shares[finite] == shares[finite]).all()
-        assert (got[~finite] >= asp._PIN).all()
-        assert (got_first == first).all()
+    got, got_shares, got_first = _series(children, child_first, min(w, hops + 1))
+    assert (got[finite] == values[finite]).all()
+    assert (got_shares[finite] == shares[finite]).all()
+    assert (got[~finite] >= asp._PIN).all()
+    assert (got_first == first).all()
 
 
 def test_small_trees_build_no_plan_and_take_no_numpy_step(monkeypatch):

@@ -10,7 +10,8 @@ arrays must also equal the oracle's.  On layered graphs, also with costs
 scaled past int64, the layered and dag reductions must list the same
 transitions.  A last property forces asp's array rounds onto these small
 graphs and onto nested alternations, and checks them against the oracle
-and against the queue reduction alone.
+and against the queue reduction alone.  Relabelling the nodes at random,
+so that the topological order is no longer id order, changes no total.
 """
 import numpy as np
 import pytest
@@ -199,6 +200,43 @@ def test_both_layered_kernels_match_the_oracle(drawn, scale):
         assert serialize_solution(listed) == serialize_solution(sol)
 
 
+def _outcome(inst, method):
+    """The total of a verified answer, or the error type where the method
+    does not apply."""
+    try:
+        sol = solve(inst, method)
+    except (NotLayeredError, NotSeriesParallelError) as err:
+        return type(err)
+    assert verify_solution(inst, sol).accepted, method
+    return sol.total_cost
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from((random_dags, layered_dags, series_parallel)), st.data())
+def test_relabelled_nodes_change_no_total(family, data):
+    # the generators number layered graphs layer by layer, so there the
+    # smallest-id-first topological order is id order; a random relabel
+    # makes the two differ
+    n, rows, s, t = data.draw(family())
+    label = data.draw(st.permutations(range(n)))
+    graph = MultiDigraph.from_rows(n, rows)
+    moved = MultiDigraph.from_rows(n, [(label[a], label[b], *costs) for a, b, *costs in rows])
+    for k in range(n):
+        inst, relabelled = Instance(graph, s, t, k), Instance(moved, label[s], label[t], k)
+        want = solve_bruteforce(inst).total_cost
+        for method in ("auto", "asp", "layered", "dag"):
+            got = _outcome(relabelled, method)
+            assert got == _outcome(inst, method), method
+            if got not in (NotSeriesParallelError, NotLayeredError):
+                assert got == want, method
+        if family is layered_dags and k:
+            listed = _transitions(build_layered_reduction, relabelled)
+            assert listed == _transitions(build_dag_reduction, relabelled)
+            sol = reduction._solve(relabelled, build_layered_reduction(relabelled))
+            assert serialize_solution(sol) == serialize_solution(solve(relabelled, "layered"))
+
+
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_guard_boundary_is_exact(offset):
     # one arc: |first| + |upper| one below, then at, the refused magnitude
@@ -278,15 +316,15 @@ def test_rank_ids_match_the_unique_relabel(drawn):
     # kept arcs; the array rounds build the same trees from either
     n, rows, s, t = drawn
     inst = Instance(MultiDigraph.from_rows(n, rows), s, t, 1)
-    got, want = asp._compact(inst), _unique_compact(inst)
+    got, want = inst.core, _unique_compact(inst)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asp, "ARRAY_MIN_ARCS", 1)  # the array rounds from the first arc
         outcomes = []
-        for compact in (asp._compact, _unique_compact):
-            patch.setattr(asp, "_compact", compact)
+        for core in (got, want):
+            inst.__dict__["core"] = core
             try:
                 tree = decompose(inst)
             except NotSeriesParallelError as err:

@@ -157,7 +157,6 @@ def test_graph_is_sorted_once_and_sweeps_start_at_the_source():
     g = build(4, [(2, 0, 1, 1, 0), (0, 1, 1, 1, 0), (2, 3, 1, 1, 0), (1, 3, 1, 1, 0)])
     assert g.order == (2, 0, 1, 3) and g.order is g.order
     assert g.position == [1, 2, 0, 3]
-    assert g.after(0) == (1, 3)
 
 
 def test_layering_simple_chain():
@@ -296,7 +295,7 @@ def _full_sweep(g, cost, source):
     with the parent arc of each: the smallest id among the best in-arcs."""
     dist, parent = [INF] * g.node_count, [None] * g.node_count
     dist[source] = 0
-    for v in g.after(source):
+    for v in g.order[g.position[source] + 1:]:
         for a in g.in_arcs(v):
             d = dist[g.tail[a]] + cost[a]
             if d < dist[v]:
@@ -457,7 +456,7 @@ class _BackpointerTable:
         marked = [False] * graph.node_count
         for a in graph.out_arcs(source):
             marked[head[a]] = True
-        for v in graph.after(source):
+        for v in graph.order[graph.position[source] + 1:]:
             if not marked[v]:
                 continue
             row = [INF] * width
