@@ -7,8 +7,8 @@ budget; ``arc`` is the caller's payload and never influences the search.
 The caller lists every transition into a node before any transition out
 of it (for instance source by source in a topological order), so one
 forward pass computes, for each node and exact time used, the least cost
-of reaching it, with no sort and no adjacency lists; the sink's row is
-then carried from time t - 1 to t to allow any time within the budget.
+of reaching it, with no sort and no adjacency lists.  The path ends at the
+sink's first least entry, which allows any time within the budget.
 
 ``solve_csp`` takes the transitions as a list of tuples and relaxes them
 one by one in Python.  ``solve_levels`` takes them as array columns
@@ -23,7 +23,6 @@ import numpy as np
 
 from .graph import INF
 
-_CARRY = -1
 # int64 rows hold no path as this sentinel plus a sum of costs; see
 # solve_levels
 _SENTINEL = 1 << 62
@@ -33,9 +32,10 @@ def solve_csp(node_count, transitions, source, sink, budget):
     """``(cost, transitions)`` of a minimum-cost source->sink path whose
     total time is at most ``budget``, or None when no such path exists.
 
-    ``transitions`` must be ordered as the module docstring says.  Among
-    equal-cost optima the path uses the least time, then prefers
-    transitions earlier in the list.  Costs may be negative.
+    ``transitions`` must be ordered as the module docstring says.  The
+    path is walked back from the sink's first least entry, so among
+    equal-cost optima it uses the least time, then prefers transitions
+    earlier in the list.  Costs may be negative.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -66,25 +66,18 @@ def solve_csp(node_count, transitions, source, sink, budget):
     row = dist[sink]
     if row is None:
         return None
-    bp = back[sink]
-    for t in range(1, width):
-        # carrying wins ties, so equal costs resolve to less time
-        if row[t - 1] <= row[t]:
-            row[t] = row[t - 1]
-            bp[t] = _CARRY
-    if row[budget] is INF:
+    # the first least entry: equal costs resolve to less time
+    total = min(row)
+    if total is INF:
         return None
     path = []
-    v, t = sink, budget
+    v, t = sink, row.index(total)
     while (step := back[v][t]) is not None:
-        if step is _CARRY:
-            t -= 1
-            continue
         path.append(step)
         v = step[0]
         t -= step[3]
     path.reverse()
-    return row[budget], path
+    return total, path
 
 
 def run_starts(key):
@@ -185,8 +178,7 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
 
     dist = dist[:, budget:]
     v = row[sink]
-    # the sink carries a lesser time's value forward on ties: the first
-    # least entry is where the path ends
+    # the path ends at the sink's first least entry, as in solve_csp
     t = int(dist[v].argmin())
     total = dist[v, t]
     if total > bound:

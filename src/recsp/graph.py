@@ -19,6 +19,12 @@ the int64 ``ends`` and ``costs`` that numpy code reads (the costs
 saturated at ``SATURATE``, so that sums of two stay inside int64).
 ``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
 
+Every sweep from a source walks the topological order from it and pushes
+along the out-arcs of the nodes it has reached.  Given ``until``, a node
+at or after the source, a sweep stops on reaching that node: the entries
+of nodes up to and including it are final, as a node's entry depends
+only on the nodes before it; later ones are not.
+
 The shortest-path sweeps take a cost column (``graph.first``,
 ``graph.upper`` or ``graph.combined``) and keep distances only.  A path
 is read back from them: walking from its end, each step takes the
@@ -477,12 +483,8 @@ def dag_shortest_paths(
 
     Returns ``dist``: ``dist[v]`` is the minimum total ``cost`` (a per-arc
     column) of a source->v path, INF if unreachable; ``shortest_path``
-    reads a path back from it.  The sweep pushes along the out-arcs of the
-    nodes it has reached, in topological order, and skips the rest: every
-    node it reads is already reached.  With ``until``, a node at or after
-    the source, the sweep stops on reaching that node: the entries of
-    nodes up to and including it are final, as a node's distance depends
-    only on the nodes before it; later ones are not.
+    reads a path back from it.  The sweep skips the nodes it has not
+    reached; ``until`` is as in the module docstring.
     """
     head, (ids, starts) = graph.head, graph._out
     dist: list = [INF] * graph.node_count
@@ -527,20 +529,19 @@ class HopBoundedTable:
 
     ``dist[v][l]`` is the minimum ``cost`` (a per-arc column) of a
     source->v path using at most l arcs (INF if none); nonincreasing in
-    l.  ``reached`` lists, in topological order, the nodes after the
-    source that some path of at most ``max_hops`` arcs reaches.
-    ``path_to`` reads a path back from ``dist``.  With ``until``, a node
-    at or after the source, the sweep stops after that node, as in
-    ``dag_shortest_paths``: the rows of nodes up to it are final, those
-    of later nodes stay unreached.
+    l.  A node's row is pushed along its out-arcs when it is finite below
+    ``max_hops``; a node gets a row of its own when a push first reaches
+    it, and nodes out of reach share one row of INF.  ``reached`` lists,
+    in topological order, the nodes after the source that got a row.
+    ``path_to`` reads a path back from ``dist``.  ``until`` stops the
+    sweep as the module docstring says; ``reached`` then ends at it.
     """
 
     def __init__(self, graph: MultiDigraph, cost: list[int], source: int, max_hops: int,
                  until: int | None = None):
         if max_hops < 0:
             raise ValueError("max_hops must be >= 0")
-        tail, head = graph.tail, graph.head
-        (out_ids, out_starts), (in_ids, in_starts) = graph._out, graph._in
+        head, (ids, starts) = graph.head, graph._out
         self.graph = graph
         self.cost = cost
         self.source = source
@@ -548,40 +549,31 @@ class HopBoundedTable:
         unreached = [INF] * width  # shared, never written: nodes out of reach
         dist = [unreached] * graph.node_count
         dist[source] = [0] * width
-        # heads of arcs out of the source and of rows finite below max_hops:
-        # no other node can be reached within max_hops
-        marked = [False] * graph.node_count
-        reached = []
-        for a in out_ids[out_starts[source]:out_starts[source + 1]]:
-            marked[head[a]] = True
-        position = graph.position
-        stop = graph.node_count if until is None else position[until] + 1
-        for v in graph.order[position[source] + 1:stop]:
-            if not marked[v]:
+        order, position = graph.order, graph.position
+        start = position[source]
+        stop = graph.node_count if until is None else position[until]
+        for v in order[start:stop]:
+            row = dist[v]
+            if row is unreached:
                 continue
-            row = [INF] * width
-            for a in in_ids[in_starts[v]:in_starts[v + 1]]:
-                src = dist[tail[a]]
-                if src is unreached:
-                    continue
+            # rows are nonincreasing in l, as the rows pushed to them are:
+            # INF below the least hop count h and finite from it
+            h = row.count(INF)
+            finite = row[h:max_hops]
+            if not finite:
+                continue  # no path on through v fits in max_hops
+            for a in ids[starts[v]:starts[v + 1]]:
+                w = head[a]
+                out = dist[w]
+                if out is unreached:
+                    out = dist[w] = [INF] * width
                 c = cost[a]
-                for l, d in enumerate(src, 1):  # src[l - 1], up to l = max_hops
-                    if l == width:
-                        break
-                    if d is not INF:
-                        d += c
-                        if d < row[l]:
-                            row[l] = d
-            if row[max_hops] is INF:
-                continue  # unreachable within max_hops: keep the shared row
-            # rows are nonincreasing in l, as the rows they are built from are
-            dist[v] = row
-            reached.append(v)
-            if row[max_hops - 1] is not INF:  # a path through v may go on
-                for a in out_ids[out_starts[v]:out_starts[v + 1]]:
-                    marked[head[a]] = True
+                for l, d in enumerate(finite, h + 1):
+                    d += c
+                    if d < out[l]:
+                        out[l] = d
         self.dist = dist
-        self.reached = reached
+        self.reached = [v for v in order[start + 1:stop + 1] if dist[v] is not unreached]
 
     def path_to(self, v: int, l: int):
         """One optimal path realizing dist[v][l], or None if it is INF.

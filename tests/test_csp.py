@@ -43,7 +43,9 @@ def test_equal_cost_tie_uses_less_time():
 
 
 def _enumerate_csp(transitions, node_count, source, sink, budget):
-    """The least cost of a feasible path, by DFS, for cross-checking."""
+    """``(cost, time)``, the least cost of a feasible path and the least
+    time among the paths of that cost, by DFS, for cross-checking; None
+    when no path is feasible."""
     out = [[] for _ in range(node_count)]
     for tr in transitions:
         out[tr[0]].append(tr)
@@ -52,8 +54,8 @@ def _enumerate_csp(transitions, node_count, source, sink, budget):
     while stack:
         node, cost, used = stack.pop()
         if node == sink:
-            if best is None or cost < best:
-                best = cost
+            if best is None or (cost, used) < best:
+                best = cost, used
             continue
         for _, head, c, time, _ in out[node]:
             if used + time <= budget:
@@ -62,15 +64,18 @@ def _enumerate_csp(transitions, node_count, source, sink, budget):
 
 
 def test_matches_enumeration_on_random_instances():
+    # the first trials draw costs in -10..30; the rest in -2..2, so that
+    # paths of one cost and different times are common
     rng = SplitMix64(404)
-    for trial in range(120):
+    for trial in range(360):
         n = rng.randint(2, 7)
         m = rng.randint(1, 12)
+        low, high = (-10, 30) if trial < 120 else (-2, 2)
         transitions = []
         for index in range(m):
             tail = rng.randint(0, n - 2)
             head = rng.randint(tail + 1, n - 1)
-            transitions.append((tail, head, rng.randint(-10, 30),
+            transitions.append((tail, head, rng.randint(low, high),
                                 rng.randint(0, 3), index))
         # heads follow tails in id order, so grouping by tail suffices
         transitions.sort(key=lambda tr: tr[0])
@@ -81,7 +86,7 @@ def test_matches_enumeration_on_random_instances():
             assert got is None
         else:
             cost, path = got
-            assert cost == want
+            assert (cost, sum(tr[3] for tr in path)) == want
             assert sum(tr[3] for tr in path) <= budget
             assert sum(tr[2] for tr in path) == cost
             assert all(tr in transitions for tr in path)

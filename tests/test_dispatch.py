@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from recsp import dispatch
@@ -134,3 +138,22 @@ def test_auto_skips_asp_on_graphs_too_dense_to_be_series_parallel(monkeypatch):
     assert calls == []
     # the bridge has 5 pairs on 4 nodes: asp runs and rejects it
     assert not too_dense(bridge_instance())
+
+
+def test_no_solve_imports_scipy():
+    # scipy may be installed, but the package must not import it: a fresh
+    # interpreter parses one instance of each family and solves it with
+    # auto and with the family's own method
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "\n".join([
+        "import sys",
+        "from recsp import generate_instance, parse_instance, serialize_instance, solve",
+        "for family in ('asp', 'layered', 'dag'):",
+        "    text = serialize_instance(generate_instance(family, 7, k=2))",
+        "    for method in ('auto', family):",
+        "        solve(parse_instance(text), method)",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -364,9 +364,12 @@ def test_dag_shortest_paths_reads_only_reached_nodes(count_reads):
 
 def test_hop_table_reads_the_in_arcs_of_nodes_in_reach_only(count_reads):
     # along a 512-arc path the table from 0 with 50 hops reads the
-    # in-arcs of nodes 1 to 50 and of no node after them
+    # out-arcs of nodes 0 to 49, and the arcs of no node after them; the
+    # topological sort, which reads every node's out-arcs once, is made
+    # before counting
     g = build(513, [(v, v + 1, 1, 0, 0) for v in range(512)])
-    calls = count_reads(g, "_in")
+    g.position
+    calls = count_reads(g, "_in", "_out")
     table = HopBoundedTable(g, g.upper, 0, 50)
     assert calls[0] == 50
     assert table.reached == list(range(1, 51))
@@ -381,9 +384,9 @@ def test_hop_table_until_reads_only_up_to_the_target(count_reads):
         rows += [(v, v + 1, 0, v % 5, 1), (v, v + 1, 0, v % 3, 2)]
     g = build(m + 1, rows)
     full = HopBoundedTable(g, g.upper, 20, 40)
-    calls = count_reads(g, "_in")
+    calls = count_reads(g, "_in", "_out")
     table = HopBoundedTable(g, g.upper, 20, 40, until=30)
-    assert calls[0] == 10  # the full table reads the in-arcs of 41 nodes
+    assert calls[0] == 10  # the full table reads the out-arcs of 40 nodes
     assert table.reached == full.reached[:10]
     for v in range(31):
         for l in range(41):
@@ -504,9 +507,10 @@ class _BackpointerTable:
 
 
 def test_hop_table_paths_match_the_backpointer_table():
-    # few distinct costs and many parallel arcs: ties in cost and in hops
+    # few distinct costs and many parallel arcs: ties in cost and in hops;
+    # a table stopped at ``until`` agrees with the full one up to it
     rng = SplitMix64(4242)
-    queries = 0
+    queries = cut_queries = 0
     for trial in range(300):
         n = rng.randint(2, 8)
         rows = []
@@ -525,7 +529,16 @@ def test_hop_table_paths_match_the_backpointer_table():
                     for l in range(max_hops + 1):
                         assert table.path_to(v, l) == want.path_to(v, l)
                         queries += 1
-    assert queries > 100_000
+                for until in g.order[g.position[source]:]:
+                    stop = g.position[until] + 1
+                    cut = HopBoundedTable(g, cost, source, max_hops, until=until)
+                    assert cut.reached == [v for v in table.reached if g.position[v] < stop]
+                    for v in g.order[:stop]:
+                        assert cut.dist[v] == table.dist[v]
+                        for l in range(max_hops + 1):
+                            assert cut.path_to(v, l) == table.path_to(v, l)
+                            cut_queries += 1
+    assert queries > 100_000 and cut_queries > 100_000
 
 
 def test_hop_table_values_nonincreasing_in_allowance():

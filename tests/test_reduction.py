@@ -84,11 +84,12 @@ def test_dag_reduction_on_a_path_is_linear_in_the_budget():
 
 
 def test_hop_tables_skip_nodes_out_of_reach(count_reads):
-    # each hop table reads the in-arcs of at most k + 1 nodes past its
-    # source; the first-stage sweeps read out-arcs only
+    # each hop table reads the out-arcs of at most k nodes from its
+    # source on, and each first-stage sweep those of the nodes before the
+    # last one the table reached
     m, k = 512, 50
     g = MultiDigraph.from_rows(m + 1, [(v, v + 1, 1, 2, 1) for v in range(m)])
-    calls = count_reads(g, "_in")
+    calls = count_reads(g, "_in", "_out")
     assert solve_dag(Instance(g, 0, m, k)).total_cost == 2048
     assert calls[0] <= 157_000
 
