@@ -24,11 +24,12 @@ compact node ids of ``Instance.core``: each round merges every class of
 parallel arcs with one sort and contracts every maximal chain, ranked by
 pointer jumping.  The rounds recognise first and build after: a round
 with nothing to do raises (the reduction is confluent, so the queue
-would stall too), and the runs are closed into subtrees only once the
-rounds stop.  They stop once fewer than ``ARRAY_MIN_ARCS`` arcs are left
-or a round removes less than ``1 / ROUND_SHARE`` of them, after checking
-that work is left; the queue reduction then finishes with the closed
-subtrees as its leaves, and it alone reduces smaller graphs.
+would stall too), and the runs are spliced phase by phase, then closed
+in one pass per height, only once the rounds stop.  They stop once fewer
+than ``ARRAY_MIN_ARCS`` arcs are left or a round removes less than
+``1 / ROUND_SHARE`` of them, after checking that work is left; the queue
+reduction then finishes with the closed subtrees as its leaves, and it
+alone reduces smaller graphs.
 
 Height first.  Series and parallel composition are both associative, so
 the reduction collects every maximal run of one kind as a list of
@@ -245,18 +246,18 @@ def decompose(instance: Instance) -> DecompTree:
     is raised otherwise.  The reduction is confluent, so the order of the
     steps changes the tree's shape but not the verdict.
 
-    Two phases, which build one tree over the leaf arcs.  A pruned graph
-    of at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds
+    Two phases, which build one tree over the leaf arcs.  A pruned graph of
+    at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds
     (``_rounds``) into a ``_Tree``, which recognise before they build: a
-    round with nothing to do raises before any tree node exists, also
-    when it would be the first after the rounds stop, and the runs are
-    recorded as they open but spliced and closed only once the rounds
-    end, so a graph the rounds reject gets no tree.  The queue reduction
-    (``_queue``) finishes what the rounds leave, with their closed
-    subtrees as its leaves, and alone reduces smaller graphs, in lists.
-    A tree of fewer than ``ARRAY_MIN_ARCS`` leaves keeps those lists for
-    the Python sweep; a larger one extends the ``_Tree`` with them and
-    keeps only its plan.  The comments on ``ARRAY_MIN_ARCS`` and
+    round with nothing to do raises before any tree node exists, also when
+    it would be the first after the rounds stop, and the runs opened are
+    spliced phase by phase, then closed in one pass per height, only once
+    the rounds end, so a graph the rounds reject gets no tree.  The queue
+    reduction (``_queue``) finishes what the rounds leave, with their
+    closed subtrees as its leaves, and alone reduces smaller graphs, in
+    lists.  A tree of fewer than ``ARRAY_MIN_ARCS`` leaves keeps those
+    lists for the Python sweep; a larger one extends the ``_Tree`` with
+    them and keeps only its plan.  The comments on ``ARRAY_MIN_ARCS`` and
     ``ROUND_SHARE`` give the measurements behind both limits.
     """
     graph = instance.graph
@@ -336,16 +337,18 @@ class _Tree:
         self.height = np.zeros(2 * leaves - 1, dtype=np.intp)
         self.hops = np.ones(2 * leaves - 1, dtype=np.intp)
 
-    def join(self, series: bool, a, b):
-        """New nodes joining a[i] and b[i]; returns their ids."""
+    def join(self, series, a, b, height: int):
+        """New nodes of ``height`` joining a[i] and b[i], in series where
+        ``series[i]`` holds, else in parallel; returns their ids."""
         lo, hi = self.made, self.made + len(a)
         self.made = hi
         inner = slice(lo - self.leaves, hi - self.leaves)
         self.kids[inner, 0] = a
         self.kids[inner, 1] = b
         self.series[inner] = series
-        self.height[lo:hi] = np.maximum(self.height[a], self.height[b]) + 1
-        self.hops[lo:hi] = (np.add if series else np.maximum)(self.hops[a], self.hops[b])
+        self.height[lo:hi] = height
+        hops_a, hops_b = self.hops[a], self.hops[b]
+        self.hops[lo:hi] = np.where(series, hops_a + hops_b, np.maximum(hops_a, hops_b))
         return np.arange(lo, hi)
 
     def extend(self, kids: list, series: list, height: list, hops: list):
@@ -447,9 +450,9 @@ class _Runs:
     """The runs the array rounds open, closed only once the rounds end.
 
     Operands are leaves (ids below ``leaves``) or runs (``leaves + r`` is
-    run r).  On closing, a run that is an operand of a run of its own
-    kind is spliced into it instead, so every run closed is maximal, as
-    in the queue reduction.
+    run r).  ``close`` splices a run that is an operand of a run of its
+    own kind into it, so every run closed is maximal, as in the queue
+    reduction, and closes the others together in ``_close_runs``.
     """
 
     def __init__(self, leaves: int):
@@ -464,7 +467,7 @@ class _Runs:
         return np.arange(self.leaves + self.count - len(sizes), self.leaves + self.count)
 
     def close(self, tree: _Tree):
-        """Close the runs, phase by phase; returns every run's root."""
+        """Splice the runs phase by phase, close them at once; returns the roots."""
         leaves = self.leaves
         kind = np.concatenate([np.full(len(sizes), series) for series, _, sizes in self.phases])
         start = np.empty(self.count, dtype=np.intp)
@@ -489,16 +492,13 @@ class _Runs:
             start[lo:hi] = len(ops) + np.cumsum(size[lo:hi]) - size[lo:hi]
             ops = np.concatenate((ops, np.concatenate((ops, members))[_spans(at, width)]))
             lo = hi
+        closing = np.flatnonzero(~absorbed)
+        x = ops[_spans(start[closing], size[closing])]
+        run = x >= leaves
+        # run r waits as ~j, j its place among the runs closed here
+        x[run] = -np.cumsum(~absorbed)[x[run] - leaves]
         root = np.empty(self.count, dtype=np.intp)
-        lo = 0
-        for series, _, sizes in self.phases:
-            closing = lo + np.flatnonzero(~absorbed[lo:lo + len(sizes)])
-            lo += len(sizes)
-            if len(closing):
-                x = ops[_spans(start[closing], size[closing])]
-                run = x >= leaves
-                x[run] = root[x[run] - leaves]
-                root[closing] = _close_runs(x, size[closing], series, tree)
+        root[closing] = _close_runs(x, size[closing], kind[closing], tree)
         return root
 
 
@@ -508,43 +508,58 @@ def _spans(start, size):
     return np.repeat(start - end + size, size) + np.arange(end[-1])
 
 
-def _close_runs(ops, size, series: bool, tree: _Tree):
-    """Close runs of one kind at once by ``_queue``'s rule for one run.
+def _close_runs(ops, size, series, tree: _Tree):
+    """Close runs by ``_queue``'s rule for one run, all of them at once.
 
-    ``ops`` holds the operands of every run, run after run, and ``size``
-    their counts (at least 2 each).  Each pass joins, in every run, the
-    neighbours no taller than the run's lowest neighbouring pair, two by
-    two from the left of each stretch of such operands.  Returns each
-    run's root.
+    ``ops`` holds the operands of every run, run after run, ``size`` their
+    counts (at least 2 each) and ``series`` their kinds.  An operand is a
+    leaf, or ``~r`` while run r is open, which counts as taller than any
+    height.  The pass for height h joins, in every run, the neighbours of
+    height at most h, two by two from the left of each stretch of such
+    operands, in one ``_Tree.join``.  A run closes where its last two
+    operands join; its root, of height h + 1, takes its place, and its
+    parent pairs it from h + 1 on, as if it had closed before.  Returns
+    each run's root.
     """
-    root = np.empty(len(size), dtype=np.intp)
-    run = np.arange(len(size))
-    while len(size):
-        n = len(ops)
-        start = np.cumsum(size) - size
-        tall = tree.height[ops]
-        peak = np.empty(n, dtype=np.intp)
-        np.maximum(tall[:-1], tall[1:], out=peak[:-1])
-        peak[start[1:] - 1] = peak[-1] = tall.max() + 1  # no pair across runs
-        low = tall <= np.repeat(np.minimum.reduceat(peak, start), size)
-        first = np.zeros(n, dtype=bool)
-        first[start] = True
-        begins = low.copy()
-        begins[1:] &= first[1:] | ~low[:-1]
-        at = np.arange(n)
-        pair = low & ((at - np.maximum.accumulate(np.where(begins, at, 0))) % 2 == 0)
-        pair[:-1] &= low[1:] & ~first[1:]
-        pair[-1] = False
+    n, count = len(ops), len(size)
+    root = ~np.arange(count)  # ~r until run r closes
+    # per operand, and one column past the last: the operand, its height (n
+    # is taller than any pass's), its run where it starts (else -1), its kind
+    cols = np.zeros((4, n + 1), dtype=np.intp)
+    cols[0, :n] = ops
+    cols[1] = np.append(ops < 0, True) * n
+    cols[2] = -1
+    cols[2, np.append(np.cumsum(size) - size, n)] = np.arange(count + 1)
+    cols[3, :n] = np.repeat(series, size)
+    h = 0
+    while cols.shape[1] > 1:
+        ops, tall, head, kind = cols
+        low = tall <= h
+        first = head >= 0
+        # a stretch starts at a low run start or after a taller operand; the
+        # scan of flip is 0 at the stretch's start and alternates from there
+        begins = low & first
+        begins[1:] |= low[1:] > low[:-1]
+        starts = np.flatnonzero(begins)
+        odd = starts & 1
+        flip = np.ones(len(low), dtype=bool)
+        flip[starts] = odd == np.concatenate(([1], odd[:-1]))
+        pair = low > np.logical_xor.accumulate(flip)
+        pair[:-1] &= low[1:] > first[1:]
         i = np.flatnonzero(pair)
-        ops[i] = tree.join(series, ops[i], ops[i + 1])
-        ops = np.delete(ops, i + 1)
-        size = size - np.add.reduceat(pair, start, dtype=np.intp)
-        done = size == 1
-        if done.any():
-            start = np.cumsum(size) - size
-            root[run[done]] = ops[start[done]]
-            ops = ops[np.repeat(~done, size)]
-            run, size = run[~done], size[~done]
+        h += 1
+        ops[i] = tree.join(kind[i], ops[i], ops[i + 1], h)
+        tall[i] = h
+        # a pair that was all its run had left closes the run
+        whole = i[first[i] & first[i + 2]]
+        root[head[whole]] = ops[whole]
+        keep = np.concatenate(([True], ~pair[:-1]))
+        keep[whole] = False
+        cols = cols.compress(keep, axis=1)
+        ops, tall = cols[:2]
+        held = np.flatnonzero(ops < 0)
+        ops[held] = root[~ops[held]]
+        tall[held[ops[held] >= 0]] = h
     return root
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -326,6 +327,90 @@ def test_rounds_close_runs_like_the_queue(monkeypatch):
             monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
             shapes.append(_shape(decompose(inst)))
         assert shapes[0] == shapes[1]
+
+
+def _close_phase_by_phase(leaves, phases):
+    """Reference for ``_Runs.close`` in plain Python: splice each member run
+    of its parent's kind into the parent, then close the other runs phase
+    by phase by ``_queue``'s ``close`` rule.  Returns {run: shape}."""
+    ops, kinds, spliced = [], [], set()
+    for series, members, sizes in phases:
+        for end, size in zip(accumulate(sizes), sizes):
+            run = []
+            for m in members[end - size:end]:
+                if m >= leaves and kinds[m - leaves] == series:
+                    run += ops[m - leaves]
+                    spliced.add(m - leaves)
+                else:
+                    run.append(m)
+            ops.append(run)
+            kinds.append(series)
+    done = {}  # run -> (shape, height)
+    for r, (run, series) in enumerate(zip(ops, kinds)):
+        if r in spliced:
+            continue
+        kind = SERIES if series else PARALLEL
+        items = [done[m - leaves] if m >= leaves else (m, 0) for m in run]
+        while len(items) > 2:
+            low = min(max(a[1], b[1]) for a, b in zip(items, items[1:]))
+            paired, i = [], 0
+            while i < len(items):
+                if i + 1 < len(items) and items[i][1] <= low and items[i + 1][1] <= low:
+                    (a, ha), (b, hb) = items[i:i + 2]
+                    paired.append(((kind, a, b), max(ha, hb) + 1))
+                    i += 2
+                else:
+                    paired.append(items[i])
+                    i += 1
+            items = paired
+        (a, ha), (b, hb) = items
+        done[r] = ((kind, a, b), max(ha, hb) + 1)
+    return {r: shape for r, (shape, _) in done.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_runs_close_in_one_pass_per_height_like_the_queue(monkeypatch, seed):
+    # random phases of both kinds; members are unused leaves or earlier
+    # runs, so same-kind runs are spliced and operand heights differ
+    rng = random.Random(seed)
+    for _ in range(25):
+        leaves = rng.randint(2, 300)
+        runs = asp._Runs(leaves)
+        phases, free = [], list(range(leaves))
+        while len(free) >= 2:
+            rng.shuffle(free)
+            members, sizes = [], []
+            while len(free) >= 2 and (not sizes or rng.random() < 0.7):
+                size = min(len(free), rng.choice((2, 2, 3, 4, rng.randint(2, 40))))
+                members += free[-size:]
+                del free[-size:]
+                sizes.append(size)
+            series = rng.random() < 0.5
+            phases.append((series, members, sizes))
+            free += runs.open(np.array(members), np.array(sizes), series).tolist()
+        tree = asp._Tree(leaves)
+        joins = []
+        join = asp._Tree.join
+
+        def counted(self, *args):
+            joins.append(len(args[1]))
+            return join(self, *args)
+
+        monkeypatch.setattr(asp._Tree, "join", counted)
+        root = runs.close(tree)
+        monkeypatch.setattr(asp._Tree, "join", join)
+
+        def shape(i):
+            if i < leaves:
+                return i
+            a, b = tree.kids[i - leaves].tolist()
+            return SERIES if tree.series[i - leaves] else PARALLEL, shape(a), shape(b)
+
+        want = _close_phase_by_phase(leaves, phases)
+        assert {r: shape(root[r]) for r in want} == want
+        # the last run opened holds every leaf, and the root is made last
+        assert tree.made == 2 * leaves - 1 == root[-1] + 1
+        assert len(joins) <= tree.height[root[list(want)]].max()
 
 
 def test_array_rounds_match_the_oracle_and_the_queue(monkeypatch):
