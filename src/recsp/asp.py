@@ -749,14 +749,22 @@ def _parallel_step(children, child_first, values, first):
     and the recovery on the right, 3 the reverse; per ``upper`` entry
     whether the right side is strictly cheaper.
     """
-    rows, _, _, w = children.shape
-    cand = np.empty((rows, 4, w), dtype=np.int64)
-    cand[:, :2] = children[:, :, 0]
-    np.add(children[:, ::-1, 1], child_first[:, :, None], out=cand[:, 2:])
-    np.minimum.reduce(cand, axis=1, out=values[:, 0])
-    np.minimum(children[:, 0, 1], children[:, 1, 1], out=values[:, 1])
-    np.minimum(child_first[:, 0], child_first[:, 1], out=first)
-    return cand.argmin(axis=1).astype(np.int8), children[:, 1, 1] < children[:, 0, 1]
+    (opt_a, upper_a), (opt_b, upper_b) = children.transpose(1, 2, 0, 3)
+    first_a, first_b = child_first.T
+    opt = values[:, 0]
+    np.minimum(opt_a, opt_b, out=opt)
+    code = (opt_b < opt_a).view(np.int8)
+    # a mixed candidate replaces the minimum only where strictly cheaper:
+    # the code is the first candidate that attains it
+    mixed = np.empty_like(opt)
+    for c, f, upper in ((2, first_a, upper_b), (3, first_b, upper_a)):
+        np.add(upper, f[:, None], out=mixed)
+        cheaper = mixed < opt
+        np.copyto(opt, mixed, where=cheaper)
+        np.copyto(code, c, where=cheaper)
+    np.minimum(upper_a, upper_b, out=values[:, 1])
+    np.minimum(first_a, first_b, out=first)
+    return code, upper_b < upper_a
 
 
 def _series_step(children, child_first, values, first, span):

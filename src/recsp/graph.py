@@ -7,16 +7,21 @@ addition the dynamic programs rely on.
 
 A ``MultiDigraph`` is stored as per-arc integer columns, given as lists
 or, by the byte scan of the parser, as int64 arrays.  It derives its
-adjacency from them once, as two flat CSR (compressed sparse row) arrays:
+adjacency from them, as two flat CSR (compressed sparse row) arrays:
 the arc ids ordered stably by tail and by head, each with ``node_count +
 1`` offsets, so that a node's out- or in-arcs are one slice, in ascending
-id order.  It keeps its topological order once it has been computed;
-``Instance`` validation does so in one forward sweep that also counts the
-longest hops from the source.  The routines here read those and never
-sort the graph again.  Each column is built on first read in the form
-its reader wants: the exact Python-int lists the sweeps here read, and
-the int64 ``ends`` and ``costs`` that numpy code reads (the costs
-saturated at ``SATURATE``, so that sums of two stay inside int64).
+id order.  The ids by head are ordered on first read, since only reading
+paths back and the search for on-path nodes need them; everything else
+is built with the graph.  It
+keeps its topological order once it has been computed; ``Instance``
+validation does so in one forward sweep that also counts the longest
+hops from the source, and those counts give the on-path nodes too
+unless some node the source reaches, other than the sink, has no
+out-arc.  The routines here read those and never sort the graph again.
+Each column is built on first read in the form its reader wants: the
+exact Python-int lists the sweeps here read, and the int64 ``ends`` and
+``costs`` that numpy code reads (the costs saturated at ``SATURATE``, so
+that sums of two stay inside int64).
 ``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
 
 Every sweep from a source walks the topological order from it and pushes
@@ -117,9 +122,10 @@ class MultiDigraph:
     The adjacency is CSR: ``_out`` is a pair ``(ids, starts)`` of tuples,
     ``ids`` the arc ids ordered stably by tail and ``starts`` the
     ``node_count + 1`` offsets into it, so that v's out-arcs are
-    ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head.  The
-    sweeps of this module slice these pairs themselves; other code reads
-    ``out_arcs`` and ``in_arcs``.
+    ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head, its
+    offsets ``_in_starts`` counted with the graph and its ids ordered on
+    first read.  The sweeps of this module slice these pairs themselves;
+    other code reads ``out_arcs`` and ``in_arcs``.
     """
 
     node_count: int
@@ -129,7 +135,7 @@ class MultiDigraph:
     nominal: list[int]
     deviation: list[int]
     _out: tuple[tuple[int, ...], tuple[int, ...]] = _column()
-    _in: tuple[tuple[int, ...], tuple[int, ...]] = _column()
+    _in_starts: tuple[int, ...] = _column()
 
     def __post_init__(self):
         n = self.node_count
@@ -158,13 +164,9 @@ class MultiDigraph:
                 if not (0 <= t < n and 0 <= h < n):
                     raise ValidationError(f"arc {i}: endpoint out of range")
         if arrays:
-            # ids ordered by (node, id): node and arc ids fit in 32 bits in
-            # any graph whose CSR offsets and columns fit in memory, and no
-            # two keys tie, so the quick argsort is stable here
-            by_tail, by_head = (((column << 32) | np.arange(m)).argsort() for column in (tail, head))
             # the ids and offsets share their int objects, and so do both end lists
             ids = list(range(m + 1))
-            out_ids, in_ids = _pick(ids, by_tail), _pick(ids, by_head)
+            out_ids = _pick(ids, _by_node(tail))
             # v's offset counts the arcs whose end is below v
             starts = [_pick(ids, np.bincount(column + 1, minlength=n + 1).cumsum())
                       for column in (tail, head)]
@@ -174,16 +176,14 @@ class MultiDigraph:
             for name in ("first", "nominal", "deviation"):
                 del self.__dict__[name]  # read through _ListOnRead
         else:
-            ids = list(range(m))
-            out_ids = tuple(sorted(ids, key=tail.__getitem__))
-            in_ids = tuple(sorted(ids, key=head.__getitem__))
+            out_ids = tuple(sorted(range(m), key=tail.__getitem__))
             starts = []
             for column in (tail, head):
                 count = [0] * n
                 for v in column:
                     count[v] += 1
                 starts.append(tuple(accumulate(count, initial=0)))
-        self.__dict__.update(_out=(out_ids, starts[0]), _in=(in_ids, starts[1]))
+        self.__dict__.update(_out=(out_ids, starts[0]), _in_starts=starts[1])
 
     @classmethod
     def from_rows(cls, node_count: int, rows) -> "MultiDigraph":
@@ -256,6 +256,17 @@ class MultiDigraph:
         ids, starts = self._out
         return ids[starts[v]:starts[v + 1]]
 
+    @cached_property
+    def _in(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The in-arc CSR pair, ``_out``'s by head, its ids ordered on
+        first read; the offsets were counted with the graph."""
+        given = self.__dict__.get("_arrays")
+        if given is None:
+            ids = tuple(sorted(range(self.arc_count), key=self.head.__getitem__))
+        else:
+            ids = tuple(_by_node(given[1]).tolist())
+        return ids, self._in_starts
+
     def in_arcs(self, v: int) -> tuple[int, ...]:
         """The ids of the arcs entering v, ascending."""
         ids, starts = self._in
@@ -278,6 +289,13 @@ class MultiDigraph:
 
 for _row, _name in enumerate(("first", "nominal", "deviation"), start=2):
     setattr(MultiDigraph, _name, _ListOnRead(_name, _row))
+
+
+def _by_node(column: np.ndarray) -> np.ndarray:
+    """The arc ids ordered by ``column``, then by id: node and arc ids fit
+    in 32 bits in any graph that fits in memory, and no two keys tie, so
+    the quick argsort is stable here."""
+    return ((column << 32) | np.arange(len(column))).argsort()
 
 
 def _pick(pool: list, index: np.ndarray) -> tuple:
@@ -315,9 +333,8 @@ class Instance:
     @property
     def hops(self) -> list[int]:
         """Most arcs on any source->v path, for every node v, -1 where v
-        is unreachable: ``longest_hops`` from the source, counted by
-        validation in the ``topological_order`` sweep that sorts the
-        graph."""
+        is unreachable: counted by validation in the ``topological_order``
+        sweep that sorts the graph."""
         return self._hops
 
     @cached_property
@@ -326,11 +343,21 @@ class Instance:
 
         In a DAG these are exactly the nodes reachable from the source that
         also reach the sink, and every arc joining two such nodes lies on
-        some source-sink path as well: one search back from the sink over
+        some source-sink path as well.  A walk along out-arcs from a
+        reached node stays among reached nodes and ends at a node with no
+        out-arc; so when the sink is the only such node reached, every
+        reached node reaches it, and the hop counts of the validating sort
+        settle the mask.  Otherwise one search goes back from the sink over
         the in-arcs, entering only nodes the source reaches.
         """
-        graph = self.graph
-        return _search(*graph._in, graph.tail, self.sink, self._hops)
+        graph, hops = self.graph, self._hops
+        starts = graph._out[1]
+        dead = list(compress(range(graph.node_count),
+                             map(operator.eq, starts, islice(starts, 1, None))))
+        reached = (-1).__lt__
+        if list(compress(dead, map(reached, map(hops.__getitem__, dead)))) == [self.sink]:
+            return list(map(reached, hops))
+        return _search(*graph._in, graph.tail, self.sink, hops)
 
     @cached_property
     def on_mask(self) -> np.ndarray:
@@ -378,12 +405,13 @@ def topological_order(graph: MultiDigraph, source: int | None = None):
     """Topological node order, smallest node id first among ready nodes
     (Kahn 1962), and the longest hop counts from ``source``.
 
-    Returns ``(order, hops)``: ``hops`` is ``longest_hops`` from the
-    source, pushed along the out-arcs of each reached node as it leaves
-    the heap; every entry is -1 without a source.  Raises
-    CyclicGraphError if the graph has a directed cycle, wherever it lies.
+    Returns ``(order, hops)``: ``hops[v]`` is the most arcs on any
+    source->v path, -1 where v is unreachable, pushed along the out-arcs
+    of each reached node as it leaves the heap; every entry is -1 without
+    a source.  Raises CyclicGraphError if the graph has a directed cycle,
+    wherever it lies.
     """
-    head, (ids, starts), in_starts = graph.head, graph._out, graph._in[1]
+    head, (ids, starts), in_starts = graph.head, graph._out, graph._in_starts
     n = graph.node_count
     indeg = list(map(operator.sub, islice(in_starts, 1, None), in_starts))
     ready = list(compress(range(n), map(operator.not_, indeg)))  # ascending: a heap
@@ -424,24 +452,6 @@ def _search(ids, starts, ends, start: int, hops: list[int]) -> list[bool]:
                 seen[w] = True
                 stack.append(w)
     return seen
-
-
-def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
-    """Most arcs on any source->v path, for every v (-1 if unreachable).
-
-    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``.
-    ``Instance`` validation counts the same hops in ``topological_order``.
-    """
-    head, (ids, starts) = graph.head, graph._out
-    hops = [-1] * graph.node_count
-    hops[source] = 0
-    for v in graph.order[graph.position[source]:]:
-        h = hops[v] + 1
-        if h:  # v is reached
-            for a in ids[starts[v]:starts[v + 1]]:
-                if hops[head[a]] < h:
-                    hops[head[a]] = h
-    return hops
 
 
 def check_layering(instance: Instance) -> None:

@@ -50,9 +50,7 @@ from .solution import Solution
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-_INT = r"[+-]?\d+"
-# integers joined by single spaces; a single integer token matches too
-_INTS_RE = re.compile(rf"{_INT}(?: {_INT})*")
+_INT_RE = re.compile(r"[+-]?\d+")
 _ARC_NAMES = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
 
 # Texts this long or longer are scanned as bytes.  The scan has a fixed
@@ -99,11 +97,13 @@ def _ints(tokens, wide: int = 0) -> list[int] | None:
     but the first ``wide`` are signed 64-bit integers."""
     if not tokens:
         return []
-    if not _INTS_RE.fullmatch(" ".join(tokens)):
+    # int() takes a token with no whitespace, as every str.split token is,
+    # exactly when it matches _INT_RE or has underscores between its digits
+    if "_" in " ".join(tokens):
         return None
     try:
         values = list(map(int, tokens))
-    except ValueError:  # a token longer than int() converts
+    except ValueError:  # not an integer, or longer than int() converts
         return None
     bounded = values[wide:] if wide else values
     if bounded and (min(bounded) < _INT64_MIN or max(bounded) > _INT64_MAX):
@@ -125,7 +125,7 @@ def _int_fields(text: str, line, first: int, names, wide: int = 0) -> list[int]:
     values = []
     for index, name in zip(range(first, len(tokens)), names):
         token = tokens[index]
-        if not _INTS_RE.fullmatch(token):
+        if not _INT_RE.fullmatch(token):
             _fail(text, lineno, index, f"{name} must be an integer, got {token!r}")
         try:
             value = int(token)

@@ -8,7 +8,9 @@ def count_reads():
 
     ``names`` picks the CSR pairs, ``"_out"`` and ``"_in"``: every slice of
     their arc ids is one node's arcs read, whether a sweep slices the CSR
-    itself or calls ``out_arcs``/``in_arcs``.
+    itself or calls ``out_arcs``/``in_arcs``.  The pair is read as an
+    attribute first, so that one built on first read is in place before
+    it is wrapped.
     """
     def wrap(graph, *names):
         calls = [0]
@@ -20,7 +22,7 @@ def count_reads():
                 return tuple.__getitem__(self, index)
 
         for name in names:
-            ids, starts = graph.__dict__[name]
+            ids, starts = getattr(graph, name)
             graph.__dict__[name] = (Counted(ids), starts)
         return calls
 

@@ -613,6 +613,48 @@ def test_series_window_keeps_finite_values_and_shares(block):
     assert (got_first == first).all()
 
 
+def _parallel_by_argmin(children, child_first):
+    """The parallel step over all four candidates at once, the first that
+    attains the minimum taken by ``argmin``."""
+    rows, _, _, w = children.shape
+    cand = np.empty((rows, 4, w), dtype=np.int64)
+    cand[:, :2] = children[:, :, 0]
+    np.add(children[:, ::-1, 1], child_first[:, :, None], out=cand[:, 2:])
+    values = np.stack([cand.min(axis=1), children[:, :, 1].min(axis=1)], axis=1)
+    return (values, child_first.min(axis=1), cand.argmin(axis=1),
+            children[:, 1, 1] < children[:, 0, 1])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_parallel_step_takes_the_first_least_candidate(seed):
+    # costs in 0..2, so that candidates often tie, and rows of infinities
+    rng = random.Random(seed)
+    rows, w = rng.randint(1, 9), rng.randint(1, 6)
+    children = np.array([[[[rng.choice([0, 1, 2, 2, asp._INF]) if r % 3 else asp._INF
+                            for _ in range(w)] for _ in range(2)] for _ in range(2)]
+                         for r in range(rows)], dtype=np.int64)
+    child_first = np.array([[rng.randint(0, 2) for _ in range(2)] for _ in range(rows)],
+                           dtype=np.int64)
+    values, first = np.empty((rows, 2, w), dtype=np.int64), np.empty(rows, dtype=np.int64)
+    code, side = asp._parallel_step(children, child_first, values, first)
+    want_values, want_first, want_code, want_side = _parallel_by_argmin(children, child_first)
+    assert (values == want_values).all() and (first == want_first).all()
+    assert (code == want_code).all() and (side == want_side).all()
+
+
+def test_asp_solves_a_scanned_graph_without_its_in_arcs():
+    # the in-arc ids are ordered only when read, and neither the sort, the
+    # on-path mask nor the asp sweep reads them
+    made = generate_instance("asp", 0x1A2B, arcs=5000, k=50)
+    for method in ("asp", "auto"):
+        inst = parse_instance(serialize_instance(made))
+        assert "_arrays" in inst.graph.__dict__  # scanned
+        sol = solve(inst, method)
+        assert "_in" not in inst.graph.__dict__
+        assert verify_solution(inst, sol).accepted
+
+
 def test_small_trees_build_no_plan_and_take_no_numpy_step(monkeypatch):
     # below ARRAY_MIN_ARCS leaves the Python sweep alone solves the tree
     inst = generate_instance("asp", 0x5EED, arcs=asp.ARRAY_MIN_ARCS - 1, k=4)

@@ -16,11 +16,11 @@ from recsp.graph import (
     compute_layering,
     dag_shortest_paths,
     divergence_count,
-    longest_hops,
     path_cost,
     SATURATE,
     path_error,
     shortest_path,
+    _search,
     topological_order,
 )
 from recsp.generator import SplitMix64
@@ -28,6 +28,24 @@ from recsp.generator import SplitMix64
 
 def build(n, rows):
     return MultiDigraph.from_rows(n, rows)
+
+
+def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
+    """Most arcs on any source->v path, for every v (-1 if unreachable).
+
+    Pushes along the out-arcs of reached nodes, as ``dag_shortest_paths``.
+    ``Instance`` validation counts the same hops in ``topological_order``.
+    """
+    head, (ids, starts) = graph.head, graph._out
+    hops = [-1] * graph.node_count
+    hops[source] = 0
+    for v in graph.order[graph.position[source]:]:
+        h = hops[v] + 1
+        if h:  # v is reached
+            for a in ids[starts[v]:starts[v + 1]]:
+                if hops[head[a]] < h:
+                    hops[head[a]] = h
+    return hops
 
 
 def random_dag(rng, n, m):
@@ -712,6 +730,45 @@ def test_sweep_gives_the_heap_order_and_the_longest_hops(drawn):
             assert inst.hops == hops
             back = _reached(g, sink, lambda v: [g.tail[a] for a in g.in_arcs(v)])
             assert inst.on_path == [v in reach and v in back for v in range(n)]
+
+
+@pytest.mark.parametrize("make", [build, build_from_arrays])
+@pytest.mark.parametrize("ends, sink, on, searched", [
+    # the sink's out-arc leads on to 3, a dead end off every path
+    ([(0, 1), (1, 2), (0, 2), (2, 3)], 2, [1, 1, 1, 0], True),
+    # 1 -> 3 leaves the path and 3 leads nowhere
+    ([(0, 1), (1, 2), (1, 3), (0, 2)], 2, [1, 1, 1, 0], True),
+    # 4 is a dead end and 5 isolated, but the source reaches neither
+    ([(0, 1), (1, 2), (3, 1), (3, 4), (0, 2)], 2, [1, 1, 1, 0, 0, 0], False),
+], ids=["sink with out-arcs", "dead end off the paths", "unreached dead ends"])
+def test_on_path_searches_back_only_past_a_reached_dead_end(monkeypatch, make, ends, sink, on,
+                                                            searched):
+    searches = []
+
+    def searching(*args):
+        searches.append(args[3])
+        return _search(*args)
+
+    monkeypatch.setattr("recsp.graph._search", searching)
+    g = make(len(on), [(t, h, 1, 1, 0) for t, h in ends])
+    inst = Instance(g, 0, sink, 1)
+    assert inst.on_path == list(map(bool, on))
+    assert searches == ([sink] if searched else [])
+    assert inst.on_path == _search(*g._in, g.tail, sink, inst.hops)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dags())
+def test_in_arcs_are_ordered_on_first_read_alike_in_both_forms(drawn):
+    # the sort takes its in-degrees from the offsets alone
+    n, rows, source = drawn
+    graphs = [make(n, rows) for make in (build, build_from_arrays)]
+    for g in graphs:
+        assert g.order == tuple(_heap_order(g))
+        assert "_in" not in g.__dict__
+    lists, arrays = ([g.in_arcs(v) for v in range(n)] for g in graphs)
+    assert lists == arrays
+    assert all(type(a) is int for arcs in arrays for a in arcs)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

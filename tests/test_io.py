@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recsp import instance_io
@@ -174,6 +175,32 @@ def test_parse_keeps_the_separators_and_digits_it_accepts():
     assert parse_instance(SAMPLE.replace("\n", "\x1c")) == expected
     assert parse_instance(SAMPLE.replace(" ", "\u00a0")) == expected
     assert parse_instance(SAMPLE.replace("5", "\u0665")) == expected
+
+
+_INTS_RE = re.compile(r"[+-]?\d+(?: [+-]?\d+)*")
+
+
+def _ints_by_regex(tokens):
+    """The tokens as ints if the joined text matches a regular expression
+    of integers, as the parser checked them before."""
+    if not _INTS_RE.fullmatch(" ".join(tokens)):
+        return None
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.text("0123456789\u0663\u06f5\U0001d7d9+-_\u00b2\u00b3xeaI", min_size=1,
+                        max_size=6), min_size=1, max_size=4))
+@example(["1_0"])
+@example(["\u0663", "\u00b2", "\U0001d7d9"])
+@example(["+", "0x1", "1e3"])
+@example(["1" * 20, "-" + "9" * 20])
+def test_integer_tokens_are_read_as_the_regular_expression_reads_them(tokens):
+    # every token may leave int64 here; the range is checked apart
+    assert instance_io._ints(tokens, len(tokens)) == _ints_by_regex(tokens)
 
 
 def test_parse_and_solve_build_no_arc_views():

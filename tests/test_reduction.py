@@ -243,10 +243,17 @@ def test_reductions_keep_on_path_nodes_and_the_effective_budget():
     assert solve_dag(inst).total_cost == solve_bruteforce(inst).total_cost
 
 
-@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
-def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
-    # forward from the source in the sort that validates, backward from
-    # the sink for the on-path mask, which reuses the forward hop counts
+def _count_searches(monkeypatch, method, dead_end):
+    """The sorts and backward searches of a solve by ``method`` of a
+    generated layered instance, with ``dead_end`` one more arc from a
+    node on a path to a new node with no out-arc."""
+    made = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
+    g = made.graph
+    rows = list(zip(g.tail, g.head, g.first, g.nominal, g.deviation))
+    n = g.node_count
+    if dead_end:
+        rows.append((made.source, n, 1, 1, 0))
+        n += 1
     sorts, searches = [], []
     sort, search = recsp.graph.topological_order, recsp.graph._search
 
@@ -258,34 +265,48 @@ def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
         searches.append((start, ends))
         return search(ids, starts, ends, start, hops)
 
-    made = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
-    graph = MultiDigraph(made.graph.node_count, made.graph.tail, made.graph.head,
-                         made.graph.first, made.graph.nominal, made.graph.deviation)
+    graph = MultiDigraph.from_rows(n, rows)
     monkeypatch.setattr(recsp.graph, "topological_order", sorting)
     monkeypatch.setattr(recsp.graph, "_search", searching)
     inst = Instance(graph, made.source, made.sink, made.k)
     sol = solve(inst, method)
     assert sorts == [inst.source]
-    assert searches == [(inst.sink, graph.tail)]
     assert sol.total_cost == solve_bruteforce(inst).total_cost
+    assert inst.on_path == [v < g.node_count for v in range(n)]
+    return searches, inst
 
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
-def test_each_solve_counts_the_longest_hops_once(monkeypatch, method):
+def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
+    # forward from the source in the sort that validates; a reached dead
+    # end other than the sink, off every path, needs one search back from
+    # the sink for the on-path mask, which reuses the forward hop counts
+    searches, inst = _count_searches(monkeypatch, method, dead_end=True)
+    assert searches == [(inst.sink, inst.graph.tail)]
+
+
+@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
+def test_without_a_dead_end_no_solve_searches_back(monkeypatch, method):
+    # every node the source reaches leads on to the sink, the only node
+    # reached with no out-arc: the sort's hop counts settle the mask
+    searches, _ = _count_searches(monkeypatch, method, dead_end=False)
+    assert searches == []
+
+
+@pytest.mark.parametrize("method", ["layered", "dag", "auto"])
+def test_each_solve_counts_the_longest_hops_once(method):
     # the layering check and the effective budget share the hop counts of
-    # the sort that validates: no solve sweeps them again
-    sweeps = []
-    original = recsp.graph.longest_hops
-
-    def counting(graph, source):
-        sweeps.append(source)
-        return original(graph, source)
-
+    # the sort that validates: the solve keeps that one list, and it
+    # holds the longest hop counts from the source
     inst = generate_instance("layered", 5, nodes=12, arcs=30, k=3, layers=4)
-    monkeypatch.setattr(recsp.graph, "longest_hops", counting)
+    hops = inst.hops
     sol = solve(inst, method)
-    assert sweeps == []
-    assert inst.hops == original(inst.graph, inst.source)
+    assert inst.hops is hops
+    graph, longest = inst.graph, {inst.source: 0}
+    for v in graph.order:
+        for a in graph.out_arcs(v) if v in longest else ():
+            longest[graph.head[a]] = max(longest.get(graph.head[a], 0), longest[v] + 1)
+    assert hops == [longest.get(v, -1) for v in range(graph.node_count)]
     assert sol.total_cost == solve_bruteforce(inst).total_cost
 
 
