@@ -40,6 +40,7 @@ EXIT_NOT_SP = 7
 EXIT_TOO_MANY_PATHS = 8
 EXIT_INFEASIBLE = 9
 EXIT_OVERFLOW = 10
+EXIT_MEMORY = 11
 
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -278,14 +278,6 @@ class MultiDigraph:
         kept; ``Instance`` validation sets it."""
         return tuple(topological_order(self)[0])
 
-    @cached_property
-    def position(self) -> list[int]:
-        """``position[v]`` is the index of node v in ``order``."""
-        pos = [0] * self.node_count
-        for p, v in enumerate(self.order):
-            pos[v] = p
-        return pos
-
 
 for _row, _name in enumerate(("first", "nominal", "deviation"), start=2):
     setattr(MultiDigraph, _name, _ListOnRead(_name, _row))
@@ -307,12 +299,16 @@ def _pick(pool: list, index: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class Instance:
-    """A recoverable shortest path instance: graph, terminals, recovery budget k."""
+    """A recoverable shortest path instance: graph, terminals, recovery budget k.
+
+    Validation sorts the graph and keeps that sweep's ``hops``: the most arcs
+    on any source->v path for every node v, -1 where v is unreachable."""
 
     graph: MultiDigraph
     source: int
     sink: int
     k: int
+    hops: list[int] = _column()
 
     def __post_init__(self):
         n = self.graph.node_count
@@ -328,14 +324,7 @@ class Instance:
         self.graph.__dict__["order"] = tuple(order)
         if hops[self.sink] < 0:
             raise ValidationError("sink is not reachable from source")
-        self.__dict__["_hops"] = hops
-
-    @property
-    def hops(self) -> list[int]:
-        """Most arcs on any source->v path, for every node v, -1 where v
-        is unreachable: counted by validation in the ``topological_order``
-        sweep that sorts the graph."""
-        return self._hops
+        self.__dict__["hops"] = hops
 
     @cached_property
     def on_path(self) -> list[bool]:
@@ -350,7 +339,7 @@ class Instance:
         settle the mask.  Otherwise one search goes back from the sink over
         the in-arcs, entering only nodes the source reaches.
         """
-        graph, hops = self.graph, self._hops
+        graph, hops = self.graph, self.hops
         starts = graph._out[1]
         dead = list(compress(range(graph.node_count),
                              map(operator.eq, starts, islice(starts, 1, None))))
@@ -499,9 +488,9 @@ def dag_shortest_paths(
     head, (ids, starts) = graph.head, graph._out
     dist: list = [INF] * graph.node_count
     dist[source] = 0
-    position = graph.position
-    stop = graph.node_count if until is None else position[until]
-    for v in graph.order[position[source]:stop]:
+    start = graph.order.index(source)
+    stop = graph.node_count if until is None else graph.order.index(until, start)
+    for v in graph.order[start:stop]:
         d = dist[v]
         if d is INF:
             continue
@@ -542,9 +531,10 @@ class HopBoundedTable:
     l.  A node's row is pushed along its out-arcs when it is finite below
     ``max_hops``; a node gets a row of its own when a push first reaches
     it, and nodes out of reach share one row of INF.  ``reached`` lists,
-    in topological order, the nodes after the source that got a row.
-    ``path_to`` reads a path back from ``dist``.  ``until`` stops the
-    sweep as the module docstring says; ``reached`` then ends at it.
+    in topological order, the nodes after the source that got a row, as
+    the walk meets them.  ``path_to`` reads a path back from ``dist``.
+    ``until`` stops the sweep as the module docstring says; ``reached``
+    then ends at it if it got a row.
     """
 
     def __init__(self, graph: MultiDigraph, cost: list[int], source: int, max_hops: int,
@@ -559,13 +549,14 @@ class HopBoundedTable:
         unreached = [INF] * width  # shared, never written: nodes out of reach
         dist = [unreached] * graph.node_count
         dist[source] = [0] * width
-        order, position = graph.order, graph.position
-        start = position[source]
-        stop = graph.node_count if until is None else position[until]
-        for v in order[start:stop]:
+        start = graph.order.index(source)
+        stop = graph.node_count if until is None else graph.order.index(until, start)
+        reached = []
+        for v in graph.order[start:stop]:
             row = dist[v]
             if row is unreached:
                 continue
+            reached.append(v)
             # rows are nonincreasing in l, as the rows pushed to them are:
             # INF below the least hop count h and finite from it
             h = row.count(INF)
@@ -582,8 +573,10 @@ class HopBoundedTable:
                     d += c
                     if d < out[l]:
                         out[l] = d
+        if until is not None and dist[until] is not unreached:
+            reached.append(until)
         self.dist = dist
-        self.reached = [v for v in order[start + 1:stop + 1] if dist[v] is not unreached]
+        self.reached = reached[1:]  # the source leads
 
     def path_to(self, v: int, l: int):
         """One optimal path realizing dist[v][l], or None if it is INF.

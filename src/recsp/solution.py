@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Instance, divergence_count, path_cost, path_error
+from .graph import Instance, divergence_count, path_error
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,30 @@ class VerifyResult:
     reason: str | None = None
 
 
+def _pair_error(instance: Instance, x_arcs, y_arcs) -> tuple[str | None, int | None]:
+    """Why two arc-id sequences are not a stage pair of ``instance`` (first
+    path, then recovery path, then budget), or None; and their divergence."""
+    for label, arcs in (("first-stage", x_arcs), ("recovery", y_arcs)):
+        err = path_error(instance.graph, arcs, instance.source, instance.sink)
+        if err is not None:
+            return f"{label} path invalid: {err}", None
+    div = divergence_count(y_arcs, x_arcs)
+    if div > instance.k:
+        return f"recovery differs in {div} arcs, budget is {instance.k}", div
+    return None, div
+
+
 def build_solution(instance: Instance, x_arcs, y_arcs) -> Solution:
     """Assemble a Solution for two paths, computing all derived fields.
 
     Raises ValidationError if either path is invalid or the pair exceeds
     the recovery budget; solver output must never trip this.
     """
-    graph = instance.graph
-    x_arcs = tuple(x_arcs)
-    y_arcs = tuple(y_arcs)
-    for label, arcs in (("first-stage", x_arcs), ("recovery", y_arcs)):
-        err = path_error(graph, arcs, instance.source, instance.sink)
-        if err is not None:
-            raise ValidationError(f"{label} path invalid: {err}")
-    div = divergence_count(y_arcs, x_arcs)
-    if div > instance.k:
-        raise ValidationError(f"recovery differs in {div} arcs, budget is {instance.k}")
-    first, second = graph.stage_costs(x_arcs, y_arcs)
+    x_arcs, y_arcs = tuple(x_arcs), tuple(y_arcs)
+    err, div = _pair_error(instance, x_arcs, y_arcs)
+    if err is not None:
+        raise ValidationError(err)
+    first, second = instance.graph.stage_costs(x_arcs, y_arcs)
     return Solution(
         x_arcs=x_arcs,
         y_arcs=y_arcs,
@@ -64,28 +71,18 @@ def verify_solution(instance: Instance, solution: Solution) -> VerifyResult:
     both paths must be simple source-sink paths, the recovery budget must
     hold, and every declared number must match a recomputation.
     """
-    graph = instance.graph
-    err = path_error(graph, solution.x_arcs, instance.source, instance.sink)
+    err, div = _pair_error(instance, solution.x_arcs, solution.y_arcs)
     if err is not None:
-        return VerifyResult(False, f"first-stage path invalid: {err}")
-    err = path_error(graph, solution.y_arcs, instance.source, instance.sink)
-    if err is not None:
-        return VerifyResult(False, f"recovery path invalid: {err}")
-    div = divergence_count(solution.y_arcs, solution.x_arcs)
-    if div > instance.k:
-        return VerifyResult(
-            False, f"recovery differs in {div} arcs, budget is {instance.k}"
-        )
+        return VerifyResult(False, err)
     if solution.divergence != div:
         return VerifyResult(
             False, f"divergence field is {solution.divergence}, recomputed {div}"
         )
-    first = path_cost(graph.first, solution.x_arcs)
+    first, second = instance.graph.stage_costs(solution.x_arcs, solution.y_arcs)
     if solution.first_cost != first:
         return VerifyResult(
             False, f"first-stage cost is {solution.first_cost}, recomputed {first}"
         )
-    second = path_cost(graph.upper, solution.y_arcs)
     if solution.second_cost != second:
         return VerifyResult(
             False, f"second-stage cost is {solution.second_cost}, recomputed {second}"

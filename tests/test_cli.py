@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -226,6 +229,28 @@ def test_too_many_paths_exit_code(tmp_path, capsys):
     blowup.write_text("\n".join(lines) + "\n")
     assert main(["solve", "-i", str(blowup), "--method", "oracle"]) == 8
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["line parse", "byte scan"])
+def test_running_out_of_memory_exits_11_without_a_traceback(tmp_path, padded):
+    # a billion declared nodes: the graph's per-node offsets cannot fit
+    # under a 1.5 GB address-space limit, set on the child process only
+    resource = pytest.importorskip("resource")
+    text = "p recsp 1000000000 1 0 1 0\na 0 1 1 1 0\n"
+    if padded:
+        text = "# padding\n" * (ARRAY_MIN_CHARS // 10) + text
+        assert len(text) >= ARRAY_MIN_CHARS
+    path = tmp_path / "huge_n.txt"
+    path.write_text(text)
+    limit = 1536 << 20
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "recsp.cli", "solve", "-i", str(path)], env=env,
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 11, done.stderr
+    assert done.stderr == "error: out of memory\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

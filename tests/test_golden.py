@@ -1,5 +1,5 @@
-"""Byte-identical answers: one digest of the serialised solutions of a
-fixed list of instances under ``auto`` and every method.
+"""Byte-identical answers: digests of the serialised solutions of fixed
+lists of instances under ``auto`` and every method.
 
 A speed-up must keep every path, not only every total, so a change to
 any answer, ties included, changes the digest.  The instances go through
@@ -17,15 +17,18 @@ from recsp.instance_io import parse_instance, serialize_instance, serialize_solu
 
 # recorded with the parent of the change that added this test
 DIGEST = "5d2f60953c51de81fc9fd4b1c7a498871637d3a1f07080c2ff03582ecc267b92"
+# the same for instances whose source is not first in the topological
+# order, recorded with the parent of the change that added it
+MID_ORDER_DIGEST = "e43697559d51f522e67716686b15091735723e2002ed8caaf3e2e2e4325c83e7"
 
 
-def _tied(instance, seed, dead_end=False):
-    """The instance with costs redrawn from 0..3, so that minima tie, and
+def _tied(instance, seed, dead_end=False, top=3):
+    """The instance with costs redrawn from 0..top, so that minima tie, and
     with ``dead_end`` one more arc from a node on a path to a new node
     that leads nowhere."""
     rng = random.Random(seed)
     graph = instance.graph
-    rows = [(t, h, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+    rows = [(t, h, rng.randint(0, top), rng.randint(0, top), rng.randint(0, top))
             for t, h in zip(graph.tail, graph.head)]
     n = graph.node_count
     if dead_end:
@@ -54,15 +57,60 @@ def _instances():
         yield _tied(made, seed, dead_end=True)
 
 
-def test_answers_match_the_recorded_digest():
+def _relabelled(instance, seed, k):
+    """The instance with budget ``k``, one new node feeding the source
+    and one feeding a drawn node, and every node id shuffled: the source
+    has an in-arc, so it is never first in the topological order."""
+    rng = random.Random(seed)
+    graph = instance.graph
+    n = graph.node_count
+    rows = list(zip(graph.tail, graph.head, graph.first, graph.nominal, graph.deviation))
+    rows += [(n, instance.source, 1, 1, 0), (n + 1, rng.randrange(n), 0, 2, 1)]
+    label = list(range(n + 2))
+    rng.shuffle(label)
+    rows = [(label[t], label[h], *costs) for t, h, *costs in rows]
+    return Instance(MultiDigraph.from_rows(n + 2, rows), label[instance.source],
+                    label[instance.sink], k)
+
+
+def _mid_order_instances():
+    made = [generate_instance("asp", 60, arcs=40, k=2),
+            generate_instance("asp", 61, arcs=300, k=6),
+            generate_instance("layered", 62, nodes=30, arcs=90, k=3, layers=6),
+            generate_instance("dag", 63, nodes=40, arcs=150, k=3)]
+    for seed, instance in enumerate(made):
+        # costs up to 1 tie the k = 0 path's combined costs in every family
+        for variant in (instance, _tied(instance, seed), _tied(instance, seed, top=1)):
+            for k in (variant.k, 0):
+                yield _relabelled(variant, seed, k)
+
+
+def _digest(instances, check=lambda instance: None):
     digest = hashlib.sha256()
-    for instance in _instances():
+    for instance in instances:
         text = serialize_instance(instance)
         digest.update(text.encode())
         for method in ("auto", "asp", "layered", "dag"):
+            parsed = parse_instance(text)
+            check(parsed)
             try:
-                answer = serialize_solution(solve(parse_instance(text), method))
+                answer = serialize_solution(solve(parsed, method))
             except RecspError as error:
                 answer = type(error).__name__
             digest.update(f"{method}\n{answer}\n".encode())
-    assert digest.hexdigest() == DIGEST
+    return digest.hexdigest()
+
+
+def test_answers_match_the_recorded_digest():
+    assert _digest(_instances()) == DIGEST
+
+
+def _source_not_first(instance):
+    assert instance.graph.order[0] != instance.source
+
+
+def test_answers_from_a_source_mid_order_match_the_recorded_digest():
+    # every sweep from the source starts past the front of the order:
+    # the k = 0 path, the first table of dag's reduction and each pair's
+    # paths read back, under ties and in both graph forms
+    assert _digest(_mid_order_instances(), _source_not_first) == MID_ORDER_DIGEST

@@ -39,7 +39,7 @@ def longest_hops(graph: MultiDigraph, source: int) -> list[int]:
     head, (ids, starts) = graph.head, graph._out
     hops = [-1] * graph.node_count
     hops[source] = 0
-    for v in graph.order[graph.position[source]:]:
+    for v in graph.order[graph.order.index(source):]:
         h = hops[v] + 1
         if h:  # v is reached
             for a in ids[starts[v]:starts[v + 1]]:
@@ -174,7 +174,8 @@ def test_effective_k_caps_at_longest_path():
 def test_graph_is_sorted_once_and_sweeps_start_at_the_source():
     g = build(4, [(2, 0, 1, 1, 0), (0, 1, 1, 1, 0), (2, 3, 1, 1, 0), (1, 3, 1, 1, 0)])
     assert g.order == (2, 0, 1, 3) and g.order is g.order
-    assert g.position == [1, 2, 0, 3]
+    # node 2 comes before the source in the order and stays unreached
+    assert dag_shortest_paths(g, g.first, 0) == [0, 1, INF, 2]
 
 
 def test_layering_simple_chain():
@@ -201,7 +202,7 @@ def _layering_reference(instance):
     topological order, each checked where it is met again."""
     graph, on = instance.graph, instance.on_path
     layer = {instance.source: 1}
-    for v in graph.order[graph.position[instance.source]:]:
+    for v in graph.order[graph.order.index(instance.source):]:
         if not on[v]:
             continue
         for a in graph.out_arcs(v):
@@ -313,7 +314,7 @@ def _full_sweep(g, cost, source):
     with the parent arc of each: the smallest id among the best in-arcs."""
     dist, parent = [INF] * g.node_count, [None] * g.node_count
     dist[source] = 0
-    for v in g.order[g.position[source] + 1:]:
+    for v in g.order[g.order.index(source) + 1:]:
         for a in g.in_arcs(v):
             d = dist[g.tail[a]] + cost[a]
             if d < dist[v]:
@@ -349,9 +350,9 @@ def test_dag_shortest_paths_from_every_source_match_a_full_sweep():
                 for v in range(n):
                     assert shortest_path(g, cost, dist, source, v) == _walk(g, parent, source, v)
                 # stopped on reaching ``until``: final up to it in topological order
-                for until in g.order[g.position[source]:]:
+                for until in g.order[g.order.index(source):]:
                     dist = dag_shortest_paths(g, cost, source, until=until)
-                    done = g.order[:g.position[until] + 1]
+                    done = g.order[:g.order.index(until) + 1]
                     assert [dist[v] for v in done] == [want[v] for v in done]
                     for v in done:
                         got = shortest_path(g, cost, dist, source, v)
@@ -386,7 +387,7 @@ def test_hop_table_reads_the_in_arcs_of_nodes_in_reach_only(count_reads):
     # topological sort, which reads every node's out-arcs once, is made
     # before counting
     g = build(513, [(v, v + 1, 1, 0, 0) for v in range(512)])
-    g.position
+    g.order
     calls = count_reads(g, "_in", "_out")
     table = HopBoundedTable(g, g.upper, 0, 50)
     assert calls[0] == 50
@@ -477,7 +478,7 @@ class _BackpointerTable:
         marked = [False] * graph.node_count
         for a in graph.out_arcs(source):
             marked[head[a]] = True
-        for v in graph.order[graph.position[source] + 1:]:
+        for v in graph.order[graph.order.index(source) + 1:]:
             if not marked[v]:
                 continue
             row = [INF] * width
@@ -547,10 +548,10 @@ def test_hop_table_paths_match_the_backpointer_table():
                     for l in range(max_hops + 1):
                         assert table.path_to(v, l) == want.path_to(v, l)
                         queries += 1
-                for until in g.order[g.position[source]:]:
-                    stop = g.position[until] + 1
+                for until in g.order[g.order.index(source):]:
+                    stop = g.order.index(until) + 1
                     cut = HopBoundedTable(g, cost, source, max_hops, until=until)
-                    assert cut.reached == [v for v in table.reached if g.position[v] < stop]
+                    assert cut.reached == [v for v in table.reached if g.order.index(v) < stop]
                     for v in g.order[:stop]:
                         assert cut.dist[v] == table.dist[v]
                         for l in range(max_hops + 1):

@@ -1,10 +1,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recsp.errors import ValidationError
 from recsp.graph import Instance, MultiDigraph
-from recsp.solution import build_solution, verify_solution
+from recsp.instance_io import ARRAY_MIN_CHARS, parse_instance, serialize_instance
+from recsp.oracle import enumerate_st_paths
+from recsp.solution import Solution, build_solution, verify_solution
 
 
 def diamond(k):
@@ -75,3 +79,66 @@ def test_verify_rejects_arc_swap_that_breaks_cost():
     result = verify_solution(inst, bad)
     assert not result.accepted
     assert "divergence" in result.reason
+
+
+def _broken(draw, path, m):
+    """``path`` as drawn, kept half the time; else truncated, reversed or
+    with an arc id out of range."""
+    fault = draw(st.sampled_from(["none"] * 3 + ["truncated", "reversed", "out of range"]))
+    if fault == "truncated":
+        return path[:draw(st.integers(0, len(path) - 1))]
+    if fault == "reversed":
+        return path[::-1]
+    if fault == "out of range":
+        at = draw(st.integers(0, len(path) - 1))
+        return path[:at] + (draw(st.sampled_from([-1, m, m + 3])),) + path[at + 1:]
+    return path
+
+
+@st.composite
+def stage_pairs(draw):
+    """An instance in either graph form and two arc-id sequences drawn from
+    its s-t paths, some broken, with some budgets below their divergence."""
+    n = draw(st.integers(3, 7))
+    rows = [(v, v + 1, draw(st.integers(-3, 5)), draw(st.integers(-3, 5)),
+             draw(st.integers(0, 3))) for v in range(n - 1)]
+    for _ in range(draw(st.integers(0, 10))):
+        tail = draw(st.integers(0, n - 2))
+        rows.append((tail, draw(st.integers(tail + 1, n - 1)), draw(st.integers(-3, 5)),
+                     draw(st.integers(-3, 5)), draw(st.integers(0, 3))))
+    graph = MultiDigraph.from_rows(n, rows)
+    paths = enumerate_st_paths(graph, 0, n - 1)
+    x = _broken(draw, draw(st.sampled_from(paths)), len(rows))
+    y = _broken(draw, draw(st.sampled_from(paths)), len(rows))
+    diverge = len(set(y) - set(x))
+    if diverge and draw(st.booleans()):
+        k = draw(st.integers(0, diverge - 1))
+    else:
+        k = draw(st.integers(0, n - 1))
+    instance = Instance(graph, 0, n - 1, k)
+    if draw(st.booleans()):
+        # comment lines make the text long enough for the byte scan
+        text = "#\n" * (ARRAY_MIN_CHARS // 2) + serialize_instance(instance)
+        instance = parse_instance(text)
+        assert "_arrays" in instance.graph.__dict__
+    return instance, x, y
+
+
+FIELD_CHECKS = ("divergence field", "first-stage cost", "second-stage cost", "total cost")
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(stage_pairs())
+def test_build_raises_the_reason_verify_gives(drawn):
+    # build_solution raises ValidationError(m) exactly when verify_solution
+    # rejects the same pair for a path or the budget with reason m;
+    # otherwise what it builds is accepted
+    instance, x, y = drawn
+    claimed = verify_solution(instance, Solution(x, y, 0, 0, 0, 0))
+    try:
+        built = build_solution(instance, x, y)
+    except ValidationError as error:
+        assert not claimed.accepted and claimed.reason == str(error)
+    else:
+        assert claimed.accepted or claimed.reason.startswith(FIELD_CHECKS)
+        assert verify_solution(instance, built).accepted
