@@ -1045,8 +1045,7 @@ def root_values(instance: Instance) -> RootValues:
 
 def solve_asp(instance: Instance) -> Solution:
     """Exact solver for arc series-parallel instances."""
-    if instance.k < 1:
-        raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
+    instance.require_positive_budget()
     _, opt, _, read_back = _sweep(instance, decompose(instance))
     best = min(opt)
     if best == INF:

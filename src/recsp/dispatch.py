@@ -19,7 +19,7 @@ METHODS = ("auto", "asp", "layered", "dag", "oracle")
 def _solve_zero_budget(instance: Instance) -> Solution:
     """With no recovery allowed both stages follow one combined-cheapest path."""
     graph = instance.graph
-    dist = dag_shortest_paths(graph, graph.combined, instance.source)
+    dist = dag_shortest_paths(graph, graph.combined, instance.source, until=instance.sink)
     path = shortest_path(graph, graph.combined, dist, instance.source, instance.sink)
     if path is None:
         raise InfeasibleError("sink unreachable")

@@ -11,13 +11,13 @@ adjacency from them, as two flat CSR (compressed sparse row) arrays:
 the arc ids ordered stably by tail and by head, each with ``node_count +
 1`` offsets, so that a node's out- or in-arcs are one slice, in ascending
 id order.  The ids by head are ordered on first read, since only reading
-paths back and the search for on-path nodes need them; everything else
-is built with the graph.  It
+a path back needs them; everything else is built with the graph.  It
 keeps its topological order once it has been computed; ``Instance``
 validation does so in one forward sweep that also counts the longest
 hops from the source, and those counts give the on-path nodes too
 unless some node the source reaches, other than the sink, has no
-out-arc.  The routines here read those and never sort the graph again.
+out-arc; then one sweep back along the order marks them over the
+out-arcs.  The routines here read those and never sort the graph again.
 Each column is built on first read in the form its reader wants: the
 exact Python-int lists the sweeps here read, and the int64 ``ends`` and
 ``costs`` that numpy code reads (the costs saturated at ``SATURATE``, so
@@ -124,8 +124,8 @@ class MultiDigraph:
     ``node_count + 1`` offsets into it, so that v's out-arcs are
     ``ids[starts[v]:starts[v + 1]]``; ``_in`` is the same by head, its
     offsets ``_in_starts`` counted with the graph and its ids ordered on
-    first read.  The sweeps of this module slice these pairs themselves;
-    other code reads ``out_arcs`` and ``in_arcs``.
+    first read, by path read-back only.  The sweeps here slice these
+    pairs; other code reads ``out_arcs`` and ``in_arcs``.
     """
 
     node_count: int
@@ -336,8 +336,8 @@ class Instance:
         reached node stays among reached nodes and ends at a node with no
         out-arc; so when the sink is the only such node reached, every
         reached node reaches it, and the hop counts of the validating sort
-        settle the mask.  Otherwise one search goes back from the sink over
-        the in-arcs, entering only nodes the source reaches.
+        settle the mask.  Otherwise one sweep back along the order from the
+        sink marks each reached node with an out-arc into a marked node.
         """
         graph, hops = self.graph, self.hops
         starts = graph._out[1]
@@ -346,7 +346,7 @@ class Instance:
         reached = (-1).__lt__
         if list(compress(dead, map(reached, map(hops.__getitem__, dead)))) == [self.sink]:
             return list(map(reached, hops))
-        return _search(*graph._in, graph.tail, self.sink, hops)
+        return _sweep_back(graph, self.sink, hops)
 
     @cached_property
     def on_mask(self) -> np.ndarray:
@@ -379,6 +379,10 @@ class Instance:
     def hop_array(self) -> np.ndarray:
         """``hops`` as an int64 array, made once."""
         return np.array(self.hops, dtype=np.int64)
+
+    def require_positive_budget(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
 
     @cached_property
     def effective_k(self) -> int:
@@ -426,21 +430,17 @@ def topological_order(graph: MultiDigraph, source: int | None = None):
     return order, hops
 
 
-def _search(ids, starts, ends, start: int, hops: list[int]) -> list[bool]:
-    """The nodes reached from ``start`` along the CSR ``ids`` and
-    ``starts``, each arc leading to its entry in ``ends``, through nodes
-    whose ``hops`` are >= 0 only."""
-    seen = [False] * len(hops)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for a in ids[starts[v]:starts[v + 1]]:
-            w = ends[a]
-            if not seen[w] and hops[w] >= 0:
-                seen[w] = True
-                stack.append(w)
-    return seen
+def _sweep_back(graph: MultiDigraph, sink: int, hops: list[int]) -> list[bool]:
+    """The nodes whose ``hops`` are >= 0 that reach ``sink``: one sweep
+    back along ``graph.order`` from the sink marks each such node with an
+    out-arc into a marked one, whose mark is final, as it comes later."""
+    head, (ids, starts), order = graph.head, graph._out, graph.order
+    on = [False] * graph.node_count
+    on[sink] = True
+    for v in reversed(order[:order.index(sink)]):
+        if hops[v] >= 0:
+            on[v] = any(on[head[a]] for a in ids[starts[v]:starts[v + 1]])
+    return on
 
 
 def check_layering(instance: Instance) -> None:

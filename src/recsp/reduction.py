@@ -15,8 +15,8 @@ source in the graph's topological order, as those kernels need:
 
 The builders find the pair transitions differently.  In a layered graph
 every path between two nodes has the same number of arcs, the layer gap,
-so ``build_layered_reduction`` needs no hop index: it handles every
-source at once in numpy arrays, one batched step per layer gap.
+so ``layered_columns`` needs no hop index: it handles every source at
+once in numpy arrays, one batched step per layer gap.
 ``build_dag_reduction`` sweeps from one source at a time: a hop-bounded
 table for the recovery stage, and a first-stage sweep that stops at the
 last node the table reached.
@@ -64,13 +64,37 @@ def _direct(graph, on, i: int) -> list[tuple]:
 
 
 def layered_columns(instance: Instance):
-    """The transitions ``build_layered_reduction`` lists, as columns.
+    """Transitions for a layered instance, as columns.
 
     Returns ``(nodes, tail, head, cost, time, arc)``: ``nodes`` maps the
     compact ids, the on-path nodes' topological ranks, to node ids; the
-    other five are arrays over the transitions in list order, with tails
-    and heads as compact ids and ``arc`` an object array, None for a pair
-    transition.  See ``build_layered_reduction`` for how they are built.
+    other five are arrays over the transitions in the order given below,
+    with tails and heads as compact ids and ``arc`` an object array, None
+    for a pair transition.
+
+    Raises NotLayeredError (via the layering pass) when the graph, pruned
+    to the nodes on source-sink paths, is not layered.  Pair transitions
+    join every node pair whose layers differ by at most the budget.  A
+    pair's time is the layer gap: split an optimal stage pair at the
+    nodes both paths visit; between two consecutive such nodes the stages
+    either share one arc (a direct transition) or the recovery stretch has
+    no arc of the first-stage path, so it diverges by exactly the gap, as
+    in ``build_dag_reduction``.
+
+    All sources are handled at once, in arrays over the compact ids.  The
+    arcs joining on-path nodes are reduced to one entry per (tail, head)
+    pair: the cheapest first-stage and upper costs, and the cheapest combined
+    cost with its first arc on ties (the direct transition).  The pairs
+    one layer apart are the entries; those g + 1 apart extend each pair g
+    apart by the entries out of its head and keep the least first-stage
+    and upper cost per (tail, head).  The direct transitions are sorted by
+    first arc, and each gap's pairs come sorted by tail and head, so one
+    stable sort by tail lists, for each source in topological order, its
+    direct transitions by the first arc to each head, then its pair
+    transitions by gap and by the heads' topological order.  Costs are
+    int64, read from the graph's int64 cost columns, when no sum formed
+    here can leave that range, and exact Python ints in object arrays
+    otherwise.
     """
     check_layering(instance)
     graph = instance.graph
@@ -136,33 +160,8 @@ def layered_columns(instance: Instance):
 
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
-    """Transitions for a layered instance.
-
-    Raises NotLayeredError (via the layering pass) when the graph, pruned
-    to the nodes on source-sink paths, is not layered.  Pair transitions
-    join every node pair whose layers differ by at most the budget.  A
-    pair's time is the layer gap: split an optimal stage pair at the
-    nodes both paths visit; between two consecutive such nodes the stages
-    either share one arc (a direct transition) or the recovery stretch has
-    no arc of the first-stage path, so it diverges by exactly the gap, as
-    in ``build_dag_reduction``.
-
-    All sources are handled at once, in arrays over compact node ids, the
-    on-path nodes' topological ranks (``layered_columns``).  The arcs
-    joining on-path nodes are reduced to one entry per (tail, head) pair:
-    the cheapest first-stage and upper costs, and the cheapest combined
-    cost with its first arc on ties (the direct transition).  The pairs
-    one layer apart are the entries; those g + 1 apart extend each pair g
-    apart by the entries out of its head and keep the least first-stage
-    and upper cost per (tail, head).  The direct transitions are sorted by
-    first arc, and each gap's pairs come sorted by tail and head, so one
-    stable sort by tail lists, for each source in topological order, its
-    direct transitions by the first arc to each head, then its pair
-    transitions by gap and by the heads' topological order.  Costs are
-    int64, read from the graph's int64 cost columns, when no sum formed
-    here can leave that range, and exact Python ints in object arrays
-    otherwise.
-    """
+    """``layered_columns``' transitions as a list of tuples, in its order; no
+    solver calls it, but the tests and the benchmark's tracer do."""
     nodes, tail, head, cost, time, arc = layered_columns(instance)
     return list(zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
                     arc.tolist()))
@@ -251,18 +250,13 @@ def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
     return _solution(instance, [(i, j, l, a) for i, j, _, l, a in result[1]])
 
 
-def _require_positive_budget(instance: Instance):
-    if instance.k < 1:
-        raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
-
-
 def solve_layered(instance: Instance) -> Solution:
     """Exact solver for layered instances (every arc advances one layer).
 
     Runs ``solve_levels`` over ``layered_columns``, a node's level being
     its hop count: the source has rank 0 and the sink the last rank.
     """
-    _require_positive_budget(instance)
+    instance.require_positive_budget()
     nodes, tail, head, cost, time, arc = layered_columns(instance)
     result = solve_levels(instance.hop_array[nodes], tail, head, cost, time,
                           0, len(nodes) - 1, instance.effective_k)
@@ -275,5 +269,5 @@ def solve_layered(instance: Instance) -> Solution:
 
 def solve_dag(instance: Instance) -> Solution:
     """Exact solver for arbitrary acyclic instances."""
-    _require_positive_budget(instance)
+    instance.require_positive_budget()
     return _solve(instance, build_dag_reduction(instance))

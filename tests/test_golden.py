@@ -7,8 +7,11 @@ any answer, ties included, changes the digest.  The instances go through
 the large ones reach the solvers as the byte scan's arrays.
 """
 import hashlib
+import importlib
+import os
 import random
 
+import recsp
 from recsp.dispatch import solve
 from recsp.errors import RecspError
 from recsp.generator import generate_instance
@@ -20,6 +23,12 @@ DIGEST = "5d2f60953c51de81fc9fd4b1c7a498871637d3a1f07080c2ff03582ecc267b92"
 # the same for instances whose source is not first in the topological
 # order, recorded with the parent of the change that added it
 MID_ORDER_DIGEST = "e43697559d51f522e67716686b15091735723e2002ed8caaf3e2e2e4325c83e7"
+# auto's answers on the benchmark's instances at seeds 1 and 1009, recorded
+# with the parent of the change that added it
+WORKLOAD_DIGEST = "744335d45d984949153be03eed0e5553243146809685b589493914ca8e819aac"
+# named here, so that a workload added to the benchmark leaves it as it is
+WORKLOADS = ("asp-20k", "layered-40", "small-mixed")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def _tied(instance, seed, dead_end=False, top=3):
@@ -114,3 +123,18 @@ def test_answers_from_a_source_mid_order_match_the_recorded_digest():
     # the k = 0 path, the first table of dag's reduction and each pair's
     # paths read back, under ties and in both graph forms
     assert _digest(_mid_order_instances(), _source_not_first) == MID_ORDER_DIGEST
+
+
+def test_auto_answers_on_the_benchmark_instances_match_the_recorded_digest(monkeypatch):
+    # the specs come from the benchmark's own module, and each instance is
+    # generated, serialised and parsed as its set-up and timed pass do
+    monkeypatch.syspath_prepend(PERFBENCH)
+    bench = importlib.import_module("bench_workloads")
+    digest = hashlib.sha256()
+    for name in WORKLOADS:
+        for seed in (1, 1009):
+            for spec in bench.WORKLOADS[name](seed):
+                _, text = bench.generate(recsp, spec)
+                answer = serialize_solution(solve(parse_instance(text), "auto"))
+                digest.update(f"{answer}\n".encode())
+    assert digest.hexdigest() == WORKLOAD_DIGEST

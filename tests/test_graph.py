@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recsp.errors import CyclicGraphError, NotLayeredError, ValidationError
+from recsp.dispatch import solve
+from recsp.errors import CyclicGraphError, NotLayeredError, RecspError, ValidationError
 from recsp.graph import (
     INF,
     Arc,
@@ -20,7 +21,7 @@ from recsp.graph import (
     SATURATE,
     path_error,
     shortest_path,
-    _search,
+    _sweep_back,
     topological_order,
 )
 from recsp.generator import SplitMix64
@@ -747,15 +748,40 @@ def test_on_path_searches_back_only_past_a_reached_dead_end(monkeypatch, make, e
     searches = []
 
     def searching(*args):
-        searches.append(args[3])
-        return _search(*args)
+        searches.append(args[1])
+        return _sweep_back(*args)
 
-    monkeypatch.setattr("recsp.graph._search", searching)
+    monkeypatch.setattr("recsp.graph._sweep_back", searching)
     g = make(len(on), [(t, h, 1, 1, 0) for t, h in ends])
     inst = Instance(g, 0, sink, 1)
     assert inst.on_path == list(map(bool, on))
     assert searches == ([sink] if searched else [])
-    assert inst.on_path == _search(*g._in, g.tail, sink, inst.hops)
+    assert inst.on_path == _sweep_back(g, sink, inst.hops)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dags())
+@example((4, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 0), (0, 2, 1, 1, 0), (1, 3, 1, 1, 0)], 0))
+def test_on_path_and_asp_past_a_dead_end_leave_the_in_arcs_unordered(drawn):
+    # one more arc leads from the source to a new node with no out-arc, so
+    # the sort's hop counts do not settle the mask; only reading a path
+    # back orders the in-arc ids, and neither the mask nor asp does that
+    n, rows, source = drawn
+    rows = rows + [(source, n, 1, 1, 0)]
+    n += 1
+    for make in (build, build_from_arrays):
+        g = make(n, rows)
+        reach = _reached(g, source, lambda v: [g.head[a] for a in g.out_arcs(v)])
+        for sink in sorted(reach - {source, n - 1}):
+            inst = Instance(make(n, rows), source, sink, 1)
+            back = _reached(g, sink, lambda v: [g.tail[a] for a in g.in_arcs(v)])
+            assert inst.on_path == [v in reach and v in back for v in range(n)]
+            assert "_in" not in inst.graph.__dict__
+            try:
+                solve(inst, "asp")
+            except RecspError:
+                pass
+            assert "_in" not in inst.graph.__dict__
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

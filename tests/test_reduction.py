@@ -255,19 +255,19 @@ def _count_searches(monkeypatch, method, dead_end):
         rows.append((made.source, n, 1, 1, 0))
         n += 1
     sorts, searches = [], []
-    sort, search = recsp.graph.topological_order, recsp.graph._search
+    sort, search = recsp.graph.topological_order, recsp.graph._sweep_back
 
     def sorting(graph, source=None):
         sorts.append(source)
         return sort(graph, source)
 
-    def searching(ids, starts, ends, start, hops):
-        searches.append((start, ends))
-        return search(ids, starts, ends, start, hops)
+    def searching(graph, sink, hops):
+        searches.append((sink, graph))
+        return search(graph, sink, hops)
 
     graph = MultiDigraph.from_rows(n, rows)
     monkeypatch.setattr(recsp.graph, "topological_order", sorting)
-    monkeypatch.setattr(recsp.graph, "_search", searching)
+    monkeypatch.setattr(recsp.graph, "_sweep_back", searching)
     inst = Instance(graph, made.source, made.sink, made.k)
     sol = solve(inst, method)
     assert sorts == [inst.source]
@@ -282,7 +282,7 @@ def test_each_solve_searches_the_graph_once_each_way(monkeypatch, method):
     # end other than the sink, off every path, needs one search back from
     # the sink for the on-path mask, which reuses the forward hop counts
     searches, inst = _count_searches(monkeypatch, method, dead_end=True)
-    assert searches == [(inst.sink, inst.graph.tail)]
+    assert searches == [(inst.sink, inst.graph)]
 
 
 @pytest.mark.parametrize("method", ["layered", "dag", "auto"])
