@@ -443,15 +443,16 @@ def _sweep_back(graph: MultiDigraph, sink: int, hops: list[int]) -> list[bool]:
     return on
 
 
-def check_layering(instance: Instance) -> None:
-    """Raise NotLayeredError unless the nodes on source-sink paths can be
-    layered, naming the lowest-id arc that breaks the layering.
+def compute_layering(instance: Instance) -> dict[int, int]:
+    """Layer assignment for the nodes on source-sink paths, in topological
+    order: a map node -> layer with layer(source) = 1.
 
     Such a layering exists exactly when every arc between on-path nodes
     adds one to the longest hop count from the source, and then the layer
     is that count plus one: every path from the source to a node has the
     same number of arcs.  Nodes off all source-sink paths are pruned first;
-    they cannot carry any feasible solution.
+    they cannot carry any feasible solution.  Raises NotLayeredError
+    otherwise, naming the lowest-id arc that breaks the layering.
     """
     tails, heads = instance.graph.ends
     on, level = instance.on_mask, instance.hop_array
@@ -460,17 +461,6 @@ def check_layering(instance: Instance) -> None:
         a = int(bad[0])
         t, h = int(level[tails[a]]), int(level[heads[a]])
         raise NotLayeredError(f"arc {a} spans layers {t + 1}->{h + 1}, expected {t + 2}")
-
-
-def compute_layering(instance: Instance) -> dict[int, int]:
-    """Layer assignment for the nodes on source-sink paths.
-
-    Returns a map node -> layer with layer(source) = 1 and every surviving
-    arc going from layer h to h+1, the layer being the longest hop count
-    from the source plus one.  Raises NotLayeredError, as
-    ``check_layering``, when no such assignment exists on the pruned graph.
-    """
-    check_layering(instance)
     on, hops = instance.on_path, instance.hops
     return {v: hops[v] + 1 for v in instance.graph.order if on[v]}
 

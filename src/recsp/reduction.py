@@ -45,7 +45,7 @@ from .graph import (
     SATURATE,
     HopBoundedTable,
     Instance,
-    check_layering,
+    compute_layering,
     dag_shortest_paths,
     shortest_path,
 )
@@ -72,7 +72,7 @@ def layered_columns(instance: Instance):
     with tails and heads as compact ids and ``arc`` an object array, None
     for a pair transition.
 
-    Raises NotLayeredError (via the layering pass) when the graph, pruned
+    Raises NotLayeredError (via ``compute_layering``) when the graph, pruned
     to the nodes on source-sink paths, is not layered.  Pair transitions
     join every node pair whose layers differ by at most the budget.  A
     pair's time is the layer gap: split an optimal stage pair at the
@@ -96,11 +96,10 @@ def layered_columns(instance: Instance):
     here can leave that range, and exact Python ints in object arrays
     otherwise.
     """
-    check_layering(instance)
+    layer = compute_layering(instance)
     graph = instance.graph
     k = instance.effective_k
-    order = np.array(graph.order)
-    nodes = order[instance.on_mask[order]]
+    nodes = np.fromiter(layer, np.intp, len(layer))
     size = len(nodes)
     rank = np.full(graph.node_count, -1, np.intp)
     rank[nodes] = np.arange(size)

@@ -1,9 +1,12 @@
+import importlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+import recsp.graph
+import recsp.reduction
 from recsp import dispatch
 from recsp.asp import solve_asp, too_dense
 from recsp.dispatch import METHODS, solve
@@ -17,6 +20,8 @@ from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph
 from recsp.instance_io import serialize_solution
 from recsp.oracle import solve_bruteforce
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def bridge_instance(k=1):
@@ -157,3 +162,32 @@ def test_no_solve_imports_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_benchmark_tracer_times_autos_layering_test(monkeypatch):
+    # the tracer wraps compute_layering wherever a recsp module holds it,
+    # so auto's layered step must reach the layering test by that name
+    monkeypatch.syspath_prepend(PERFBENCH)
+    trace = importlib.import_module("bench_trace")
+    taken = generate_instance("layered", 3, nodes=30, arcs=90, k=3, layers=6)
+    rejected = generate_instance("dag", 3, nodes=12, arcs=30, k=2)
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        for inst in (taken, rejected):
+            dispatch.solve(inst, "auto")
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    name, parent, error = trace.NAME, trace.PARENT, trace.ERROR
+    solves = [i for i, s in enumerate(spans) if s[name] == "dispatch.solve"]
+    assert len(solves) == 2
+    errors = []
+    for d in solves:
+        layering = [s for s in spans if s[name] == "graph.layering"
+                    and spans[s[parent]][name] == "reduction.solve"
+                    and spans[s[parent]][parent] == d]
+        assert len(layering) == 1
+        errors.append(layering[0][error])
+    assert errors == [None, "NotLayeredError"]
+    assert recsp.reduction.compute_layering is recsp.graph.compute_layering

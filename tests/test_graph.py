@@ -13,7 +13,6 @@ from recsp.graph import (
     HopBoundedTable,
     Instance,
     MultiDigraph,
-    check_layering,
     compute_layering,
     dag_shortest_paths,
     divergence_count,
@@ -283,13 +282,11 @@ def test_layering_gives_the_error_text_and_map_of_the_arc_loop():
         try:
             want = _layering_loop(inst)
         except NotLayeredError as err:
-            for check in (check_layering, compute_layering):
-                with pytest.raises(NotLayeredError) as got:
-                    check(inst)
-                assert str(got.value) == str(err)
+            with pytest.raises(NotLayeredError) as got:
+                compute_layering(inst)
+            assert str(got.value) == str(err)
             verdicts.add("not layered")
             continue
-        assert check_layering(inst) is None
         assert compute_layering(inst) == want
         verdicts.add("layered")
     assert verdicts == {"layered", "not layered"}

@@ -1,6 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recsp.graph
 from recsp.csp import solve_levels
@@ -384,3 +387,26 @@ def test_solutions_expand_to_consistent_paths():
         assert verify_solution(inst, sol).accepted
         assert sol.divergence <= inst.k
         assert sol.total_cost == sol.first_cost + sol.second_cost
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 14), st.data())
+def test_dag_and_layered_give_the_same_answers_on_layered_graphs(seed, nodes, data):
+    # a generated layered graph with costs redrawn from small ranges, so
+    # that minima tie, and with node ids and arc order shuffled; every k
+    # up to one past the effective budget
+    layers = data.draw(st.integers(3, nodes), label="layers")
+    arcs = data.draw(st.integers(2 * nodes, 4 * nodes), label="arcs")
+    top = data.draw(st.integers(0, 3), label="top")
+    graph = generate_instance("layered", seed, nodes=nodes, arcs=arcs, k=1, layers=layers).graph
+    rng = random.Random(seed)
+    ids = list(range(nodes))
+    rng.shuffle(ids)
+    rows = [(ids[t], ids[h], rng.randint(-1, top), rng.randint(-1, top), rng.randint(0, top))
+            for t, h in zip(graph.tail, graph.head)]
+    rng.shuffle(rows)
+    g = MultiDigraph.from_rows(nodes, rows)
+    budget = Instance(g, ids[0], ids[-1], nodes - 1).effective_k
+    for k in range(1, min(budget + 1, nodes - 1) + 1):
+        inst = Instance(g, ids[0], ids[-1], k)
+        assert serialize_solution(solve(inst, "dag")) == serialize_solution(solve(inst, "layered"))
