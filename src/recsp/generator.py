@@ -10,16 +10,23 @@ platform, or in any other language implementing the same recurrence:
     z = (z XOR (z >> 27)) * 0x94D049BB133111EB mod 2^64
     output = z XOR (z >> 31)
 
-``randint(lo, hi)`` draws one output and reduces it modulo the range
-size.  Cost ranges are fixed: first-stage and nominal costs in [1, 100],
-deviations in [0, 100].
+The state is a counter: draw i (from 1) is ``mix(seed + i * gamma)``, with
+gamma the added constant and ``mix`` the last four lines.  ``randint(lo,
+hi)`` draws one output and reduces it modulo the range size.  The families
+draw in numpy blocks (``draws``), each draw's range known up front or
+following elementwise from earlier draws, with only uint64 operands
+(uint64 with int64 gives float64, which loses bits).  Cost ranges are
+fixed: first-stage and nominal costs in [1, 100], deviations in [0, 100].
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ConfigError
 from .graph import Instance, MultiDigraph
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 FAMILIES = ("layered", "dag", "asp")
 
@@ -31,11 +38,22 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GAMMA) & _MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def draws(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array, as ``count`` calls
+        of ``next_u64`` give them."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi], both ends included."""
@@ -44,8 +62,18 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def _costs(rng: SplitMix64):
-    return rng.randint(1, 100), rng.randint(1, 100), rng.randint(0, 100)
+def _arcs(rng: SplitMix64, count: int, width: int):
+    """``count`` arcs' draws: ``width - 3`` uint64 columns for the ends, and
+    the last three as int64 (first, nominal, deviation) costs."""
+    block = rng.draws(count * width).reshape(count, width)
+    costs = block[:, -3:] % np.array([100, 100, 101], dtype=np.uint64)
+    return block[:, :-3], costs.astype(np.int64) + [1, 1, 0]
+
+
+def _instance(nodes, tails, heads, costs, sink, k):
+    columns = [np.concatenate(tails).tolist(), np.concatenate(heads).tolist()]
+    graph = MultiDigraph(nodes, *columns, *np.concatenate(costs).T.tolist())
+    return Instance(graph, 0, sink, k)
 
 
 def _check_k(k: int, nodes: int):
@@ -64,57 +92,53 @@ def _gen_layered(rng, nodes, arcs, k, layers):
     if layers == 2 and middle > 0:
         raise ConfigError("layers=2 leaves no layer for the middle nodes")
     _check_k(k, nodes)
+    if arcs < nodes - 1:  # each node but the source takes an in-arc; before any draw
+        raise ConfigError(f"layered family needs at least nodes - 1 = {nodes - 1} arcs")
 
-    sizes = [1] + [1] * (layers - 2) + [1]
-    for _ in range(middle - (layers - 2)):
-        sizes[rng.randint(1, layers - 2)] += 1
-    layer_nodes = []
-    next_id = 1
-    for li, size in enumerate(sizes):
-        if li == 0:
-            layer_nodes.append([0])
-        elif li == layers - 1:
-            layer_nodes.append([nodes - 1])
-        else:
-            layer_nodes.append(list(range(next_id, next_id + size)))
-            next_id += size
-
-    rows = []
-    for a, b in zip(layer_nodes, layer_nodes[1:]):
-        # round-robin wiring gives every node an arc on both sides
-        for i in range(max(len(a), len(b))):
-            rows.append((a[i % len(a)], b[i % len(b)], *_costs(rng)))
-    if arcs < len(rows):
-        raise ConfigError(
-            f"layered family needs at least {len(rows)} arcs for this layout"
-        )
-    while len(rows) < arcs:
-        li = rng.randint(0, layers - 2)
-        tail = layer_nodes[li][rng.randint(0, len(layer_nodes[li]) - 1)]
-        head = layer_nodes[li + 1][rng.randint(0, len(layer_nodes[li + 1]) - 1)]
-        rows.append((tail, head, *_costs(rng)))
-    return Instance(MultiDigraph.from_rows(nodes, rows), 0, nodes - 1, k)
+    # each middle layer holds one node, and each further node joins a drawn one
+    grow = rng.draws(middle - (layers - 2)) % np.uint64(layers - 2) + np.uint64(1)
+    sizes = np.bincount(grow.astype(np.intp), minlength=layers) + 1
+    start = np.cumsum(sizes) - sizes
+    # round-robin wiring gives every node an arc on both sides
+    width = np.maximum(sizes[:-1], sizes[1:])
+    wired = int(width.sum())
+    if arcs < wired:
+        raise ConfigError(f"layered family needs at least {wired} arcs for this layout")
+    pair = np.repeat(np.arange(layers - 1), width)
+    i = np.arange(wired) - np.repeat(np.cumsum(width) - width, width)
+    _, wired_costs = _arcs(rng, wired, 3)
+    picks, costs = _arcs(rng, arcs - wired, 6)
+    li = (picks[:, 0] % np.uint64(layers - 1)).astype(np.intp)
+    size = sizes.astype(np.uint64)
+    tails = [start[pair] + i % sizes[pair], start[li] + (picks[:, 1] % size[li]).astype(np.int64)]
+    heads = [start[pair + 1] + i % sizes[pair + 1],
+             start[li + 1] + (picks[:, 2] % size[li + 1]).astype(np.int64)]
+    return _instance(nodes, tails, heads, [wired_costs, costs], nodes - 1, k)
 
 
 def _gen_dag(rng, nodes, arcs, k):
     if nodes < 2:
         raise ConfigError("dag family needs at least 2 nodes")
     _check_k(k, nodes)
-    rows = []
-    outdeg = [0] * nodes
-    for v in range(1, nodes):
-        tail = rng.randint(0, v - 1)
-        rows.append((tail, v, *_costs(rng)))
-        outdeg[tail] += 1
-    for v in range(nodes - 1):
-        if outdeg[v] == 0:
-            rows.append((v, rng.randint(v + 1, nodes - 1), *_costs(rng)))
-    if arcs < len(rows):
-        raise ConfigError(f"dag family needs at least {len(rows)} arcs here")
-    while len(rows) < arcs:
-        tail = rng.randint(0, nodes - 2)
-        rows.append((tail, rng.randint(tail + 1, nodes - 1), *_costs(rng)))
-    return Instance(MultiDigraph.from_rows(nodes, rows), 0, nodes - 1, k)
+    if arcs < nodes - 1:  # as for layered
+        raise ConfigError(f"dag family needs at least nodes - 1 = {nodes - 1} arcs")
+    # each node but the source takes a tail below it; each node but the sink
+    # without an out-arc, and each extra arc's drawn tail, a head above it
+    top = np.uint64(nodes - 1)
+    head = np.arange(1, nodes, dtype=np.uint64)
+    below, first_costs = _arcs(rng, nodes - 1, 4)
+    tails = [below[:, 0] % head]
+    outdeg = np.bincount(tails[0].astype(np.intp), minlength=nodes)
+    dead = np.flatnonzero(outdeg[:-1] == 0).astype(np.uint64)
+    if arcs < nodes - 1 + len(dead):
+        raise ConfigError(f"dag family needs at least {nodes - 1 + len(dead)} arcs here")
+    picks, dead_costs = _arcs(rng, len(dead), 4)
+    extra, extra_costs = _arcs(rng, arcs - nodes + 1 - len(dead), 5)
+    tail = extra[:, 0] % top
+    tails += [dead, tail]
+    heads = [head, dead + np.uint64(1) + picks[:, 0] % (top - dead),
+             tail + np.uint64(1) + extra[:, 1] % (top - tail)]
+    return _instance(nodes, tails, heads, [first_costs, dead_costs, extra_costs], nodes - 1, k)
 
 
 def _gen_asp(rng, arcs, k):
@@ -128,18 +152,21 @@ def _gen_asp(rng, arcs, k):
         raise ConfigError("asp family needs at least 1 arc")
     if k < 0:
         raise ConfigError("k must be >= 0")
-    ops: list[tuple] = [("leaf",)] * arcs
+    # step s joins two of the arcs - s items left into composition arcs + s,
+    # in series if its third draw is even
+    left = np.arange(arcs, 1, -1, dtype=np.uint64)
+    picks = rng.draws(3 * (arcs - 1)).reshape(arcs - 1, 3)
+    firsts = (picks[:, 0] % left).tolist()
+    seconds = (picks[:, 1] % (left - np.uint64(1))).tolist()
+    series = (picks[:, 2] % np.uint64(2) == 0).tolist()
+    parts = []
     items = list(range(arcs))
-    while len(items) > 1:
-        i = rng.randint(0, len(items) - 1)
+    for i, j, in_series in zip(firsts, seconds, series):
         a = items[i]
         items[i] = items[-1]
         items.pop()
-        j = rng.randint(0, len(items) - 1)
-        b = items[j]
-        kind = "series" if rng.randint(0, 1) == 0 else "parallel"
-        ops.append((kind, a, b))
-        items[j] = len(ops) - 1
+        parts.append((a, items[j], in_series))
+        items[j] = arcs + len(parts) - 1
 
     tails = [0] * arcs
     heads = [0] * arcs
@@ -147,21 +174,22 @@ def _gen_asp(rng, arcs, k):
     stack = [(items[0], 0, 1)]
     while stack:
         idx, tail, head = stack.pop()
-        op = ops[idx]
-        if op[0] == "leaf":
+        if idx < arcs:
             tails[idx] = tail
             heads[idx] = head
-        elif op[0] == "parallel":
-            stack.append((op[2], tail, head))
-            stack.append((op[1], tail, head))
-        else:
+            continue
+        a, b, in_series = parts[idx - arcs]
+        if in_series:
             mid = next_id
             next_id += 1
-            stack.append((op[2], mid, head))
-            stack.append((op[1], tail, mid))
+            stack.append((b, mid, head))
+            stack.append((a, tail, mid))
+        else:
+            stack.append((b, tail, head))
+            stack.append((a, tail, head))
     nodes = next_id
-    rows = [(tails[i], heads[i], *_costs(rng)) for i in range(arcs)]
-    return Instance(MultiDigraph.from_rows(nodes, rows), 0, 1, min(k, nodes - 1))
+    _, costs = _arcs(rng, arcs, 3)
+    return _instance(nodes, [tails], [heads], [costs], 1, min(k, nodes - 1))
 
 
 def generate_instance(
