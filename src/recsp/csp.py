@@ -23,9 +23,10 @@ import numpy as np
 
 from .graph import INF
 
-# int64 rows hold no path as this sentinel plus a sum of costs; see
-# solve_levels
+# int64 rows hold no path as this sentinel plus a sum of costs, and
+# solve_levels requires every such sum below LEVEL_LIMIT in magnitude
 _SENTINEL = 1 << 62
+LEVEL_LIMIT = _SENTINEL >> 1
 
 
 def solve_csp(node_count, transitions, source, sink, budget):
@@ -94,10 +95,11 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
 
     ``rows`` are the positions in the columns of the transitions on the
     path, in path order.  ``tail``, ``head`` and ``time`` are integer
-    arrays, ``cost`` an int64 or object array, all in list order.  Every
-    transition has ``level[head] > level[tail]`` and a time of at most
-    ``budget``, and the source is on the lowest level, so no transition
-    enters it.
+    arrays, ``cost`` an int64 array, all in list order.  Every transition
+    has ``level[head] > level[tail]`` and a time of at most ``budget``,
+    the source is on the lowest level, so no transition enters it, and
+    every chain of transitions sums to less than ``LEVEL_LIMIT`` in
+    magnitude.
 
     One stable sort groups the transitions by head, the heads numbered by
     level, keeping list order within each head.  Each level then takes one
@@ -108,36 +110,15 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
     ``solve_csp``'s backpointers would give it: at each node, the earliest
     transition in list order whose tail's row plus its cost attains the
     node's row.  The temporaries hold one level's transitions times the
-    budget's width, and the rows the nodes times that width.
-
-    Every value the rows hold is a sum of costs along a chain of
-    transitions, and a chain climbs at most the span of levels, so a
-    transition costing at most c per level it climbs bounds every such
-    sum by B = c times that span.  A row with no path is a sentinel above
-    2B plus such a sum, so it stays above B and reads as infinite.  The
-    rows are int64 with the sentinel 2**62 when B < 2**61, and exact
-    Python ints in object arrays, with the sentinel 2B + 1, otherwise.
+    budget's width, and the rows the nodes times that width.  A row with
+    no path holds the sentinel 2**62 plus the sum of a chain, so it stays
+    in int64 and at or above ``LEVEL_LIMIT``, where no path's cost is.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     width = budget + 1
     level = np.asarray(level, dtype=np.int64)
     size = len(level)
-    climb = level[head] - level[tail]
-    big = cost.dtype == object
-    if not big:
-        big = max(int(cost.max(initial=0)), -int(cost.min(initial=0))) >= _SENTINEL
-    if big:
-        per_level = max((-(-abs(c) // s) for c, s in zip(cost.tolist(), climb.tolist())),
-                        default=0)
-    else:
-        per_level = int((-(-np.abs(cost) // climb)).max(initial=0))
-    bound = per_level * int(level.max() - level.min())
-    if big or bound >= _SENTINEL >> 1:
-        big, sentinel, cost = True, 2 * bound + 1, cost.astype(object)
-    else:
-        sentinel = _SENTINEL
-
     # number the nodes by level: sorted by that number, the heads come
     # level by level (a 16-bit key sorts by radix)
     by_level = level.argsort(kind="stable")
@@ -162,7 +143,7 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
     # rows padded on the left by budget sentinel columns, so that a
     # transition of time l reads its tail's row shifted by l
     span = budget + width
-    dist = np.full((size, span), sentinel, dtype=object if big else np.int64)
+    dist = np.full((size, span), _SENTINEL, dtype=np.int64)
     start = row[source]
     dist[start, budget] = 0
     flat = dist.reshape(-1)
@@ -181,7 +162,7 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
     # the path ends at the sink's first least entry, as in solve_csp
     t = int(dist[v].argmin())
     total = dist[v, t]
-    if total > bound:
+    if total >= LEVEL_LIMIT:
         return None
     dist = dist.tolist()
     path = []

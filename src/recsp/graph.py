@@ -339,14 +339,13 @@ class Instance:
         settle the mask.  Otherwise one sweep back along the order from the
         sink marks each reached node with an out-arc into a marked node.
         """
-        graph, hops = self.graph, self.hops
+        graph, hops, sink = self.graph, self.hops, self.sink
         starts = graph._out[1]
-        dead = list(compress(range(graph.node_count),
-                             map(operator.eq, starts, islice(starts, 1, None))))
+        dead = compress(range(graph.node_count), map(operator.eq, starts, islice(starts, 1, None)))
         reached = (-1).__lt__
-        if list(compress(dead, map(reached, map(hops.__getitem__, dead)))) == [self.sink]:
+        if starts[sink] == starts[sink + 1] and sum(map(reached, map(hops.__getitem__, dead))) == 1:
             return list(map(reached, hops))
-        return _sweep_back(graph, self.sink, hops)
+        return _sweep_back(graph, sink, hops)
 
     @cached_property
     def on_mask(self) -> np.ndarray:

@@ -23,10 +23,10 @@ last node the table reached.
 
 ``dag`` lists the transitions as tuples for ``solve_csp``.  ``layered``
 keeps them as the build's columns (``layered_columns``) and solves them
-with ``solve_levels``, a node's level being its layer; it finds the
-optimum ``solve_csp`` finds over ``build_layered_reduction``'s list,
-ties included.  Costs are exact either way: int64 where a bound proves
-every sum fits, Python ints in object arrays otherwise.
+with ``solve_levels``, a node's level being its layer, in int64 only;
+past one magnitude guard it runs ``solve_csp`` over the exact list of
+``build_layered_reduction`` instead.  Both find the same optimum, ties
+included.
 
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
@@ -35,14 +35,11 @@ from its tail, for the pair transitions on the optimum only.
 """
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from .csp import run_starts, solve_csp, solve_levels
+from .csp import LEVEL_LIMIT, run_starts, solve_csp, solve_levels
 from .errors import InfeasibleError
 from .graph import (
-    SATURATE,
     HopBoundedTable,
     Instance,
     compute_layering,
@@ -64,7 +61,7 @@ def _direct(graph, on, i: int) -> list[tuple]:
 
 
 def layered_columns(instance: Instance):
-    """Transitions for a layered instance, as columns.
+    """Transitions for a layered instance as int64 columns, or None past the guard.
 
     Returns ``(nodes, tail, head, cost, time, arc)``: ``nodes`` maps the
     compact ids, the on-path nodes' topological ranks, to node ids; the
@@ -81,20 +78,22 @@ def layered_columns(instance: Instance):
     no arc of the first-stage path, so it diverges by exactly the gap, as
     in ``build_dag_reduction``.
 
+    Then the guard, the one place that picks int64 or exact: a transition
+    costs at most F + U per layer it climbs, F and U the largest first-stage
+    and upper magnitudes of the on-path arcs, and a chain climbs at most the
+    sink's hop count h, so B = h(F + U) bounds every sum formed here and in
+    ``solve_levels``.  When B reaches ``LEVEL_LIMIT`` (as it does when a
+    cost is clipped at SATURATE) nothing is built and None is returned.
+
     All sources are handled at once, in arrays over the compact ids.  The
     arcs joining on-path nodes are reduced to one entry per (tail, head)
     pair: the cheapest first-stage and upper costs, and the cheapest combined
     cost with its first arc on ties (the direct transition).  The pairs
     one layer apart are the entries; those g + 1 apart extend each pair g
     apart by the entries out of its head and keep the least first-stage
-    and upper cost per (tail, head).  The direct transitions are sorted by
-    first arc, and each gap's pairs come sorted by tail and head, so one
-    stable sort by tail lists, for each source in topological order, its
-    direct transitions by the first arc to each head, then its pair
-    transitions by gap and by the heads' topological order.  Costs are
-    int64, read from the graph's int64 cost columns, when no sum formed
-    here can leave that range, and exact Python ints in object arrays
-    otherwise.
+    and upper cost per (tail, head).  One stable sort by tail lists, for
+    each source in topological order, its direct transitions, then its
+    pair transitions by gap and by the heads' topological order.
     """
     layer = compute_layering(instance)
     graph = instance.graph
@@ -106,16 +105,9 @@ def layered_columns(instance: Instance):
     tails, heads = graph.ends
     tails, heads = rank[tails], rank[heads]
     arcs = (np.minimum(tails, heads) >= 0).nonzero()[0]
-    costs = graph.costs
-    # a pair sums at most k first-stage and k upper costs; the clipped
-    # columns are exact when no cost reaches SATURATE
-    bound = int(np.abs(costs[:2]).max(axis=1).sum())
-    if bound < SATURATE and 2 * (k + 1) * bound < 1 << 63:
-        first, upper = costs[0, arcs], costs[1, arcs]
-    else:
-        m = graph.arc_count
-        costs = np.fromiter(chain(graph.first, graph.upper), object, 2 * m)
-        first, upper = costs[arcs], costs[arcs + m]
+    first, upper = graph.costs[:2, arcs]
+    if instance.hops[instance.sink] * int(np.abs(first).max() + np.abs(upper).max()) >= LEVEL_LIMIT:
+        return None
     combined = first + upper
     key = tails[arcs] * size + heads[arcs]
     order = np.lexsort((combined, key))  # stable: the first arc wins ties
@@ -127,11 +119,7 @@ def layered_columns(instance: Instance):
     upper = np.minimum.reduceat(upper[order], start)
     degree = np.bincount(tail, minlength=size)
     offset = degree.cumsum() - degree
-    # directs by their first arc, pairs by tail and head: the stable sort
-    # by tail at the end keeps both orders within each tail
-    by_first = np.minimum.reduceat(order, start).argsort()
-    direct = direct[by_first]
-    columns = [(tail[by_first], head[by_first], combined[direct])]
+    columns = [(tail, head, combined[direct])]
     s, v, f, u = tail, head, first, upper
     for gap in range(1, k + 1):
         columns.append((s, v, f + u))
@@ -159,11 +147,16 @@ def layered_columns(instance: Instance):
 
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
-    """``layered_columns``' transitions as a list of tuples, in its order; no
-    solver calls it, but the tests and the benchmark's tracer do."""
-    nodes, tail, head, cost, time, arc = layered_columns(instance)
-    return list(zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
-                    arc.tolist()))
+    """``layered_columns``' transitions as a list of exact tuples, for
+    ``solve_csp`` past the int64 guard: once the layering is checked,
+    ``build_dag_reduction``'s, each tail's sorted stably by time.  A layered
+    graph gives each node pair within the budget one pair transition, of
+    time the layer gap, so each source lists its direct transitions by
+    first arc, then its pair transitions by gap and by the heads'
+    topological order."""
+    compute_layering(instance)
+    place = {v: p for p, v in enumerate(instance.graph.order)}
+    return sorted(build_dag_reduction(instance), key=lambda tr: (place[tr[0]], tr[3]))
 
 
 def build_dag_reduction(instance: Instance) -> list[tuple]:
@@ -253,10 +246,15 @@ def solve_layered(instance: Instance) -> Solution:
     """Exact solver for layered instances (every arc advances one layer).
 
     Runs ``solve_levels`` over ``layered_columns``, a node's level being
-    its hop count: the source has rank 0 and the sink the last rank.
+    its hop count: the source has rank 0 and the sink the last rank.  Past
+    the columns' int64 guard it runs ``solve_csp`` over
+    ``build_layered_reduction`` instead, which finds the same optimum.
     """
     instance.require_positive_budget()
-    nodes, tail, head, cost, time, arc = layered_columns(instance)
+    columns = layered_columns(instance)
+    if columns is None:
+        return _solve(instance, build_layered_reduction(instance))
+    nodes, tail, head, cost, time, arc = columns
     result = solve_levels(instance.hop_array[nodes], tail, head, cost, time,
                           0, len(nodes) - 1, instance.effective_k)
     if result is None:

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from recsp.graph import (
     topological_order,
 )
 from recsp.generator import SplitMix64
+from recsp.instance_io import parse_instance
 
 
 def build(n, rows):
@@ -754,6 +756,24 @@ def test_on_path_searches_back_only_past_a_reached_dead_end(monkeypatch, make, e
     assert inst.on_path == list(map(bool, on))
     assert searches == ([sink] if searched else [])
     assert inst.on_path == _sweep_back(g, sink, inst.hops)
+
+
+def test_on_path_memory_follows_the_mask():
+    # a short text declaring 200,000 nodes, all but the source without an
+    # out-arc: the mask's list of n entries is the only thing sized by n
+    # that the test may build, not a list of the nodes with no out-arc
+    n = 200_000
+    text = f"p recsp {n} 1 0 1 1\na 0 1 1 1 0\n"
+    assert len(text) < 64
+    inst = parse_instance(text)
+    tracemalloc.start()
+    try:
+        on = inst.on_path
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert on[:2] == [True, True] and not any(on[2:])
+    assert peak <= 1.25 * 8 * n + (1 << 20)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recsp.graph
-from recsp.csp import solve_levels
+from recsp import reduction
+from recsp.csp import LEVEL_LIMIT, solve_levels
 from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
@@ -181,9 +182,11 @@ def test_layered_build_matches_the_per_source_sweep_in_order():
     for seed in range(6):
         instances.append(generate_instance("layered", seed, nodes=60, arcs=240, k=4, layers=12))
     for inst in instances:
-        transitions = build_layered_reduction(inst)
-        assert transitions == _layered_reference(inst)
-        assert sorted(transitions, key=lambda tr: tr[:4]) == sorted(
+        assert build_layered_reduction(inst) == _layered_reference(inst)
+        nodes, tail, head, cost, time, arc = layered_columns(inst)
+        columns = zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
+                      arc.tolist())
+        assert sorted(columns, key=lambda tr: tr[:4]) == sorted(
             build_dag_reduction(inst), key=lambda tr: tr[:4])
 
 
@@ -204,6 +207,63 @@ def test_layered_build_is_exact_past_int64(sign):
         assert verify_solution(inst, sol).accepted
         assert parse_solution(serialize_solution(sol)) == sol
         assert build_layered_reduction(inst) == _layered_reference(inst)
+
+
+def _guarded(hops, bound, sign):
+    """A layered graph whose sink is ``hops`` arcs from the source, two
+    nodes wide in between, with small costs but for one first-stage cost
+    of sign ``sign`` that puts the guard's bound at ``bound``, and a stub
+    off every path that costs far more."""
+    rng = SplitMix64(hops)
+    layers = [[0], *([2 * i + 1, 2 * i + 2] for i in range(hops - 1)), [2 * hops - 1]]
+    rows = [(t, h, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(0, 3))
+            for here, there in zip(layers, layers[1:]) for t in here for h in there]
+    upper = max(2, *(abs(nominal + deviation) for *_, nominal, deviation in rows))
+    rows += [(0, layers[1][0], sign * (bound // hops - upper), 1, 1),
+             (0, 2 * hops, sign << 62, 0, 0)]
+    return MultiDigraph.from_rows(2 * hops + 1, rows), 2 * hops - 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("hops, offset", [(1, -1), (3, -2), (1, 0), (4, 0)])
+def test_the_int64_guard_sends_the_layered_solve_to_the_tuple_kernel(monkeypatch, hops, offset,
+                                                                     sign):
+    # the guard's bound just below, then at, the limit (the largest multiple
+    # of the hop count below it, 2**61 - 1 being prime): the level kernel
+    # runs below the limit and not at it; both ways the answer is the
+    # oracle's total, and the tuple kernel's answer byte for byte
+    bound = LEVEL_LIMIT + offset
+    calls = []
+
+    def spying(*args):
+        calls.append(args)
+        return solve_levels(*args)
+
+    monkeypatch.setattr(reduction, "solve_levels", spying)
+    graph, sink = _guarded(hops, bound, sign)
+    on = range(graph.arc_count - 1)  # all but the stub
+    assert hops * (max(abs(graph.first[a]) for a in on) + max(abs(graph.upper[a]) for a in on)) \
+        == bound
+    for k in range(1, hops + 1):
+        inst = Instance(graph, 0, sink, k)
+        calls.clear()
+        sol = solve(inst, "layered")
+        assert len(calls) == (bound < LEVEL_LIMIT)
+        assert sol.total_cost == solve_bruteforce(inst).total_cost
+        assert verify_solution(inst, sol).accepted
+        listed = reduction._solve(inst, build_layered_reduction(inst))
+        assert serialize_solution(listed) == serialize_solution(sol)
+    assert (layered_columns(inst) is None) == (bound >= LEVEL_LIMIT)
+
+
+def test_an_unlayered_graph_past_the_guard_is_refused():
+    big = 1 << 62
+    g = MultiDigraph.from_rows(3, [(0, 1, big, big, 0), (1, 2, big, 1, 0), (0, 2, 1, big, 0)])
+    inst = Instance(g, 0, 2, 1)
+    for run in (solve_layered, layered_columns, build_layered_reduction):
+        with pytest.raises(NotLayeredError):
+            run(inst)
+    assert solve(inst).total_cost == solve_bruteforce(inst).total_cost
 
 
 def test_level_kernel_memory_follows_the_transitions():
