@@ -97,6 +97,7 @@ changes no finite entry and no tie.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -637,24 +638,16 @@ def _queue(tails, heads, items, s, t, height: list, hops: list):
         w, after = outs.popitem()
         before = succ[u].pop(v)
         pred[w].discard(v)
-        if type(before) is deque:
-            if type(after) is deque:
-                # merge the shorter run into the longer one
-                if len(before) >= len(after):
-                    before.extend(after)
-                else:
-                    after.extendleft(reversed(before))
-                    before = after
-            else:
-                before.append(after if type(after) is int else close(after))
-            run = before
-        elif type(after) is deque:
-            after.appendleft(before if type(before) is int else close(before))
-            run = after
+        if type(before) is not deque:
+            before = deque((before if type(before) is int else close(before),))
+        if type(after) is not deque:
+            before.append(after if type(after) is int else close(after))
+        elif len(before) >= len(after):  # merge the shorter run into the longer one
+            before.extend(after)
         else:
-            run = deque((before if type(before) is int else close(before),
-                         after if type(after) is int else close(after)))
-        add(u, w, run)
+            after.extendleft(reversed(before))
+            before = after
+        add(u, w, before)
         for x in (u, w):
             if x != s and x != t and x not in queued:
                 pending.append(x)
@@ -795,17 +788,9 @@ def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:
     """Where the block from ``lo`` ends: the most nodes up to ``end`` whose
     count times the span of the last, ``min(w, lead + 1)``, stays within
     ``room``, and at least one.  Within a height spans never fall, so the
-    last node's is the widest."""
-    if (end - lo) * min(w, lead[end - 1] + 1) <= room:
-        return end
-    fits, over = lo + 1, end
-    while over - fits > 1:
-        mid = (fits + over) // 2
-        if (mid - lo) * min(w, lead[mid - 1] + 1) <= room:
-            fits = mid
-        else:
-            over = mid
-    return fits
+    last node's is the widest and the products rise, as ``bisect`` needs."""
+    return lo + max(1, bisect_right(range(lo + 1, end + 1), room,
+                                    key=lambda i: (i - lo) * min(w, lead[i - 1] + 1)))
 
 
 def _evaluate(instance: Instance, tree: DecompTree):

@@ -29,7 +29,7 @@ An instance is read one of two ways, to the same result.  An ASCII
 text of at least ``ARRAY_MIN_CHARS`` characters is scanned as one numpy
 array of its bytes: token and line edges, then the arc numbers of all
 lines at once, with no ``str`` per token.  That scan takes only what is
-plainly valid (arc numbers of at most 18 digits, for one) and otherwise
+plainly valid (int64 arc numbers of up to 19 digits, for one) and otherwise
 gives up without raising.  Shorter texts, and the ones it gives up on,
 are split line by line into ``str`` tokens, whose arc lines are still
 checked and converted all at once; a line is looked at on its own only
@@ -59,9 +59,9 @@ _ARC_NAMES = ("tail", "head", "first-stage cost", "nominal cost", "deviation")
 # numpy 2.4) it took 233 us against 219 us split by line at 1.3 KB,
 # 257 against 271 us at 1.6 KB, and 2.1 against 12.7 ms at 98 KB.
 ARRAY_MIN_CHARS = 1500
-# at most 18 digits, so that every number the byte scan takes fits in int64
-_MAX_DIGITS = 18
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# at most 19 digits, so that every number the byte scan reads fits in uint64
+_MAX_DIGITS = 19
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 
 
 def _content_lines(text: str):
@@ -206,8 +206,8 @@ def _scan_bytes(text: str):
     ``_problem`` to check; the arc lines are checked and converted here.
     Returns None, and never raises, for anything else: no first content
     line of 7 tokens, an arc line of other than 6 tokens or not tagged
-    ``a``, a number that is not ``[+-]?[0-9]{1,18}``.  The caller then
-    parses the text line by line.
+    ``a``, a number that is not ``[+-]?[0-9]{1,19}`` or is outside int64.
+    The caller then parses the text line by line.
     """
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     # str.split() separators: \t \n \v \f \r, \x1c-\x1f and space;
@@ -239,7 +239,7 @@ def _scan_bytes(text: str):
     starts, ends = starts[arcs].reshape(-1, 6), ends[arcs].reshape(-1, 6)
     if (ends[:, 0] - starts[:, 0] != 1).any() or (data[starts[:, 0]] != 97).any():
         return None
-    # the numbers, column by column: an optional sign, then 1 to 18 digits
+    # the numbers, column by column: an optional sign, then 1 to 19 digits
     begin, end = starts[:, 1:].T.ravel(), ends[:, 1:].T.ravel()
     sign = data[begin]
     negative = sign == 45
@@ -247,7 +247,7 @@ def _scan_bytes(text: str):
     if len(width) and not 1 <= width.min() <= width.max() <= _MAX_DIGITS:
         return None
     # digit times 10**place, summed one place at a time from the right
-    values = np.zeros(len(width), np.int64)
+    values = np.zeros(len(width), np.uint64)
     end -= 1
     for place in range(width.max() if len(width) else 0):
         digits = data[end] - np.uint8(48)  # a byte below '0' wraps past 9
@@ -256,6 +256,9 @@ def _scan_bytes(text: str):
             return None
         values += digits * _POW10[place]
         end -= 1
+    if (values > np.uint64(_INT64_MAX) + negative).any():
+        return None
+    values = values.view(np.int64)  # -2**63 negates to itself
     np.negative(values, out=values, where=negative)
     return problem, values.reshape(5, -1)
 

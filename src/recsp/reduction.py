@@ -24,9 +24,9 @@ last node the table reached.
 ``dag`` lists the transitions as tuples for ``solve_csp``.  ``layered``
 keeps them as the build's columns (``layered_columns``) and solves them
 with ``solve_levels``, a node's level being its layer, in int64 only;
-past one magnitude guard it runs ``solve_csp`` over the exact list of
-``build_layered_reduction`` instead.  Both find the same optimum, ties
-included.
+past one magnitude guard it runs ``solve_csp`` over ``dag``'s exact
+list, as ``build_layered_reduction`` returns it once the layering is
+checked.  Both find the same optimum, ties included.
 
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
@@ -147,16 +147,13 @@ def layered_columns(instance: Instance):
 
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
-    """``layered_columns``' transitions as a list of exact tuples, for
-    ``solve_csp`` past the int64 guard: once the layering is checked,
-    ``build_dag_reduction``'s, each tail's sorted stably by time.  A layered
-    graph gives each node pair within the budget one pair transition, of
-    time the layer gap, so each source lists its direct transitions by
-    first arc, then its pair transitions by gap and by the heads'
-    topological order."""
+    """``layered_columns``' transitions as exact tuples, for ``solve_csp``
+    past the int64 guard: ``build_dag_reduction``'s list, once the layering
+    is checked.  Its order differs, but each head's transitions come in the
+    same order (tails topologically, a direct one before a pair one), and
+    ``solve_csp`` reads a tail's row only once it is final: same optimum."""
     compute_layering(instance)
-    place = {v: p for p, v in enumerate(instance.graph.order)}
-    return sorted(build_dag_reduction(instance), key=lambda tr: (place[tr[0]], tr[3]))
+    return build_dag_reduction(instance)
 
 
 def build_dag_reduction(instance: Instance) -> list[tuple]:

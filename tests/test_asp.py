@@ -1,4 +1,6 @@
+import importlib
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -19,6 +21,8 @@ from recsp.instance_io import parse_instance, serialize_instance
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.reduction import solve_dag, solve_layered
 from recsp.solution import verify_solution
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def parallel_pair(k):
@@ -641,6 +645,92 @@ def test_parallel_step_takes_the_first_least_candidate(seed):
     want_values, want_first, want_code, want_side = _parallel_by_argmin(children, child_first)
     assert (values == want_values).all() and (first == want_first).all()
     assert (code == want_code).all() and (side == want_side).all()
+
+
+def _block_end_by_search(lead, lo, end, w, room):
+    """The block cut by a hand-written bisection, the reference for
+    ``asp._block_end``."""
+    if (end - lo) * min(w, lead[end - 1] + 1) <= room:
+        return end
+    fits, over = lo + 1, end
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if (mid - lo) * min(w, lead[mid - 1] + 1) <= room:
+            fits = mid
+        else:
+            over = mid
+    return fits
+
+
+def _check_cut(lead, lo, end, w, room):
+    hi = asp._block_end(lead, lo, end, w, room)
+    assert hi == _block_end_by_search(lead, lo, end, w, room)
+    assert lo < hi <= end
+    # a block of two nodes or more keeps count times span within room
+    assert hi - lo == 1 or (hi - lo) * min(w, lead[hi - 1] + 1) <= room
+
+
+@st.composite
+def block_cuts(draw):
+    """(lead, lo, end, w, room) as a height's plan gives them: parallel
+    nodes lead with 1, then series nodes by nondecreasing lead."""
+    parallel = draw(st.integers(0, 30))
+    series = sorted(draw(st.lists(st.integers(1, 80), min_size=1 - min(parallel, 1),
+                                  max_size=30)))
+    lead = [1] * parallel + series
+    lo = draw(st.integers(0, len(lead) - 1))
+    end = draw(st.integers(lo + 1, len(lead)))
+    return lead, lo, end, draw(st.integers(1, 90)), draw(st.integers(0, 4000))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(block_cuts())
+def test_block_cuts_match_the_search(cut):
+    # blocks only split the work, so a wrong cut changes no answer
+    _check_cut(*cut)
+
+
+def test_block_cuts_of_the_benchmark_sweeps_match_the_search(monkeypatch):
+    # every block _evaluate cuts for asp-20k at seed 1, recorded as cut
+    monkeypatch.syspath_prepend(PERFBENCH)
+    bench = importlib.import_module("bench_workloads")
+    cuts = []
+
+    def recording(*args):
+        cuts.append(args)
+        return block_end(*args)
+
+    block_end = asp._block_end
+    monkeypatch.setattr(asp, "_block_end", recording)
+    for family, seed, kwargs in bench.WORKLOADS["asp-20k"](1):
+        solve_asp(generate_instance(family, seed, **kwargs))
+    monkeypatch.undo()
+    # some heights are split into several blocks
+    assert any(block_end(*cut) < cut[2] for cut in cuts)
+    for cut in cuts:
+        _check_cut(*cut)
+
+
+@pytest.mark.parametrize("bundled", [False, True], ids=["path", "bundles"])
+def test_array_rounds_stop_at_once_below_the_least_kept_arcs(monkeypatch, bundled):
+    # 300 arcs, but only the 100 of a path (or of 50 two-arc bundles in
+    # series) lie on source-sink paths: the 200 enter the source from
+    # nodes it cannot reach.  The rounds are over from the start, so their
+    # first merge (or chain) ends them and the queue builds a small tree
+    rows = [(i // 2 if bundled else i, i // 2 + 1 if bundled else i + 1, *_costs(i))
+            for i in range(100)]
+    sink = 50 if bundled else 100
+    rows += [(sink + 1 + i % 20, 0, *_costs(i)) for i in range(200)]
+    inst = Instance(MultiDigraph.from_rows(sink + 21, rows), 0, sink, 3)
+    assert inst.graph.arc_count >= asp.ARRAY_MIN_ARCS
+    calls = []
+    rounds = asp._rounds
+    monkeypatch.setattr(asp, "_rounds", lambda *args: calls.append(args) or rounds(*args))
+    assert type(decompose(inst).built) is asp._Columns
+    assert len(calls) == 1
+    sol = solve_asp(inst)
+    assert sol.total_cost == solve_dag(inst).total_cost
+    assert verify_solution(inst, sol).accepted
 
 
 def test_asp_solves_a_scanned_graph_without_its_in_arcs():

@@ -192,8 +192,8 @@ def test_auto_falls_through_on_overflow_but_asp_exits_10(tmp_path, capsys):
                          ids=["int64 ends", "18 digits"])
 @pytest.mark.parametrize("on_path", [True, False], ids=["leaf arc", "off every path"])
 def test_long_files_keep_extreme_costs_exact(tmp_path, capsys, costs, on_path):
-    # long enough for the byte scan, which reads numbers of up to 18
-    # digits as int64 arrays and leaves the int64 ends to the line parse
+    # long enough for the byte scan, which reads numbers of up to 19
+    # digits within int64, the int64 ends included, as int64 arrays
     inst = generate_instance("asp", 3, arcs=120, k=3)
     g = inst.graph
     rows = [*zip(g.tail, g.head, g.first, g.nominal, g.deviation)]
@@ -205,7 +205,7 @@ def test_long_files_keep_extreme_costs_exact(tmp_path, capsys, costs, on_path):
         rows.append((inst.sink, n - 1, *costs))
     text = serialize_instance(Instance(MultiDigraph.from_rows(n, rows), inst.source, inst.sink, 3))
     assert len(text) >= ARRAY_MIN_CHARS
-    assert (instance_io._scan_bytes(text) is None) == (max(map(abs, costs)) >= 10**18)
+    assert instance_io._scan_bytes(text) is not None
     parsed, by_lines = parse_instance(text), instance_io._parse_lines(text)
     first, nominal, deviation = costs
     assert parsed.graph.upper[arc] == nominal + deviation

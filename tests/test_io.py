@@ -9,6 +9,7 @@ from recsp import instance_io
 from recsp.dispatch import solve
 from recsp.errors import CyclicGraphError, ParseError, RecspError, ValidationError
 from recsp.generator import SplitMix64, generate_instance
+from recsp.graph import Instance, MultiDigraph
 from recsp.instance_io import (
     ARRAY_MIN_CHARS,
     parse_instance,
@@ -334,7 +335,7 @@ NOISE_LINES = ["", "  ", "\t\x1f", "#", "# note", "  #a 0 1 2 3 4", "\x1f#\x00 p
 COSTS = ["0", "-0", "+0", "7", "-7", "+12", "007", "-0042", "9" * 18, "-" + "9" * 18,
          "+" + "1" * 18, "0" * 17 + "5"]
 WIDE_COSTS = [str((1 << 63) - 1), str(-(1 << 63)), str(-(1 << 63) + 1), "+" + str((1 << 63) - 1),
-              "0" * 18 + "1"]  # 19 digits or more
+              "0" * 18 + "1", "-" + "0" * 17 + "123"]  # 19 digits or more
 
 
 def _node(rng, v):
@@ -346,7 +347,7 @@ def _node(rng, v):
 def long_texts(draw):
     """(text, wide): a path instance of valid arc lines in every layout
     the formats allow, at least ARRAY_MIN_CHARS long; ``wide`` when some
-    number has 19 digits or more."""
+    number has 20 digits or more, or is outside int64."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     m = draw(st.integers(60, 160))
     # "ascii" texts are the byte scan's to read; the others it leaves
@@ -376,7 +377,9 @@ def long_texts(draw):
             text.replace("\t", "\u00a0"), text.replace(" ", "\u2003", 3),
             text.replace("5", "\u0665"), text.replace("\r", "\u2028"),
         ]))
-    return text, any(len(token.lstrip("+-")) > 18 for row in rows for token in row)
+    numbers = [token for row in rows[1:] for token in row[1:]]
+    return text, any(len(token.lstrip("+-")) > 19 or not -(1 << 63) <= int(token) < 1 << 63
+                     for token in numbers)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -387,6 +390,41 @@ def test_byte_scan_reads_what_the_line_parse_reads(case):
     assert parse_instance(text) == instance_io._parse_lines(text)
     if text.isascii():
         assert (instance_io._scan_bytes(text) is None) == wide
+
+
+@pytest.mark.parametrize("cost", [str((1 << 63) - 1), str(-(1 << 63)), str(1 << 63),
+                                  str(-(1 << 63) - 1), "0" * 18 + "1"])
+def test_byte_scan_reads_19_digits_within_int64(cost):
+    # the scan reads the int64 ends and 19 digits with leading zeros as
+    # the line parse does, and leaves a number past either end to it
+    rows = serialize_instance(generate_instance("asp", 3, arcs=120, k=3)).splitlines()
+    tokens = rows[1].split()
+    tokens[3] = cost  # the first arc's first-stage cost
+    text = "\n".join([rows[0], " ".join(tokens), *rows[2:]]) + "\n"
+    assert len(text) >= ARRAY_MIN_CHARS
+    inside = -(1 << 63) <= int(cost) < 1 << 63
+    scanned = instance_io._scan_bytes(text)
+    assert (scanned is not None) == inside
+    if inside:
+        assert scanned[1][2, 0] == int(cost)
+        assert parse_instance(text) == instance_io._parse_lines(text)
+    else:
+        with pytest.raises(ParseError):
+            parse_instance(text)
+
+
+def test_byte_scan_reads_a_layered_file_of_19_digit_costs():
+    # a layered-40 instance with every cost times 2**55: 19-digit costs,
+    # past the layered solve's int64 guard
+    made = generate_instance("layered", 7, nodes=200, arcs=800, k=5, layers=40)
+    g = made.graph
+    costs = ([c << 55 for c in column] for column in (g.first, g.nominal, g.deviation))
+    inst = Instance(MultiDigraph(g.node_count, g.tail, g.head, *costs), made.source, made.sink,
+                    made.k)
+    text = serialize_instance(inst)
+    assert max(len(token.lstrip("-")) for token in text.split()) == 19
+    assert instance_io._scan_bytes(text) is not None
+    assert parse_instance(text) == instance_io._parse_lines(text) == inst
 
 
 @st.composite

@@ -256,6 +256,49 @@ def test_the_int64_guard_sends_the_layered_solve_to_the_tuple_kernel(monkeypatch
     assert (layered_columns(inst) is None) == (bound >= LEVEL_LIMIT)
 
 
+def _shuffled_layered(rng, scale):
+    """A layered graph with node ids shuffled, so that its topological
+    order mixes layers, and costs of 0 to 3 times ``scale``, so that
+    minima tie, and one isolated node, so that k may pass the longest
+    path; returns the graph, its source and its sink."""
+    widths = [1] + [rng.randint(1, 4) for _ in range(rng.randint(1, 5))] + [1]
+    layers, n = [], 0
+    for w in widths:
+        layers.append(list(range(n, n + w)))
+        n += w
+    label = list(range(n))
+    rng.shuffle(label)
+    rows = []
+    for here, there in zip(layers, layers[1:]):
+        pairs = [(rng.choice(here), v) for v in there] + [(v, rng.choice(there)) for v in here]
+        pairs += [(rng.choice(here), rng.choice(there)) for _ in range(rng.randint(0, 4))]
+        rows += [(label[u], label[v], *(rng.randint(0, 3) * scale for _ in range(3)))
+                 for u, v in pairs]
+    return MultiDigraph.from_rows(n + 1, rows), label[0], label[n - 1]
+
+
+def test_the_exact_list_solves_the_same_in_any_tail_order():
+    # solve_csp over build_layered_reduction's list as built, and over the
+    # same list sorted stably by the tail's place in the topological order
+    # and by time: each head sees its transitions in the same order, so
+    # the answers agree byte for byte, ties included
+    rng = random.Random(2718)
+    differ = 0
+    for draw in range(150):
+        for scale in (1, 1 << 60):
+            graph, s, t = _shuffled_layered(rng, scale)
+            place = {v: p for p, v in enumerate(graph.order)}
+            hops = Instance(graph, s, t, 1).hops[t]
+            for k in range(1, hops + 2):
+                inst = Instance(graph, s, t, k)
+                listed = build_layered_reduction(inst)
+                ordered = sorted(listed, key=lambda tr: (place[tr[0]], tr[3]))
+                differ += listed != ordered
+                assert serialize_solution(reduction._solve(inst, listed)) == serialize_solution(
+                    reduction._solve(inst, ordered))
+    assert differ
+
+
 def test_an_unlayered_graph_past_the_guard_is_refused():
     big = 1 << 62
     g = MultiDigraph.from_rows(3, [(0, 1, big, big, 0), (1, 2, big, 1, 0), (0, 2, 1, big, 0)])
