@@ -11,11 +11,11 @@ of reaching it, with no sort and no adjacency lists.  The path ends at the
 sink's first least entry, which allows any time within the budget.
 
 ``solve_csp`` takes the transitions as a list of tuples and relaxes them
-one by one in Python.  ``solve_levels`` takes them as array columns
-together with a level per node, below every transition's head and above
-its tail, and takes one batched numpy step per level.  Both return the
-same optimum: the least cost, then the least time, then, at each node on
-the way back, the earliest transition in list order that attains it.
+one by one in Python.  ``solve_levels`` takes them as array columns over
+nodes numbered level by level, listed by head, each climbing a level or
+more; it takes one batched numpy step per level.  Both return the same
+optimum: the least cost, then the least time, then, at each node on the
+way back, the earliest transition in list order that attains it.
 """
 from __future__ import annotations
 
@@ -89,24 +89,23 @@ def run_starts(key):
     return new.nonzero()[0]
 
 
-def solve_levels(level, tail, head, cost, time, source, sink, budget):
+def solve_levels(starts, tail, head, cost, time, budget):
     """``(cost, rows)`` of the optimum ``solve_csp`` finds over the
-    transitions given as columns, or None when there is none.
+    columns from node 0 to the last node, or None when there is none.
 
     ``rows`` are the positions in the columns of the transitions on the
-    path, in path order.  ``tail``, ``head`` and ``time`` are integer
-    arrays, ``cost`` an int64 array, all in list order.  Every transition
-    has ``level[head] > level[tail]`` and a time of at most ``budget``,
-    the source is on the lowest level, so no transition enters it, and
-    every chain of transitions sums to less than ``LEVEL_LIMIT`` in
+    path, in path order.  ``starts`` lists each level's first node, then
+    the node count; node 0, the source, is alone on the lowest level.
+    ``tail``, ``head`` and ``time`` are integer arrays, ``cost`` an int64
+    array, listed by ascending head; every node but the source heads a
+    transition, each from a lower level with a time of at most ``budget``,
+    and every chain of transitions sums to less than ``LEVEL_LIMIT`` in
     magnitude.
 
-    One stable sort groups the transitions by head, the heads numbered by
-    level, keeping list order within each head.  Each level then takes one
-    batched step: gather each tail's row shifted by the transition's time,
-    add the costs, and keep the least per head and time
-    (``np.minimum.reduceat``).  The tails lie on lower levels, so their
-    rows are final.  Only the path is read back, from the rows, as
+    Each level takes one batched step: gather each tail's row shifted by
+    the transition's time, add the costs, and keep the least per head and
+    time (``np.minimum.reduceat``).  The tails lie on lower levels, so
+    their rows are final.  Only the path is read back, from the rows, as
     ``solve_csp``'s backpointers would give it: at each node, the earliest
     transition in list order whose tail's row plus its cost attains the
     node's row.  The temporaries hold one level's transitions times the
@@ -117,63 +116,41 @@ def solve_levels(level, tail, head, cost, time, source, sink, budget):
     if budget < 0:
         raise ValueError("budget must be >= 0")
     width = budget + 1
-    level = np.asarray(level, dtype=np.int64)
-    size = len(level)
-    # number the nodes by level: sorted by that number, the heads come
-    # level by level (a 16-bit key sorts by radix)
-    by_level = level.argsort(kind="stable")
-    number = np.empty(size, np.intp)
-    number[by_level] = np.arange(size)
-    key = number[head].astype(np.uint16 if size <= 1 << 16 else np.intp)
-    order = key.argsort(kind="stable")
-    key, tail, cost, time = key[order], tail[order], cost[order], time[order]
-    cuts = run_starts(key)
-    fed = by_level[key[cuts]]
-    # rows: the heads in that order, then the other nodes
-    row = np.full(size, len(cuts), np.intp)
-    row[fed] = np.arange(len(cuts))
-    rest = (row == len(cuts)).nonzero()[0]
-    row[rest] = np.arange(len(cuts), size)
-    # the heads of each level, and each head's transitions from the first
-    # of its level
-    levels = np.append(run_starts(level[fed]), len(cuts))
-    local = cuts - cuts[levels[:-1]].repeat(np.diff(levels))
-    cuts = np.append(cuts, len(key)).tolist()
-    levels = levels.tolist()
+    # head v's transitions are cuts[v]:cuts[v + 1]; the source's are none
+    cuts = np.concatenate(([0], run_starts(head), [len(head)]))
     # rows padded on the left by budget sentinel columns, so that a
     # transition of time l reads its tail's row shifted by l
     span = budget + width
-    dist = np.full((size, span), _SENTINEL, dtype=np.int64)
-    start = row[source]
-    dist[start, budget] = 0
+    dist = np.full((starts[-1], span), _SENTINEL, dtype=np.int64)
+    dist[0, budget] = 0
     flat = dist.reshape(-1)
-    tail = row[tail]
     # where each transition's shifted row starts in the flat rows
     begin = (tail * span + budget - time)[:, None]
     columns = np.arange(width)
-    for a, b in zip(levels, levels[1:]):
+    for a, b in zip(starts[1:], starts[2:]):
         lo, hi = cuts[a], cuts[b]
         sums = flat.take(begin[lo:hi] + columns)
         sums += cost[lo:hi, None]
-        np.minimum.reduceat(sums, local[a:b], axis=0, out=dist[a:b, budget:])
+        np.minimum.reduceat(sums, cuts[a:b] - lo, axis=0, out=dist[a:b, budget:])
 
     dist = dist[:, budget:]
-    v = row[sink]
+    v = starts[-1] - 1
     # the path ends at the sink's first least entry, as in solve_csp
     t = int(dist[v].argmin())
     total = dist[v, t]
     if total >= LEVEL_LIMIT:
         return None
     dist = dist.tolist()
+    cuts = cuts.tolist()
     path = []
-    while v != start:
+    while v:
         want = dist[v][t]
         lo, hi = cuts[v], cuts[v + 1]
         for r, u, c, l in zip(range(lo, hi), tail[lo:hi].tolist(), cost[lo:hi].tolist(),
                               time[lo:hi].tolist()):
             if l <= t and dist[u][t - l] + c == want:
                 break
-        path.append(int(order[r]))
+        path.append(r)
         v, t = u, t - l
     path.reverse()
     return int(total), path

@@ -374,11 +374,6 @@ class Instance:
         s, t = rank[[self.source, self.sink]].tolist()
         return arcs, tail, head, int(rank[-1]) + 1, s, t
 
-    @cached_property
-    def hop_array(self) -> np.ndarray:
-        """``hops`` as an int64 array, made once."""
-        return np.array(self.hops, dtype=np.int64)
-
     def require_positive_budget(self):
         if self.k < 1:
             raise ValueError("k must be >= 1 here; solve() handles k = 0 directly")
@@ -454,7 +449,7 @@ def compute_layering(instance: Instance) -> dict[int, int]:
     otherwise, naming the lowest-id arc that breaks the layering.
     """
     tails, heads = instance.graph.ends
-    on, level = instance.on_mask, instance.hop_array
+    on, level = instance.on_mask, np.array(instance.hops, dtype=np.int64)
     bad = (on[tails] & on[heads] & (level[heads] != level[tails] + 1)).nonzero()[0]
     if len(bad):
         a = int(bad[0])

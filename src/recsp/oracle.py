@@ -11,7 +11,9 @@ from .errors import InfeasibleError, TooManyPathsError
 from .graph import INF, Instance, MultiDigraph, divergence_count, path_cost
 from .solution import Solution, build_solution
 
-DEFAULT_LIMIT = 100_000
+# the pair loops grow with the square of the path count: at 2,048 paths
+# they take 1.5 s (3 s for the root values) on a 2-vCPU host
+DEFAULT_LIMIT = 2_048
 
 
 def enumerate_st_paths(

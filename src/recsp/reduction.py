@@ -3,8 +3,9 @@
 Both solvers compile the two-stage problem into one budget-constrained
 shortest path problem over the original node ids, with the recovery
 budget as the time budget, and solve it with a kernel in ``csp``.  The
-builders list transitions ``(tail, head, cost, time, arc)`` source by
-source in the graph's topological order, as those kernels need:
+builders list transitions ``(tail, head, cost, time, arc)`` into a node
+before any out of it, and into each head by the tail's place in the
+topological order, a direct transition before a pair one:
 
 * a direct transition keeps one original arc ``arc`` in both stages: its
   cost is the cheapest combined two-stage cost among parallels, time 0;
@@ -21,12 +22,13 @@ once in numpy arrays, one batched step per layer gap.
 table for the recovery stage, and a first-stage sweep that stops at the
 last node the table reached.
 
-``dag`` lists the transitions as tuples for ``solve_csp``.  ``layered``
-keeps them as the build's columns (``layered_columns``) and solves them
-with ``solve_levels``, a node's level being its layer, in int64 only;
-past one magnitude guard it runs ``solve_csp`` over ``dag``'s exact
-list, as ``build_layered_reduction`` returns it once the layering is
-checked.  Both find the same optimum, ties included.
+``dag`` lists the transitions as tuples, source by source, for
+``solve_csp``.  ``layered`` keeps them as the build's columns, head by
+head (``layered_columns``), and solves them with ``solve_levels``, one
+batched step per layer, in int64 only; past one magnitude guard it runs
+``solve_csp`` over ``dag``'s exact list, as ``build_layered_reduction``
+returns it once the layering is checked.  Both find the same optimum,
+ties included.
 
 Only nodes on source-sink paths take part, and the budget is the
 instance's effective k.  A pair transition records just its endpoints
@@ -63,11 +65,12 @@ def _direct(graph, on, i: int) -> list[tuple]:
 def layered_columns(instance: Instance):
     """Transitions for a layered instance as int64 columns, or None past the guard.
 
-    Returns ``(nodes, tail, head, cost, time, arc)``: ``nodes`` maps the
-    compact ids, the on-path nodes' topological ranks, to node ids; the
-    other five are arrays over the transitions in the order given below,
-    with tails and heads as compact ids and ``arc`` an object array, None
-    for a pair transition.
+    Returns ``(nodes, starts, tail, head, cost, time, arc)``: ``nodes``
+    maps the compact ids, the on-path nodes by (layer, place in
+    ``graph.order``), to node ids; ``starts`` lists each layer's first id,
+    then the node count; the other five are arrays over the transitions in
+    the order given below, with tails and heads as compact ids and ``arc``
+    an object array, None for a pair transition.
 
     Raises NotLayeredError (via ``compute_layering``) when the graph, pruned
     to the nodes on source-sink paths, is not layered.  Pair transitions
@@ -91,15 +94,18 @@ def layered_columns(instance: Instance):
     cost with its first arc on ties (the direct transition).  The pairs
     one layer apart are the entries; those g + 1 apart extend each pair g
     apart by the entries out of its head and keep the least first-stage
-    and upper cost per (tail, head).  One stable sort by tail lists, for
-    each source in topological order, its direct transitions, then its
-    pair transitions by gap and by the heads' topological order.
+    and upper cost per (tail, head).  Two stable sorts list them by head,
+    then by the tail's place, the direct transition first: the order
+    ``solve_levels`` reads, each head's as in ``build_dag_reduction``.
     """
     layer = compute_layering(instance)
     graph = instance.graph
     k = instance.effective_k
-    nodes = np.fromiter(layer, np.intp, len(layer))
-    size = len(nodes)
+    size = len(layer)
+    # compact ids by (layer, place in graph.order): id i's place is place[i]
+    level = np.fromiter(layer.values(), np.intp, size)
+    place = level.argsort(kind="stable")
+    nodes = np.fromiter(layer, np.intp, size)[place]
     rank = np.full(graph.node_count, -1, np.intp)
     rank[nodes] = np.arange(size)
     tails, heads = graph.ends
@@ -140,10 +146,15 @@ def layered_columns(instance: Instance):
     sizes = [len(column[0]) for column in columns]
     time = np.arange(len(columns)).repeat(sizes)
     tail, head, cost = map(np.concatenate, zip(*columns))
-    order = tail.argsort(kind="stable")
     # an empty object array holds None: the pair transitions' arc
     arc = np.concatenate((arcs[direct], np.empty(len(time) - sizes[0], object)))
-    return nodes, tail[order], head[order], cost[order], time[order], arc[order]
+    # by head, by the tail's place, then by time (16-bit keys sort by radix)
+    small = np.uint16 if size <= 1 << 16 else np.intp
+    order = place.astype(small)[tail].argsort(kind="stable")
+    order = order[head.astype(small)[order].argsort(kind="stable")]
+    # layers count from 1: the running counts are each layer's first id
+    starts = np.bincount(level).cumsum().tolist()
+    return nodes, starts, tail[order], head[order], cost[order], time[order], arc[order]
 
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
@@ -242,18 +253,17 @@ def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
 def solve_layered(instance: Instance) -> Solution:
     """Exact solver for layered instances (every arc advances one layer).
 
-    Runs ``solve_levels`` over ``layered_columns``, a node's level being
-    its hop count: the source has rank 0 and the sink the last rank.  Past
-    the columns' int64 guard it runs ``solve_csp`` over
+    Runs ``solve_levels`` over ``layered_columns``, whose nodes come
+    numbered by layer, the source first and the sink last.  Past the
+    columns' int64 guard it runs ``solve_csp`` over
     ``build_layered_reduction`` instead, which finds the same optimum.
     """
     instance.require_positive_budget()
     columns = layered_columns(instance)
     if columns is None:
         return _solve(instance, build_layered_reduction(instance))
-    nodes, tail, head, cost, time, arc = columns
-    result = solve_levels(instance.hop_array[nodes], tail, head, cost, time,
-                          0, len(nodes) - 1, instance.effective_k)
+    nodes, starts, tail, head, cost, time, arc = columns
+    result = solve_levels(starts, tail, head, cost, time, instance.effective_k)
     if result is None:
         raise InfeasibleError("no stage pair within the recovery budget")
     rows = result[1]

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -229,6 +230,20 @@ def test_too_many_paths_exit_code(tmp_path, capsys):
     blowup.write_text("\n".join(lines) + "\n")
     assert main(["solve", "-i", str(blowup), "--method", "oracle"]) == 8
     capsys.readouterr()
+
+
+def test_the_oracle_exits_8_at_once_on_sixteen_gaps(tmp_path, capsys):
+    # 16 two-arc gaps: 65,536 paths, whose pair loops would run for about
+    # half an hour; the path cap stops the enumeration first
+    lines = ["p recsp 17 32 0 16 1"]
+    for gap in range(16):
+        lines.extend([f"a {gap} {gap + 1} 1 1 0"] * 2)
+    path = tmp_path / "sixteen.txt"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    assert main(["solve", "-i", str(path), "--method", "oracle"]) == 8
+    assert time.perf_counter() - start < 1
+    assert "2048" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["line parse", "byte scan"])

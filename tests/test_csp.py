@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -100,44 +102,39 @@ def test_matches_enumeration_on_random_instances():
 
 @st.composite
 def leveled_transitions(draw):
-    """Transitions that climb node levels, listed by their tail's level
-    (so every transition into a node comes before those out of it), from
-    a source on the lowest level and with times within the budget, as
-    ``solve_levels`` requires; small costs for ties, zero times,
-    unreachable tails and, through the budget, infeasible draws."""
-    n = draw(st.integers(2, 8))
-    level = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    """Transitions as ``solve_levels`` requires them: nodes numbered level
+    by level, the source (node 0) alone on the lowest and the sink (the
+    last node) alone on the highest, level 5 at most; every other node
+    fed, the transitions listed by head, each from a lower level with a
+    time within the budget.  Tails repeat within a head, costs are small,
+    so that minima tie, times may be 0, and through the budget the sink
+    may be out of reach."""
+    widths = [1, *draw(st.lists(st.integers(1, 3), max_size=4)), 1]
+    starts = list(accumulate(widths, initial=0))
     budget = draw(st.integers(0, 4))
-    source = draw(st.sampled_from([v for v in range(n) if level[v] == min(level)]))
-    if draw(st.integers(0, 2)):  # mostly to a highest node
-        sink = max(range(n), key=level.__getitem__)
-    else:
-        sink = draw(st.integers(0, n - 1))
     rows = []
-    for _ in range(draw(st.integers(0, 40))):
-        tail = draw(st.integers(0, n - 1))
-        above = [v for v in range(n) if level[v] > level[tail]]
-        if above:
-            head = draw(st.sampled_from(above))
-            rows.append((tail, head, draw(st.integers(-6, 6)), draw(st.integers(0, budget))))
-    rows.sort(key=lambda row: level[row[0]])
-    return level, rows, source, sink, budget
+    for level in range(1, len(widths)):
+        for head in range(starts[level], starts[level + 1]):
+            for tail in draw(st.lists(st.integers(0, starts[level] - 1), min_size=1, max_size=4)):
+                rows.append((tail, head, draw(st.integers(-6, 6)), draw(st.integers(0, budget))))
+    return starts, rows, budget
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(leveled_transitions(), st.sampled_from((1, 1 << 56)))
+@example(([0, 1, 2, 3], [(0, 1, 2, 1), (0, 1, 2, 0), (0, 1, 1, 1), (1, 2, 0, 1), (0, 2, 3, 0)],
+          1), 1)
+@example(([0, 1, 2, 3], [(0, 1, 0, 1), (0, 1, 5, 1), (1, 2, 0, 1)], 1), 1)
 def test_level_kernel_finds_the_list_kernels_path(drawn, scale):
     # a chain climbs at most five levels, so at 2**56 its costs sum to at
     # most 30 * 2**56, just below LEVEL_LIMIT: the top of the kernel's range
-    level, rows, source, sink, budget = drawn
+    starts, rows, budget = drawn
     transitions = [(i, j, c * scale, l, r) for r, (i, j, c, l) in enumerate(rows)]
-    want = solve_csp(len(level), transitions, source, sink, budget)
-    columns = [np.array(column, dtype=np.intp) for column in zip(*rows)] or [
-        np.zeros(0, np.intp)] * 4
-    costs = [c * scale for _, _, c, _ in rows]
-    got = solve_levels(level, columns[0], columns[1], np.array(costs, dtype=np.int64), columns[3],
-                       source, sink, budget)
+    want = solve_csp(starts[-1], transitions, 0, starts[-1] - 1, budget)
+    tail, head, _, time = (np.array(column, dtype=np.intp) for column in zip(*rows))
+    cost = np.array([c * scale for _, _, c, _ in rows], dtype=np.int64)
+    got = solve_levels(starts, tail, head, cost, time, budget)
     if want is None:
         assert got is None
     else:

@@ -172,7 +172,7 @@ def _transitions(build, inst):
 def _columns(inst):
     """``layered_columns``' transitions as tuples over node ids, sorted as
     ``_transitions`` sorts them."""
-    nodes, tail, head, cost, time, arc = layered_columns(inst)
+    nodes, _, tail, head, cost, time, arc = layered_columns(inst)
     rows = zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
                arc.tolist())
     return sorted(rows, key=lambda tr: tr[:4])

@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from recsp.errors import ConfigError, TooManyPathsError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph, dag_shortest_paths
-from recsp.oracle import enumerate_st_paths, solve_bruteforce
+from recsp.oracle import bruteforce_root_values, enumerate_st_paths, solve_bruteforce
 from recsp.solution import verify_solution
 
 
@@ -46,6 +48,18 @@ def test_enumerate_limit():
     with pytest.raises(TooManyPathsError):
         enumerate_st_paths(fan, 0, 1, limit=5)
     assert len(enumerate_st_paths(fan, 0, 1, limit=6)) == 6
+
+
+def test_the_default_cap_stops_the_pair_loops_at_once():
+    # 16 two-arc gaps give 65,536 paths; uncapped, the pair loops over
+    # them would run for about half an hour
+    rows = [(gap, gap + 1, 1, 1, 0) for gap in range(16) for _ in range(2)]
+    inst = Instance(MultiDigraph.from_rows(17, rows), 0, 16, 1)
+    for run in (solve_bruteforce, bruteforce_root_values):
+        start = time.perf_counter()
+        with pytest.raises(TooManyPathsError, match="more than 2048"):
+            run(inst)
+        assert time.perf_counter() - start < 1
 
 
 def test_bruteforce_on_frozen_micro_instances():

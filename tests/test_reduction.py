@@ -183,7 +183,7 @@ def test_layered_build_matches_the_per_source_sweep_in_order():
         instances.append(generate_instance("layered", seed, nodes=60, arcs=240, k=4, layers=12))
     for inst in instances:
         assert build_layered_reduction(inst) == _layered_reference(inst)
-        nodes, tail, head, cost, time, arc = layered_columns(inst)
+        nodes, _, tail, head, cost, time, arc = layered_columns(inst)
         columns = zip(nodes[tail].tolist(), nodes[head].tolist(), cost.tolist(), time.tolist(),
                       arc.tolist())
         assert sorted(columns, key=lambda tr: tr[:4]) == sorted(
@@ -299,6 +299,31 @@ def test_the_exact_list_solves_the_same_in_any_tail_order():
     assert differ
 
 
+def test_the_layered_columns_come_in_the_level_kernels_order():
+    # the nodes numbered by (layer, place in graph.order), the transitions
+    # by head, then by the tail's place, the direct one first; the shuffled
+    # ids mix layers in the topological order, so on some draws ordering
+    # each head's tails by their number instead would differ
+    rng = random.Random(3141)
+    differ = 0
+    for draw in range(150):
+        graph, s, t = _shuffled_layered(rng, 1)
+        place = {v: p for p, v in enumerate(graph.order)}
+        hops = Instance(graph, s, t, 1).hops
+        for k in range(1, hops[t] + 1):
+            nodes, starts, tail, head, _, time, _ = layered_columns(Instance(graph, s, t, k))
+            nodes, tail, head, time = nodes.tolist(), tail.tolist(), head.tolist(), time.tolist()
+            assert nodes[0] == s and nodes[-1] == t and starts[-1] == len(nodes)
+            assert [hops[v] for v in nodes] == [
+                level for level, (a, b) in enumerate(zip(starts, starts[1:])) for _ in range(a, b)]
+            assert head == sorted(head) and set(head) == set(range(1, len(nodes)))
+            assert all(hops[nodes[u]] < hops[nodes[v]] for u, v in zip(tail, head))
+            listed = list(zip(head, [place[nodes[u]] for u in tail], time))
+            assert listed == sorted(set(listed))
+            differ += sorted(zip(head, tail, time)) != list(zip(head, tail, time))
+    assert differ
+
+
 def test_an_unlayered_graph_past_the_guard_is_refused():
     big = 1 << 62
     g = MultiDigraph.from_rows(3, [(0, 1, big, big, 0), (1, 2, big, 1, 0), (0, 2, 1, big, 0)])
@@ -318,18 +343,17 @@ def test_level_kernel_memory_follows_the_transitions():
     rows += [(1 + i, hub, i * 3 % 11, 2, i % 3) for i in range(w)]
     rows.append((hub, sink, 1, 1, 1))
     inst = Instance(MultiDigraph.from_rows(w + 3, rows), 0, sink, 2)
-    nodes, tail, head, cost, time, _ = layered_columns(inst)
-    level = [inst.hops[v] for v in nodes.tolist()]
+    nodes, starts, tail, head, cost, time, _ = layered_columns(inst)
     assert len(tail) == 5 * w + 3 and (head == len(nodes) - 2).sum() == 2 * w + 1
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = solve_levels(level, tail, head, cost, time, 0, len(nodes) - 1, 2)
+        result = solve_levels(starts, tail, head, cost, time, 2)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert result[0] == solve(inst, "dag").total_cost
-    assert peak <= 12 * len(tail) * 3 * 8
+    assert peak <= 12 * len(tail) * 8
 
 
 def test_reductions_keep_on_path_nodes_and_the_effective_budget():
