@@ -18,18 +18,20 @@ pair diverges by more.
 Recognition.  ``decompose`` merges parallel arcs and contracts nodes
 with one arc in and one arc out until a single source-sink arc is left,
 which happens exactly on series-parallel graphs (Valdes, Tarjan & Lawler
-1982).  It has two phases.  A pruned graph of at least
-``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds over the
-compact node ids of ``Instance.core``: each round merges every class of
-parallel arcs with one sort and contracts every maximal chain, ranked by
-pointer jumping.  The rounds recognise first and build after: a round
-with nothing to do raises (the reduction is confluent, so the queue
-would stall too), and the runs are spliced phase by phase, then closed
-in one pass per height, only once the rounds stop.  They stop once fewer
-than ``ARRAY_MIN_ARCS`` arcs are left or a round removes less than
-``1 / ROUND_SHARE`` of them, after checking that work is left; the queue
-reduction then finishes with the closed subtrees as its leaves, and it
-alone reduces smaller graphs.
+1982).  It first refuses a pruned graph with more distinct (tail, head)
+pairs than the 2n - 3 a series-parallel graph on its n nodes can have
+(Duffin 1965), before any tree node exists.  Then it has two phases.  A
+pruned graph of at least ``ARRAY_MIN_ARCS`` arcs is first reduced in
+array rounds over the compact node ids of ``Instance.core``: each round
+merges every class of parallel arcs with one sort and contracts every
+maximal chain, ranked by pointer jumping.  The rounds recognise first
+and build after: a round with nothing to do raises (the reduction is
+confluent, so the queue would stall too), and the runs are spliced phase
+by phase, then closed in one pass per height, only once the rounds stop.
+They stop once fewer than ``ARRAY_MIN_ARCS`` arcs are left or a round
+removes less than ``1 / ROUND_SHARE`` of them, after checking that work
+is left; the queue reduction then finishes with the closed subtrees as
+its leaves, and it alone reduces smaller graphs.
 
 Height first.  Series and parallel composition are both associative, so
 the reduction collects every maximal run of one kind as a list of
@@ -127,9 +129,9 @@ BLOCK_CELLS = 1 << 16
 # that took 61 ms a pass in-process, ``_plan`` and the numpy sweep 176
 # ms.  On generated trees at k = 2, 5 and 50 the Python sweep took
 # 0.2x the numpy one's time at 16 arcs, 0.6-0.9x at 128 and 1.1-1.3x at
-# 256, and the gap widens with size.  ``too_dense`` counts the pairs of
-# smaller graphs in a set: on small-mixed that took 7 ms a pass
-# in-process, the sort 27 ms.
+# 256, and the gap widens with size.  ``decompose``'s density test
+# counts the pairs of smaller graphs in a set: on small-mixed that took 7
+# ms a pass in-process, the sort 27 ms.
 ARRAY_MIN_ARCS = 256
 # The rounds hand over to the queue once a round removes less than
 # 1/ROUND_SHARE of the live arcs.  A nested alternation ((a|b).c|d).e...
@@ -247,6 +249,14 @@ def decompose(instance: Instance) -> DecompTree:
     is raised otherwise.  The reduction is confluent, so the order of the
     steps changes the tree's shape but not the verdict.
 
+    With its parallel arcs merged, a two-terminal series-parallel graph on
+    n >= 2 nodes has treewidth at most 2 and so at most 2n - 3 arcs
+    (Duffin 1965), so a pruned graph with more distinct (tail, head) pairs
+    over its n on-path nodes is refused before either phase.  When the
+    arcs are no more than that bound, one comparison decides; denser
+    graphs count their pairs with one sort, or in a set below
+    ``ARRAY_MIN_ARCS`` arcs.
+
     Two phases, which build one tree over the leaf arcs.  A pruned graph of
     at least ``ARRAY_MIN_ARCS`` arcs is first reduced in array rounds
     (``_rounds``) into a ``_Tree``, which recognise before they build: a
@@ -261,15 +271,28 @@ def decompose(instance: Instance) -> DecompTree:
     them and keeps only its plan.  The comments on ``ARRAY_MIN_ARCS`` and
     ``ROUND_SHARE`` give the measurements behind both limits.
     """
-    graph = instance.graph
+    graph, on = instance.graph, instance.on_path
+    bound = 2 * on.count(True) - 3
     if graph.arc_count >= ARRAY_MIN_ARCS:
+        if graph.arc_count > bound:
+            mask = instance.on_mask
+            tails, heads = graph.ends
+            kept = mask[tails] & mask[heads]
+            # node_count**2 fits in int64 for any graph whose CSR offsets fit in memory
+            key = tails[kept] * graph.node_count + heads[kept]
+            # argsort, whose code the solvers page in anyway: numpy's in-place
+            # sort would map about 0.15 MB more of it into the process; the key
+            # is never empty, since the sink is reachable and so some arc joins
+            # two on-path nodes
+            _refuse_dense(len(run_starts(key[key.argsort()])), bound)
         leaf_arcs, tree, (tails, heads, items, s, t) = _rounds(instance)
         height, hops = tree.height[:tree.made].tolist(), tree.hops[:tree.made].tolist()
     else:
-        on = instance.on_path
         leaf_arcs = [a for a, (u, w) in enumerate(zip(graph.tail, graph.head)) if on[u] and on[w]]
         tails = [graph.tail[a] for a in leaf_arcs]
         heads = [graph.head[a] for a in leaf_arcs]
+        if len(leaf_arcs) > bound:
+            _refuse_dense(len(set(zip(tails, heads))), bound)
         items, s, t = range(len(leaf_arcs)), instance.source, instance.sink
         height, hops = [0] * len(leaf_arcs), [1] * len(leaf_arcs)
     kids, series = _queue(tails, heads, items, s, t, height, hops)
@@ -285,35 +308,10 @@ def decompose(instance: Instance) -> DecompTree:
     return DecompTree(root=root, height=height[root], hops=hops[root], built=built)
 
 
-def too_dense(instance: Instance) -> bool:
-    """Whether the pruned graph has more distinct (tail, head) pairs than
-    a series-parallel graph on its nodes can have, so that ``decompose``
-    would reject it.
-
-    With its parallel arcs merged, a two-terminal series-parallel graph on
-    n >= 2 nodes has treewidth at most 2 and so at most 2n - 3 arcs
-    (Duffin 1965; recognition by Valdes, Tarjan and Lawler 1982).  When
-    the graph has no more arcs than that bound over its on-path nodes, one
-    comparison decides; only denser graphs count their distinct pairs,
-    with one sort, or a set of pairs below ``ARRAY_MIN_ARCS`` arcs.
-    """
-    on = instance.on_path
-    bound = 2 * on.count(True) - 3
-    graph = instance.graph
-    if graph.arc_count <= bound:
-        return False
-    if graph.arc_count < ARRAY_MIN_ARCS:
-        return len({(t, h) for t, h in zip(graph.tail, graph.head) if on[t] and on[h]}) > bound
-    mask = instance.on_mask
-    tails, heads = graph.ends
-    kept = mask[tails] & mask[heads]
-    # node_count**2 fits in int64 for any graph whose CSR offsets fit in memory
-    key = tails[kept] * graph.node_count + heads[kept]
-    # argsort, whose code the solvers page in anyway: numpy's in-place
-    # sort would map about 0.15 MB more of it into the process; the key is
-    # never empty, since the sink is reachable and so some arc joins two
-    # on-path nodes
-    return len(run_starts(key[key.argsort()])) > bound
+def _refuse_dense(pairs: int, bound: int):
+    if pairs > bound:
+        raise NotSeriesParallelError(
+            f"too dense to be series-parallel: {pairs} distinct arc pairs, past 2n - 3 = {bound}")
 
 
 class _Tree:

@@ -1,7 +1,7 @@
 """Entry point that picks a solver for an instance."""
 from __future__ import annotations
 
-from .asp import solve_asp, too_dense
+from .asp import solve_asp
 from .errors import (
     CostOverflowError,
     InfeasibleError,
@@ -31,11 +31,7 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
 
     ``auto`` tries the decomposition solver, then the layered one, then
     falls back to the general solver; the decomposition solver also steps
-    aside when costs are too large for its int64 kernel, and ``auto``
-    does not run it at all on a graph too dense to be series-parallel
-    (``too_dense``): with parallel arcs merged, a series-parallel graph on
-    n nodes has at most 2n - 3 arcs (Duffin 1965), so a pruned graph with
-    more distinct (tail, head) pairs over its n on-path nodes is not one.
+    aside when costs are too large for its int64 kernel.
     An explicitly requested method that does not apply raises its error
     instead of falling back.
     ``oracle`` enumerates all path pairs and suits only small instances.
@@ -53,11 +49,10 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
         return solve_dag(instance)
     if method == "oracle":
         return solve_bruteforce(instance)
-    if not too_dense(instance):
-        try:
-            return solve_asp(instance)
-        except (NotSeriesParallelError, CostOverflowError):
-            pass
+    try:
+        return solve_asp(instance)
+    except (NotSeriesParallelError, CostOverflowError):
+        pass
     try:
         return solve_layered(instance)
     except NotLayeredError:

@@ -17,7 +17,7 @@ from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotSeriesParallelError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import INF, Instance, MultiDigraph
-from recsp.instance_io import parse_instance, serialize_instance
+from recsp.instance_io import parse_instance, serialize_instance, serialize_solution
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.reduction import solve_dag, solve_layered
 from recsp.solution import verify_solution
@@ -486,6 +486,31 @@ def test_rounds_reject_before_building(monkeypatch, doubled):
     monkeypatch.setattr(asp, "_queue", building)
     with pytest.raises(NotSeriesParallelError, match="stalled with 500 arcs left"):
         decompose(inst)
+
+
+def test_rounds_refuse_a_graph_too_dense_before_building(monkeypatch):
+    # the 24-node tournament: 276 arcs, enough for the array rounds, and
+    # 276 distinct pairs, past 2 * 24 - 3 = 45; the sorted pair count
+    # refuses it before the rounds, and auto answers as dag does
+    n = 24
+    rows = [(u, w, u * w % 7, u + w, w % 3) for u in range(n) for w in range(u + 1, n)]
+    inst = Instance(MultiDigraph.from_rows(n, rows), 0, n - 1, 2)
+    assert inst.graph.arc_count >= asp.ARRAY_MIN_ARCS
+    want = serialize_solution(solve(inst, "dag"))
+
+    def building(*args):
+        raise AssertionError("built a tree for a graph it refuses")
+
+    with monkeypatch.context() as patch:
+        for name in ("_rounds", "_queue", "_close_runs"):
+            patch.setattr(asp, name, building)
+        with pytest.raises(NotSeriesParallelError, match="276 distinct arc pairs, past 2n - 3 = 45"):
+            decompose(inst)
+        with pytest.raises(NotSeriesParallelError, match="too dense"):
+            solve(inst, "asp")
+        sol = solve(inst)
+    assert serialize_solution(sol) == want
+    assert verify_solution(inst, sol).accepted
 
 
 def test_pruned_arcs_do_not_count_towards_the_rounds():

@@ -91,12 +91,13 @@ def test_solve_method_mismatch_exit_codes(tmp_path, capsys):
 
 def test_asp_exits_7_on_a_graph_too_dense_to_be_series_parallel(tmp_path, capsys):
     # all 6 arcs of the 4-node tournament, past the 2 * 4 - 3 a
-    # series-parallel graph can have: auto skips asp, --method asp runs it
+    # series-parallel graph can have: asp refuses it before reducing it,
+    # and auto goes on to the other solvers
     dense = tmp_path / "dense.txt"
     dense.write_text("p recsp 4 6 0 3 1\n" + "".join(
         f"a {u} {w} 1 1 0\n" for u in range(4) for w in range(u + 1, 4)))
     assert main(["solve", "-i", str(dense), "--method", "asp"]) == 7
-    assert "reduction stalled" in capsys.readouterr().err
+    assert "too dense to be series-parallel" in capsys.readouterr().err
     assert main(["solve", "-i", str(dense)]) == 0
     capsys.readouterr()
 

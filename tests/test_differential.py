@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recsp import asp, reduction
-from recsp.asp import ASP_INF, decompose, root_values, too_dense
+from recsp.asp import ASP_INF, decompose, root_values
 from recsp.dispatch import solve
 from recsp.errors import CostOverflowError, NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
@@ -376,9 +376,16 @@ def test_the_density_test_rejects_only_what_decompose_rejects(drawn):
         verdicts = []
         for min_arcs in (1, 1 << 62):  # pairs sorted in arrays, pairs in a set
             patch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
-            verdicts.append(too_dense(inst))
+            try:
+                verdicts.append(decompose(inst).leaf_count)
+            except NotSeriesParallelError as err:
+                verdicts.append(str(err))
     assert verdicts[0] == verdicts[1]
-    # sparse graphs may still be rejected; dense ones always are
-    if verdicts[0]:
-        with pytest.raises(NotSeriesParallelError):
-            decompose(inst)
+    # sparse graphs may still be rejected; every dense one the reduction
+    # itself rejects too
+    if str(verdicts[0]).startswith("too dense"):
+        g, on = inst.graph, inst.on_path
+        kept = [a for a in range(g.arc_count) if on[g.tail[a]] and on[g.head[a]]]
+        with pytest.raises(NotSeriesParallelError, match="reduction stalled"):
+            asp._queue([g.tail[a] for a in kept], [g.head[a] for a in kept], range(len(kept)),
+                       s, t, [0] * len(kept), [1] * len(kept))

@@ -7,8 +7,8 @@ import pytest
 
 import recsp.graph
 import recsp.reduction
-from recsp import dispatch
-from recsp.asp import solve_asp, too_dense
+from recsp import asp, dispatch
+from recsp.asp import decompose, solve_asp
 from recsp.dispatch import METHODS, solve
 from recsp.errors import (
     CostOverflowError,
@@ -32,6 +32,12 @@ def bridge_instance(k=1):
         (1, 3, 1, 1, 0), (2, 3, 1, 1, 0),
     ])
     return Instance(g, 0, 3, k)
+
+
+def tournament(n, k=1):
+    # every forward arc on n nodes: n(n - 1)/2 pairs, past 2n - 3 from n = 4
+    rows = [(u, w, u + w, 1, w) for u in range(n) for w in range(u + 1, n)]
+    return Instance(MultiDigraph.from_rows(n, rows), 0, n - 1, k)
 
 
 def test_unknown_method_is_rejected():
@@ -128,21 +134,27 @@ def test_auto_keeps_asp_on_layered_series_parallel_graphs(monkeypatch, rows):
     calls = _calls_to_asp(monkeypatch)
     assert serialize_solution(solve(inst)) == want
     assert calls == [inst]
-    assert not too_dense(inst)
+    assert decompose(inst).leaf_count == len(rows)
 
 
 def test_auto_skips_asp_on_graphs_too_dense_to_be_series_parallel(monkeypatch):
-    # every arc of the 4-node tournament: 6 pairs, past 2 * 4 - 3
-    rows = [(u, w, u + w, 1, w) for u in range(4) for w in range(u + 1, 4)]
-    inst = Instance(MultiDigraph.from_rows(4, rows), 0, 3, 1)
-    assert too_dense(inst)
-    with pytest.raises(NotSeriesParallelError):
-        solve(inst, "asp")
-    calls = _calls_to_asp(monkeypatch)
-    assert solve(inst).total_cost == solve_bruteforce(inst).total_cost
-    assert calls == []
-    # the bridge has 5 pairs on 4 nodes: asp runs and rejects it
-    assert not too_dense(bridge_instance())
+    # the 4-node tournament has 6 pairs, past 2 * 4 - 3: decompose refuses
+    # it before the reduction runs, for auto and for --method asp alike
+    inst = tournament(4)
+
+    def building(*args):
+        raise AssertionError("reduced a graph too dense to be series-parallel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asp, "_queue", building)
+        patch.setattr(asp, "_rounds", building)
+        with pytest.raises(NotSeriesParallelError, match="too dense"):
+            solve(inst, "asp")
+        assert solve(inst).total_cost == solve_bruteforce(inst).total_cost
+    # the bridge has 5 pairs on 4 nodes, exactly the bound: the reduction
+    # runs and stalls
+    with pytest.raises(NotSeriesParallelError, match="reduction stalled"):
+        decompose(bridge_instance())
 
 
 def test_no_solve_imports_scipy():
@@ -191,3 +203,26 @@ def test_the_benchmark_tracer_times_autos_layering_test(monkeypatch):
         errors.append(layering[0][error])
     assert errors == [None, "NotLayeredError"]
     assert recsp.reduction.compute_layering is recsp.graph.compute_layering
+
+
+def test_the_benchmark_tracer_counts_autos_density_refusals(monkeypatch):
+    # asp refuses a graph too dense to be series-parallel inside solve_asp,
+    # so each refusal is a failed asp.solve span under dispatch.solve, the
+    # span dispatch.rejections counts; 24 nodes take the sorted pair count
+    monkeypatch.syspath_prepend(PERFBENCH)
+    trace = importlib.import_module("bench_trace")
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        for n in (4, 24):
+            dispatch.solve(tournament(n), "auto")
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    name, parent, error = trace.NAME, trace.PARENT, trace.ERROR
+    solves = [i for i, s in enumerate(spans) if s[name] == "dispatch.solve"]
+    assert len(solves) == 2
+    for d in solves:
+        first = next(s for s in spans if s[parent] == d)
+        assert (first[name], first[error]) == ("asp.solve", "NotSeriesParallelError")
+        assert first[error] in trace.RECOGNITION_ERRORS
