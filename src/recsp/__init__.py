@@ -11,7 +11,6 @@ from .asp import DecompTree, RootValues, decompose, root_values, solve_asp
 from .dispatch import METHODS, solve
 from .errors import (
     ConfigError,
-    CostOverflowError,
     CyclicGraphError,
     InfeasibleError,
     NotLayeredError,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc",
     "ConfigError",
-    "CostOverflowError",
     "CyclicGraphError",
     "DecompTree",
     "FAMILIES",

@@ -40,17 +40,18 @@ and closes it into a balanced binary subtree.  No total changes, and a
 path or a bundle of m arcs gets height ceil(log2 m).  Each round of the
 closing joins neighbours no taller than the lowest neighbouring pair, so
 short operands are joined before tall ones.  A tree of fewer than
-``ARRAY_MIN_ARCS`` leaves is swept in plain Python (``_sweep_lists``),
-node by node in creation order, over the queue reduction's own lists;
-its rows are Python lists, ``min(k, hops) + 1`` long.  A larger tree
-is swept in numpy once per height: the parallel nodes of that height in
-one batched step and the series nodes in another.  A height only
-touches the columns up to the longest path below it; the rest stay
-infinite.  A series node's left child has no finite entry past its own
-hop count either, so the convolution stops there: the Python sweep
-reads no further than the left child's row, and for the numpy one
-``_plan`` sorts each height's series nodes by that count, and a block
-convolves as far as its last node needs.
+``ARRAY_MIN_ARCS`` leaves, or one whose costs fail the int64 guard (see
+Exactness), is swept in plain Python (``_sweep_lists``), node by node in
+creation order, over the tree's columns as lists; its rows are Python
+lists, ``min(k, hops) + 1`` long.  Any other tree is swept in numpy once
+per height: the parallel nodes of that height in one batched step and
+the series nodes in another.  A height only touches the columns up to
+the longest path below it; the rest stay infinite.  A series node's left
+child has no finite entry past its own hop count either, so the
+convolution stops there: the Python sweep reads no further than the
+left child's row, and for the numpy one ``_plan`` sorts each height's
+series nodes by that count, and a block convolves as far as its last
+node needs.
 Blocks are cut so that no temporary exceeds ``BLOCK_CELLS`` int64
 cells, a series node taking 2w times that span.  The values are read
 at the argmin, in the one pass that finds the backpointers.
@@ -76,18 +77,21 @@ backpointers as lists, one pair per internal node.  ``_read_back``
 walks either kind: a numpy node's children, kind and batch come from
 its index in sweep order, and a leaf's arc from ``leaf_arcs``.
 
-Exactness.  The guard in ``_check_magnitudes`` keeps the absolute costs
-of the tree's leaf arcs, summed, below ``ASP_INF / 16`` = 2**58, which
+Exactness.  The Python sweep adds exact ints, with ``INF`` for no path,
+and is exact on every input.  It never adds to ``INF``, since an int
+past the float range raises there; skipping an infinite candidate
+changes no finite minimum and no tie.  The numpy sweep is exact where
+the int64 guard (``_fits_int64``) holds: the absolute costs of the
+tree's leaf arcs, summed, stay below ``ASP_INF / 16`` = 2**58, which
 bounds every finite entry; arcs off every source-sink path are never
-read, so their costs do not count.  The numpy sweep reads the graph's
-int64 ``costs``, clipped to +-``SATURATE`` = 2**61, which the guard
-refuses as it refuses any larger cost.  The Python sweep adds exact
-ints with ``INF`` for no path and cannot overflow; it applies the same
-guard to the exact costs, which gives the same verdict, so both sides
-raise ``CostOverflowError`` on the same instances.  Inside the numpy
-sweep infinity is ``_INF = ASP_INF >> 1`` and additions are unmasked:
-an entry with no path behind it is ``_INF`` plus costs of distinct
-arcs, and each block clamps its results at ``_INF`` (one
+read, so their costs do not count.  It reads the graph's int64
+``costs``, clipped to +-``SATURATE`` = 2**61, which fails the guard as
+any larger cost does.  ``decompose`` tests the guard once, on trees of
+``ARRAY_MIN_ARCS`` leaves or more, and keeps a tree that fails it for
+the Python sweep, so no instance is refused for its costs.  Inside the
+numpy sweep infinity is ``_INF = ASP_INF >> 1`` and additions are
+unmasked: an entry with no path behind it is ``_INF`` plus costs of
+distinct arcs, and each block clamps its results at ``_INF`` (one
 ``np.minimum``), so such an entry stays within 2**58 below ``_INF``, a
 sum of two entries stays inside int64, and a finite candidate always
 beats an infinite one.  Entries at or above ``_PIN = _INF >> 1`` read
@@ -104,13 +108,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from .csp import run_starts
-from .errors import CostOverflowError, InfeasibleError, NotSeriesParallelError
+from .errors import InfeasibleError, NotSeriesParallelError
 from .graph import INF, Instance
 from .solution import Solution, build_solution
 
@@ -191,10 +194,10 @@ class DecompTree:
     Same-kind runs are balanced; ``height`` is the most internal nodes on
     a root-leaf path and ``hops`` the most arcs on a source-sink path.
     ``built`` is the only record kept: for a tree of ``ARRAY_MIN_ARCS``
-    leaves or more the plan, derived once from the tree's columns (see
-    ``_Tree``), and for a smaller one the columns themselves, as lists,
-    which the Python sweep reads; its ``plan`` is then derived on first
-    read.  Trees compare by identity.
+    leaves or more whose costs pass the int64 guard, the plan, derived
+    once from the tree's columns (see ``_Tree``); for any other tree the
+    columns themselves, as lists, which the Python sweep reads; its
+    ``plan`` is then derived on first read.  Trees compare by identity.
     """
 
     root: int
@@ -268,7 +271,9 @@ def decompose(instance: Instance) -> DecompTree:
     closed subtrees as its leaves, and alone reduces smaller graphs, in
     lists.  A tree of fewer than ``ARRAY_MIN_ARCS`` leaves keeps those
     lists for the Python sweep; a larger one extends the ``_Tree`` with
-    them and keeps only its plan.  The comments on ``ARRAY_MIN_ARCS`` and
+    them and keeps only its plan, or, if its leaf arcs' costs fail the
+    int64 guard (``_fits_int64``), the ``_Tree``'s columns as lists for
+    the Python sweep.  The comments on ``ARRAY_MIN_ARCS`` and
     ``ROUND_SHARE`` give the measurements behind both limits.
     """
     graph, on = instance.graph, instance.on_path
@@ -304,7 +309,11 @@ def decompose(instance: Instance) -> DecompTree:
         built = _Columns(leaf_arcs, kids, series, height, hops)
     else:
         tree.extend(kids, series, height, hops)
-        built = _plan(leaf_arcs, tree)
+        if _fits_int64(graph.costs, leaf_arcs):
+            built = _plan(leaf_arcs, tree)
+        else:
+            built = _Columns(leaf_arcs.tolist(), tree.kids.ravel().tolist(), tree.series.tolist(),
+                             height, hops)
     return DecompTree(root=root, height=height[root], hops=hops[root], built=built)
 
 
@@ -716,18 +725,15 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     )
 
 
-def _check_magnitudes(worst: int, arcs: int):
-    """Refuse costs that could bring a finite int64 entry near the sentinel.
-
-    ``worst`` is the largest ``|first| + |upper|`` over the tree's ``arcs``
-    leaf arcs (the sweep reads no other arc), from exact costs or from
-    costs clipped to +-SATURATE: a clipped cost fails the test as its
-    exact value would, so both give the same verdict.
+def _fits_int64(costs, leaf_arcs) -> bool:
+    """Whether the numpy sweep is exact on the leaf arcs: the largest
+    ``|first| + |upper|`` over them in the graph's int64 ``costs``, times
+    16 times the arcs plus 2, stays below ``ASP_INF``.  A cost clipped to
+    +-SATURATE fails the test, as its exact value would.
     """
-    if 16 * (arcs + 2) * (worst + 1) >= ASP_INF:
-        raise CostOverflowError(
-            "cost magnitudes too large for the exact int64 kernel"
-        )
+    # one row each, then the gather: a gather of both rows at once takes 5x as long
+    worst = int((np.abs(costs[0]) + np.abs(costs[1]))[leaf_arcs].max())
+    return 16 * (len(leaf_arcs) + 2) * (worst + 1) < ASP_INF
 
 
 def _parallel_step(children, child_first, values, first):
@@ -792,7 +798,7 @@ def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:
 
 
 def _evaluate(instance: Instance, tree: DecompTree):
-    """Check the costs, then sweep by height, ``min(k, hops) + 1`` wide.
+    """Sweep by height, ``min(k, hops) + 1`` wide.
 
     Returns the first cost of every node, the root's (opt, upper) rows
     and the backpointers: per height a (parallel, series) pair of tuples
@@ -801,7 +807,6 @@ def _evaluate(instance: Instance, tree: DecompTree):
     plan = tree.plan
     # (first, upper, combined) of the leaf arcs; no other arc is read
     costs = instance.graph.costs[:, plan.leaf_arcs]
-    _check_magnitudes(int(np.abs(costs[:2]).sum(axis=0).max()), costs.shape[1])
     width = min(instance.k, tree.hops) + 1
     leaves = len(plan.leaf_arcs)
     first = np.empty(2 * leaves - 1, dtype=np.int64)
@@ -857,27 +862,26 @@ def _evaluate(instance: Instance, tree: DecompTree):
 
 
 def _sweep_lists(instance: Instance, columns: _Columns):
-    """Check the costs, then sweep a small tree node by node in Python.
+    """Sweep a tree node by node in Python, exactly.
 
     Nodes are visited in creation order, children first.  Each keeps
     ``first`` and its ``opt`` and ``upper`` rows, ``min(k, hops) + 1``
-    long, as exact ints with ``INF`` where no path is; a series node's
-    convolution stops at its left child's hops.  Ties go as in
-    ``_evaluate``: the smallest left share, the first of the four
-    parallel candidates, the right side only when strictly cheaper.
-    Returns every node's first cost, the root's opt and upper rows, and
-    per internal node the backpointer rows ``_read_back`` takes.
+    long, as exact ints with ``INF`` where no path is; no candidate adds
+    to ``INF``.  A series node's convolution stops at its left child's
+    hops.  Ties go as in ``_evaluate``: the smallest left share, the
+    first of the four parallel candidates, the right side only when
+    strictly cheaper.  Returns every node's first cost, the root's opt
+    and upper rows, and per internal node the backpointer rows
+    ``_read_back`` takes.
     """
     leaf_arcs, kids, series, _, hops = columns
     graph = instance.graph
     first_cost, upper_cost, combined = graph.first, graph.upper, graph.combined
     first = [first_cost[a] for a in leaf_arcs]
-    uppers = [upper_cost[a] for a in leaf_arcs]
-    _check_magnitudes(max(map(add, map(abs, first), map(abs, uppers))), len(leaf_arcs))
     k = instance.k
     if k:
         opt = [[combined[a], INF] for a in leaf_arcs]
-        upper = [[INF, u] for u in uppers]
+        upper = [[INF, upper_cost[a]] for a in leaf_arcs]
     else:
         opt = [[combined[a]] for a in leaf_arcs]
         upper = [[INF] for _ in leaf_arcs]
@@ -894,10 +898,11 @@ def _sweep_lists(instance: Instance, columns: _Columns):
                 row, shares = [INF] * w, [0] * w
                 # left shares in ascending order, so a tie keeps the smallest
                 for j, left in enumerate(x):
-                    if left != INF:
+                    if left is not INF:
                         for l in range(j, min(w, j + wb)):
-                            if left + y[l - j] < row[l]:
-                                row[l], shares[l] = left + y[l - j], j
+                            right = y[l - j]
+                            if right is not INF and left + right < row[l]:
+                                row[l], shares[l] = left + right, j
                 rows += row, shares
             o, opt_back, u, upper_back = rows
         else:
@@ -910,17 +915,17 @@ def _sweep_lists(instance: Instance, columns: _Columns):
             o, opt_back, u, upper_back = [], [], [], []
             for l in range(w):
                 # the first candidate that attains the minimum
-                best, code = oa[l], 0
+                best, code, ual, ubl = oa[l], 0, ua[l], ub[l]
                 if ob[l] < best:
                     best, code = ob[l], 1
-                if fa + ub[l] < best:
-                    best, code = fa + ub[l], 2
-                if fb + ua[l] < best:
-                    best, code = fb + ua[l], 3
+                if ubl is not INF and fa + ubl < best:
+                    best, code = fa + ubl, 2
+                if ual is not INF and fb + ual < best:
+                    best, code = fb + ual, 3
                 o.append(best)
                 opt_back.append(code)
-                right = ub[l] < ua[l]
-                u.append(ub[l] if right else ua[l])
+                right = ubl < ual
+                u.append(ubl if right else ual)
                 upper_back.append(right)
         opt.append(o)
         upper.append(u)
@@ -979,8 +984,10 @@ def _read_back(root: int, leaf_arcs: list, node, first, l: int):
 
 
 def _sweep(instance: Instance, tree: DecompTree):
-    """Sweep a tree of fewer than ``ARRAY_MIN_ARCS`` leaves in Python
-    (``_sweep_lists``) and a larger one in numpy (``_evaluate``).
+    """Sweep a tree kept as ``_Columns`` in Python (``_sweep_lists``)
+    and one kept as a ``_Plan`` in numpy (``_evaluate``); ``decompose``
+    keeps the second only for trees of ``ARRAY_MIN_ARCS`` leaves or more
+    within the int64 guard.
 
     Returns the root's first cost, its opt and upper rows as exact ints
     with ``INF`` where no path is, and ``read_back(l)``, the stage paths

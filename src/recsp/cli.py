@@ -10,7 +10,6 @@ import time
 from .dispatch import METHODS, solve
 from .errors import (
     ConfigError,
-    CostOverflowError,
     CyclicGraphError,
     InfeasibleError,
     NotLayeredError,
@@ -39,7 +38,6 @@ EXIT_NOT_LAYERED = 6
 EXIT_NOT_SP = 7
 EXIT_TOO_MANY_PATHS = 8
 EXIT_INFEASIBLE = 9
-EXIT_OVERFLOW = 10
 EXIT_MEMORY = 11
 
 _ERROR_EXITS = (
@@ -49,7 +47,6 @@ _ERROR_EXITS = (
     (NotSeriesParallelError, EXIT_NOT_SP),
     (TooManyPathsError, EXIT_TOO_MANY_PATHS),
     (InfeasibleError, EXIT_INFEASIBLE),
-    (CostOverflowError, EXIT_OVERFLOW),
     (ValidationError, EXIT_VALIDATION),
     (ConfigError, EXIT_CONFIG),
 )

@@ -2,12 +2,7 @@
 from __future__ import annotations
 
 from .asp import solve_asp
-from .errors import (
-    CostOverflowError,
-    InfeasibleError,
-    NotLayeredError,
-    NotSeriesParallelError,
-)
+from .errors import InfeasibleError, NotLayeredError, NotSeriesParallelError
 from .graph import Instance, dag_shortest_paths, shortest_path
 from .oracle import solve_bruteforce
 from .reduction import solve_dag, solve_layered
@@ -30,8 +25,7 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
     """Solve an instance with the given method.
 
     ``auto`` tries the decomposition solver, then the layered one, then
-    falls back to the general solver; the decomposition solver also steps
-    aside when costs are too large for its int64 kernel.
+    falls back to the general solver.
     An explicitly requested method that does not apply raises its error
     instead of falling back.
     ``oracle`` enumerates all path pairs and suits only small instances.
@@ -51,7 +45,7 @@ def solve(instance: Instance, method: str = "auto") -> Solution:
         return solve_bruteforce(instance)
     try:
         return solve_asp(instance)
-    except (NotSeriesParallelError, CostOverflowError):
+    except NotSeriesParallelError:
         pass
     try:
         return solve_layered(instance)

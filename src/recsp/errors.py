@@ -33,10 +33,6 @@ class ConfigError(RecspError):
     """Generator or benchmark configuration is inconsistent."""
 
 
-class CostOverflowError(RecspError):
-    """Cost magnitudes too large for the exact fixed-width solver kernel."""
-
-
 class ParseError(RecspError):
     """Malformed instance or solution text."""
 

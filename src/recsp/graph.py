@@ -2,8 +2,8 @@
 
 Costs are plain Python integers; the unreachable/impossible sentinel is
 ``INF`` (``float("inf")``).  Integer arithmetic never overflows in Python,
-so finite values stay exact, and ``x + INF == INF`` gives the saturating
-addition the dynamic programs rely on.
+so finite values stay exact.  The sweeps never add a cost to ``INF``: an
+int past the float range raises there, so they skip infinite entries.
 
 A ``MultiDigraph`` is stored as per-arc integer columns, given as lists
 or, by the byte scan of the parser, as int64 arrays.  It derives its

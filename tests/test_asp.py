@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recsp import asp
+from recsp import asp, dispatch
 from recsp.asp import LEAF, PARALLEL, SERIES, decompose, root_values, solve_asp
 from recsp.dispatch import solve
-from recsp.errors import CostOverflowError, NotSeriesParallelError
+from recsp.errors import NotSeriesParallelError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import INF, Instance, MultiDigraph
 from recsp.instance_io import parse_instance, serialize_instance, serialize_solution
@@ -164,12 +164,48 @@ def test_equal_first_stage_arcs_prefer_first():
     assert sol.total_cost == 1 and sol.divergence == 1
 
 
-def test_huge_costs_raise_overflow_error():
-    g = MultiDigraph.from_rows(2, [(0, 1, 1 << 58, 0, 0)])
-    with pytest.raises(CostOverflowError):
-        solve_asp(Instance(g, 0, 1, 1))
-    with pytest.raises(CostOverflowError):
-        root_values(Instance(g, 0, 1, 1))
+def test_huge_costs_are_solved_exactly():
+    # 2**58 is past the int64 guard, which only the numpy sweep needs
+    inst = Instance(MultiDigraph.from_rows(2, [(0, 1, 1 << 58, 0, 0)]), 0, 1, 1)
+    assert solve_asp(inst).total_cost == 1 << 58
+    assert root_values(inst) == bruteforce_root_values(inst)
+
+
+def _with_costs(inst, scale, first=None):
+    """``inst`` with every cost times ``scale``, and arc 0's first cost
+    replaced by ``first`` if given."""
+    g = inst.graph
+    firsts = [c * scale for c in g.first]
+    if first is not None:
+        firsts[0] = first
+    graph = MultiDigraph(g.node_count, g.tail, g.head, firsts,
+                         [c * scale for c in g.nominal], [c * scale for c in g.deviation])
+    return Instance(graph, inst.source, inst.sink, inst.k)
+
+
+def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch):
+    # a tree large enough for the numpy sweep, with its costs scaled just
+    # past the guard, is swept exactly in Python and answers as unscaled
+    inst = generate_instance("asp", 0x0BE5, arcs=450, k=3)
+    g = inst.graph
+    assert decompose(inst).leaf_count == g.arc_count >= asp.ARRAY_MIN_ARCS
+    worst = max(abs(f) + abs(u) for f, u in zip(g.first, g.upper))
+    # the least |first| + |upper| the guard refuses on these leaves
+    limit = -(-asp.ASP_INF // (16 * (g.arc_count + 2))) - 1
+    scale = -(-limit // worst)
+    assert type(decompose(_with_costs(inst, scale - 1)).built) is asp._Plan
+    scaled = _with_costs(inst, scale)
+    assert type(decompose(scaled).built) is asp._Columns
+    want, sol = solve_asp(inst), solve_asp(scaled)
+    assert (sol.x_arcs, sol.y_arcs) == (want.x_arcs, want.y_arcs)
+    assert sol.total_cost == want.total_cost * scale
+    with monkeypatch.context() as patch:
+        patch.setattr(dispatch, "solve_dag", lambda instance: pytest.fail("auto reached dag"))
+        assert serialize_solution(solve(scaled)) == serialize_solution(sol)
+    for cost in (10**400, -10**400):
+        huge = _with_costs(inst, 1, first=cost)
+        assert type(decompose(huge).built) is asp._Columns
+        assert solve_asp(huge).total_cost == solve_dag(huge).total_cost
 
 
 def test_negative_costs_supported():

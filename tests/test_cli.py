@@ -159,11 +159,12 @@ def test_validation_and_cycle_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_overflow_exit_code(tmp_path, capsys):
+def test_huge_cost_exits_0_with_the_exact_total(tmp_path, capsys):
+    # past asp's int64 guard the Python sweep answers exactly
     huge = tmp_path / "huge.txt"
     huge.write_text(f"p recsp 2 1 0 1 1\na 0 1 {1 << 58} 1 0\n")
-    assert main(["solve", "-i", str(huge), "--method", "asp"]) == 10
-    capsys.readouterr()
+    assert main(["solve", "-i", str(huge), "--method", "asp"]) == 0
+    assert "total 288230376151711745" in capsys.readouterr().out
 
 
 def test_asp_ignores_huge_costs_off_every_path(tmp_path, capsys):
@@ -178,16 +179,15 @@ def test_asp_ignores_huge_costs_off_every_path(tmp_path, capsys):
         assert "total 2" in capsys.readouterr().out
 
 
-def test_auto_falls_through_on_overflow_but_asp_exits_10(tmp_path, capsys):
+def test_auto_and_asp_answer_costs_past_the_int64_guard(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text(
         "p recsp 3 3 0 2 1\na 0 1 4000000000000000000 1 0\n"
         "a 1 2 1 1 1\na 0 2 5 5 5\n"
     )
-    assert main(["solve", "-i", str(huge)]) == 0
-    assert "total 15" in capsys.readouterr().out
-    assert main(["solve", "-i", str(huge), "--method", "asp"]) == 10
-    capsys.readouterr()
+    for method in ("auto", "asp"):
+        assert main(["solve", "-i", str(huge), "--method", method]) == 0
+        assert "total 15" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("costs", [(-(1 << 63), (1 << 63) - 1, (1 << 63) - 1), (10**18 - 1,) * 3],
@@ -216,9 +216,12 @@ def test_long_files_keep_extreme_costs_exact(tmp_path, capsys, costs, on_path):
     assert parsed.graph.combined == by_lines.graph.combined
     path = tmp_path / "extreme.txt"
     path.write_text(text)
-    # asp's guard counts the leaf arcs only
-    assert main(["solve", "-i", str(path), "--method", "asp"]) == (10 if on_path else 0)
-    capsys.readouterr()
+    # past asp's int64 guard on a leaf arc the Python sweep answers exactly
+    totals = []
+    for method in ("asp", "dag"):
+        assert main(["solve", "-i", str(path), "--method", method, "--output", "machine"]) == 0
+        totals.append(parse_solution(capsys.readouterr().out).total_cost)
+    assert totals[0] == totals[1]
     assert solve(parsed).total_cost == solve(parsed, "dag").total_cost
 
 

@@ -10,12 +10,7 @@ import recsp.reduction
 from recsp import asp, dispatch
 from recsp.asp import decompose, solve_asp
 from recsp.dispatch import METHODS, solve
-from recsp.errors import (
-    CostOverflowError,
-    NotLayeredError,
-    NotSeriesParallelError,
-    TooManyPathsError,
-)
+from recsp.errors import NotLayeredError, NotSeriesParallelError, TooManyPathsError
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph
 from recsp.instance_io import serialize_solution
@@ -65,15 +60,14 @@ def overflow_instance():
     return Instance(g, 0, 2, 1)
 
 
-def test_auto_falls_through_on_cost_overflow():
+def test_asp_answers_costs_past_its_int64_guard():
     inst = overflow_instance()
-    with pytest.raises(CostOverflowError):
-        solve(inst, "asp")
-    # not layered either (0 -> 2 skips a layer), so auto ends at dag
-    sol = solve(inst)
+    sol = solve(inst, "asp")
     assert sol.total_cost == 15
     assert sol.total_cost == solve(inst, "dag").total_cost
     assert sol.total_cost == solve_bruteforce(inst).total_cost
+    # asp applies, so auto answers with it
+    assert serialize_solution(solve(inst)) == serialize_solution(sol)
 
 
 def test_zero_budget_shortcut_applies_to_every_method():
@@ -107,10 +101,15 @@ def test_oracle_method_propagates_the_path_limit():
 
 def test_costs_past_the_float_range_do_not_overflow():
     # an unreached entry is INF, and INF + 10**400 raises in float arithmetic
-    g = MultiDigraph.from_rows(3, [(0, 1, 10**400, 1, 0), (1, 2, 1, 1, 1), (0, 2, 5, 5, 5)])
-    inst = Instance(g, 0, 2, 1)
-    want = solve_bruteforce(inst).total_cost
-    assert solve(inst, "dag").total_cost == solve(inst).total_cost == want
+    for method, rows in (
+        ("asp", [(0, 1, 10**400, 1, 0), (1, 2, 1, 1, 1), (0, 2, 5, 5, 5)]),
+        ("layered", [(0, 1, 10**400, 1, 0), (0, 2, 1, 1, 1), (1, 3, 1, 1, 1), (2, 3, 5, 5, 5)]),
+    ):
+        g = MultiDigraph.from_rows(rows[-1][1] + 1, rows)
+        inst = Instance(g, 0, g.node_count - 1, 1)
+        want = solve_bruteforce(inst).total_cost
+        for how in ("dag", method, "auto"):
+            assert solve(inst, how).total_cost == want, how
 
 
 def _calls_to_asp(monkeypatch):
