@@ -31,7 +31,10 @@ by phase, then closed in one pass per height, only once the rounds stop.
 They stop once fewer than ``ARRAY_MIN_ARCS`` arcs are left or a round
 removes less than ``1 / ROUND_SHARE`` of them, after checking that work
 is left; the queue reduction then finishes with the closed subtrees as
-its leaves, and it alone reduces smaller graphs.
+its leaves, and it alone reduces smaller graphs.  ``decompose`` only
+recognises: it keeps the tree's node columns as the reduction left them,
+lists from the queue alone and arrays once the rounds ran, and leaves
+the choice of kernel to the sweep.
 
 Height first.  Series and parallel composition are both associative, so
 the reduction collects every maximal run of one kind as a list of
@@ -39,19 +42,21 @@ operands (series runs in path order, parallel runs in arrival order)
 and closes it into a balanced binary subtree.  No total changes, and a
 path or a bundle of m arcs gets height ceil(log2 m).  Each round of the
 closing joins neighbours no taller than the lowest neighbouring pair, so
-short operands are joined before tall ones.  A tree of fewer than
-``ARRAY_MIN_ARCS`` leaves, or one whose costs fail the int64 guard (see
-Exactness), is swept in plain Python (``_sweep_lists``), node by node in
-creation order, over the tree's columns as lists; its rows are Python
-lists, ``min(k, hops) + 1`` long.  Any other tree is swept in numpy once
-per height: the parallel nodes of that height in one batched step and
-the series nodes in another.  A height only touches the columns up to
-the longest path below it; the rest stay infinite.  A series node's left
-child has no finite entry past its own hop count either, so the
-convolution stops there: the Python sweep reads no further than the
-left child's row, and for the numpy one ``_plan`` sorts each height's
-series nodes by that count, and a block convolves as far as its last
-node needs.
+short operands are joined before tall ones.  ``_sweep`` picks the
+kernel from the columns, by one rule.  A tree whose columns are lists
+(one of fewer than ``ARRAY_MIN_ARCS`` leaves), or one whose costs fail
+the int64 guard (see Exactness), is swept in plain Python
+(``_sweep_lists``), node by node in creation order, over the columns as
+lists; its rows are Python lists, ``min(k, hops) + 1`` long, and a
+node's rows are dropped once its parent's are made.  Any other tree is
+planned (``_plan``) and swept in numpy once per height: the parallel
+nodes of that height in one batched step and the series nodes in
+another.  A height only touches the columns up to the longest path below
+it; the rest stay infinite.  A series node's left child has no finite
+entry past its own hop count either, so the convolution stops there: the
+Python sweep reads no further than the left child's row, and for the
+numpy one ``_plan`` sorts each height's series nodes by that count, and
+a block convolves as far as its last node needs.
 Blocks are cut so that no temporary exceeds ``BLOCK_CELLS`` int64
 cells, a series node taking 2w times that span.  The values are read
 at the argmin, in the one pass that finds the backpointers.
@@ -74,8 +79,9 @@ the left share of every entry in the smallest unsigned type that holds
 the block's span.  A parallel node's cheaper ``first`` side is read off the
 per-node ``first`` values.  The Python sweep keeps the same
 backpointers as lists, one pair per internal node.  ``_read_back``
-walks either kind: a numpy node's children, kind and batch come from
-its index in sweep order, and a leaf's arc from ``leaf_arcs``.
+walks either kind: every node's kind and children, and a leaf's arc,
+come from the tree's columns; only a node's backpointers are looked up
+per kernel, a numpy node's by its height and its index in sweep order.
 
 Exactness.  The Python sweep adds exact ints, with ``INF`` for no path,
 and is exact on every input.  It never adds to ``INF``, since an int
@@ -86,10 +92,10 @@ tree's leaf arcs, summed, stay below ``ASP_INF / 16`` = 2**58, which
 bounds every finite entry; arcs off every source-sink path are never
 read, so their costs do not count.  It reads the graph's int64
 ``costs``, clipped to +-``SATURATE`` = 2**61, which fails the guard as
-any larger cost does.  ``decompose`` tests the guard once, on trees of
-``ARRAY_MIN_ARCS`` leaves or more, and keeps a tree that fails it for
-the Python sweep, so no instance is refused for its costs.  Inside the
-numpy sweep infinity is ``_INF = ASP_INF >> 1`` and additions are
+any larger cost does.  ``_sweep`` tests the guard once, on trees whose
+columns are arrays, and sweeps a tree that fails it in Python, so no
+instance is refused for its costs; ``decompose`` reads no cost.  Inside
+the numpy sweep infinity is ``_INF = ASP_INF >> 1`` and additions are
 unmasked: an entry with no path behind it is ``_INF`` plus costs of
 distinct arcs, and each block clamps its results at ``_INF`` (one
 ``np.minimum``), so such an entry stays within 2**58 below ``_INF``, a
@@ -147,6 +153,25 @@ SERIES = "series"
 PARALLEL = "parallel"
 
 
+class _Columns(NamedTuple):
+    """A decomposition tree's node columns as the reduction left them (see
+    ``_Tree``): the leaf arcs, ``kids`` flat (left, right, left, ...) and
+    ``series`` per internal node, and ``height`` and ``hops`` per node.
+    They are lists when the queue reduction alone built the tree, which it
+    does exactly below ``ARRAY_MIN_ARCS`` leaves, and the ``_Tree``'s
+    arrays once the array rounds ran."""
+
+    leaf_arcs: list | np.ndarray
+    kids: list | np.ndarray
+    series: list | np.ndarray
+    height: list | np.ndarray
+    hops: list | np.ndarray
+
+    def lists(self) -> _Columns:
+        """The columns as lists."""
+        return self if type(self.kids) is list else _Columns(*(c.tolist() for c in self))
+
+
 class _Plan(NamedTuple):
     """Internal nodes in sweep order and the store rows they touch.
 
@@ -155,10 +180,9 @@ class _Plan(NamedTuple):
     parallel nodes are ``ids[start:split]``, its series nodes
     ``ids[split:end]``, and reach is the most arcs on a path below any
     node of height h or less.  ``children`` and ``child_row`` hold two
-    entries per node, left then right.  Leaves are nodes ``0 ..
-    len(leaf_arcs) - 1``, leaf i standing for arc ``leaf_arcs[i]``;
-    ``height`` is per node and ``sweep_index[i - leaves]`` is the index of
-    internal node i in ``ids``.  ``out_row`` and ``child_row`` are store
+    entries per node, left then right; node ids are the tree's (see
+    ``_Columns``), and ``sweep_index[i]`` is the index in ``ids`` of
+    internal node ``leaves + i``.  ``out_row`` and ``child_row`` are store
     rows; leaves read row ``slots``.  ``lead`` holds, in sweep order, the
     hops of each series node's left child, which has no finite entry past
     them, and 1 for each parallel node; series batches are sorted by it.
@@ -170,21 +194,8 @@ class _Plan(NamedTuple):
     child_row: np.ndarray
     levels: tuple
     slots: int
-    leaf_arcs: np.ndarray
-    height: list
-    sweep_index: list
+    sweep_index: np.ndarray
     lead: list
-
-
-class _Columns(NamedTuple):
-    """A small tree as the queue reduction left it: ``_Tree``'s columns
-    as lists, ``kids`` flat (left, right, left, ...), and the leaf arcs."""
-
-    leaf_arcs: list
-    kids: list
-    series: list
-    height: list
-    hops: list
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,43 +204,26 @@ class DecompTree:
 
     Same-kind runs are balanced; ``height`` is the most internal nodes on
     a root-leaf path and ``hops`` the most arcs on a source-sink path.
-    ``built`` is the only record kept: for a tree of ``ARRAY_MIN_ARCS``
-    leaves or more whose costs pass the int64 guard, the plan, derived
-    once from the tree's columns (see ``_Tree``); for any other tree the
-    columns themselves, as lists, which the Python sweep reads; its
-    ``plan`` is then derived on first read.  Trees compare by identity.
+    ``columns`` is the only record kept: the node columns as the
+    reduction left them, lists or arrays (see ``_Columns``).  Which
+    kernel sweeps the tree is ``_sweep``'s choice.  Trees compare by
+    identity.
     """
 
     root: int
     height: int
     hops: int
-    built: _Plan | _Columns = field(repr=False)
+    columns: _Columns = field(repr=False)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.built.leaf_arcs)
-
-    @cached_property
-    def plan(self) -> _Plan:
-        built = self.built
-        if type(built) is _Plan:
-            return built
-        tree = _Tree(len(built.leaf_arcs))
-        tree.extend(built.kids, built.series, built.height, built.hops)
-        return _plan(built.leaf_arcs, tree)
+        return len(self.columns.leaf_arcs)
 
     @cached_property
     def nodes(self) -> tuple[tuple, ...]:
         """``nodes[i]`` is ("leaf", arc_id) or (kind, left, right), children
         created before parents; built on first read."""
-        built = self.built
-        if type(built) is _Plan:
-            leaf_arcs = built.leaf_arcs.tolist()
-            series = [i >= built.levels[h - 1][1]
-                      for i, h in zip(built.sweep_index, built.height[len(leaf_arcs):])]
-            kids = built.children.reshape(-1, 2)[built.sweep_index].ravel().tolist()
-        else:
-            leaf_arcs, kids, series = built[:3]
+        leaf_arcs, kids, series = self.columns.lists()[:3]
         kinds = [SERIES if s else PARALLEL for s in series]
         return (*zip(repeat(LEAF), leaf_arcs), *zip(kinds, kids[::2], kids[1::2]))
 
@@ -270,11 +264,10 @@ def decompose(instance: Instance) -> DecompTree:
     reduction (``_queue``) finishes what the rounds leave, with their
     closed subtrees as its leaves, and alone reduces smaller graphs, in
     lists.  A tree of fewer than ``ARRAY_MIN_ARCS`` leaves keeps those
-    lists for the Python sweep; a larger one extends the ``_Tree`` with
-    them and keeps only its plan, or, if its leaf arcs' costs fail the
-    int64 guard (``_fits_int64``), the ``_Tree``'s columns as lists for
-    the Python sweep.  The comments on ``ARRAY_MIN_ARCS`` and
-    ``ROUND_SHARE`` give the measurements behind both limits.
+    lists as its columns; a larger one extends the ``_Tree`` with them and
+    keeps its arrays.  It reads no cost and picks no kernel (see
+    ``_sweep``).  The comments on ``ARRAY_MIN_ARCS`` and ``ROUND_SHARE``
+    give the measurements behind both limits.
     """
     graph, on = instance.graph, instance.on_path
     bound = 2 * on.count(True) - 3
@@ -306,15 +299,11 @@ def decompose(instance: Instance) -> DecompTree:
         # the rounds never run on so few arcs, so the queue made every node
         if type(leaf_arcs) is not list:
             leaf_arcs = leaf_arcs.tolist()
-        built = _Columns(leaf_arcs, kids, series, height, hops)
+        columns = _Columns(leaf_arcs, kids, series, height, hops)
     else:
         tree.extend(kids, series, height, hops)
-        if _fits_int64(graph.costs, leaf_arcs):
-            built = _plan(leaf_arcs, tree)
-        else:
-            built = _Columns(leaf_arcs.tolist(), tree.kids.ravel().tolist(), tree.series.tolist(),
-                             height, hops)
-    return DecompTree(root=root, height=height[root], hops=hops[root], built=built)
+        columns = _Columns(leaf_arcs, tree.kids.ravel(), tree.series, tree.height, tree.hops)
+    return DecompTree(root=root, height=height[root], hops=hops[root], columns=columns)
 
 
 def _refuse_dense(pairs: int, bound: int):
@@ -669,17 +658,21 @@ def _queue(tails, heads, items, s, t, height: list, hops: list):
     return kids, series
 
 
-def _plan(leaf_arcs, tree: _Tree) -> _Plan:
-    """Sweep order, batch bounds and store rows of a closed tree.
+def _plan(columns: _Columns) -> _Plan:
+    """Sweep order, batch bounds and store rows of a tree whose columns
+    are arrays.
 
     Rows are assigned here, once, by the module docstring's rule: each
     internal node follows the children whose row it takes down to a node
-    of height 1, by pointer jumping.
+    of height 1, by pointer jumping.  The plan holds nothing the columns
+    hold.
     """
-    leaves = tree.leaves
-    inner = tree.height[leaves:]
+    leaf_arcs, kids, series, height, hops = columns
+    leaves = len(leaf_arcs)
+    inner = height[leaves:]
     top = int(inner.max(initial=0))
-    left, right = tree.kids.T
+    kids = kids.reshape(-1, 2)
+    left, right = kids.T
     fresh = np.flatnonzero(inner == 1)
     down = np.where(left >= leaves, left, right) - leaves
     down[fresh] = fresh
@@ -692,9 +685,9 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     row = np.concatenate((np.full(leaves, slots), number[down]))
     # parallel then series nodes of each height, one batch each, series
     # nodes by left-child hops, and in creation order within that
-    batch = inner * 2 + tree.series
-    longest = int(tree.hops[-1])  # the root's: no node has more
-    lead = np.where(tree.series, tree.hops[left], 1)
+    batch = inner * 2 + series
+    longest = int(hops[-1])  # the root's: no node has more
+    lead = np.where(series, hops[left], 1)
     # numpy sorts 16-bit keys stably by radix: 58 against 147 us for the 5k
     # internal nodes of an asp-20k tree
     key = (batch * (longest + 1) + lead).astype(
@@ -702,7 +695,7 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
     order = np.argsort(key, kind="stable")
     lead = lead[order].tolist()
     ids = order + leaves
-    children = tree.kids[order].ravel()
+    children = kids[order].ravel()
     sizes = np.bincount(batch, minlength=2 * top + 2).tolist()
     levels = []
     end = 0
@@ -712,7 +705,7 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
         levels.append((start, split, end))
     reach = []
     if levels:
-        peaks = np.maximum.reduceat(tree.hops[leaves:][order], [level[0] for level in levels])
+        peaks = np.maximum.reduceat(hops[leaves:][order], [level[0] for level in levels])
         reach = np.maximum.accumulate(peaks).tolist()
     sweep_index = np.empty(len(ids), dtype=np.intp)
     sweep_index[order] = np.arange(len(ids))
@@ -720,8 +713,7 @@ def _plan(leaf_arcs, tree: _Tree) -> _Plan:
         ids=ids, out_row=row[ids], children=children,
         child_row=row[children],
         levels=tuple(level + (most,) for level, most in zip(levels, reach)),
-        slots=slots, leaf_arcs=np.asarray(leaf_arcs, dtype=np.intp), height=tree.height.tolist(),
-        sweep_index=sweep_index.tolist(), lead=lead,
+        slots=slots, sweep_index=sweep_index, lead=lead,
     )
 
 
@@ -797,18 +789,19 @@ def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:
                                     key=lambda i: (i - lo) * min(w, lead[i - 1] + 1)))
 
 
-def _evaluate(instance: Instance, tree: DecompTree):
-    """Sweep by height, ``min(k, hops) + 1`` wide.
+def _evaluate(instance: Instance, tree: DecompTree, plan: _Plan):
+    """Sweep by height, ``min(k, hops) + 1`` wide, in the order ``plan``
+    gives the tree's internal nodes.
 
     Returns the first cost of every node, the root's (opt, upper) rows
     and the backpointers: per height a (parallel, series) pair of tuples
     of arrays indexed by position in the batch.
     """
-    plan = tree.plan
+    leaf_arcs = tree.columns.leaf_arcs
     # (first, upper, combined) of the leaf arcs; no other arc is read
-    costs = instance.graph.costs[:, plan.leaf_arcs]
+    costs = instance.graph.costs.take(leaf_arcs, axis=1)
     width = min(instance.k, tree.hops) + 1
-    leaves = len(plan.leaf_arcs)
+    leaves = len(leaf_arcs)
     first = np.empty(2 * leaves - 1, dtype=np.int64)
     first[:leaves] = costs[0]
     if not plan.levels:  # a single arc
@@ -865,14 +858,14 @@ def _sweep_lists(instance: Instance, columns: _Columns):
     """Sweep a tree node by node in Python, exactly.
 
     Nodes are visited in creation order, children first.  Each keeps
-    ``first`` and its ``opt`` and ``upper`` rows, ``min(k, hops) + 1``
-    long, as exact ints with ``INF`` where no path is; no candidate adds
-    to ``INF``.  A series node's convolution stops at its left child's
-    hops.  Ties go as in ``_evaluate``: the smallest left share, the
-    first of the four parallel candidates, the right side only when
-    strictly cheaper.  Returns every node's first cost, the root's opt
-    and upper rows, and per internal node the backpointer rows
-    ``_read_back`` takes.
+    ``first``, and its ``opt`` and ``upper`` rows until its parent's are
+    made; the rows are ``min(k, hops) + 1`` long, exact ints with ``INF``
+    where no path is, and no candidate adds to ``INF``.  A series node's
+    convolution stops at its left child's hops.  Ties go as in
+    ``_evaluate``: the smallest left share, the first of the four parallel
+    candidates, the right side only when strictly cheaper.  Returns every
+    node's first cost, the root's opt and upper rows, and per internal
+    node the backpointer rows ``_read_back`` takes.
     """
     leaf_arcs, kids, series, _, hops = columns
     graph = instance.graph
@@ -929,6 +922,8 @@ def _sweep_lists(instance: Instance, columns: _Columns):
                 upper_back.append(right)
         opt.append(o)
         upper.append(u)
+        # each node is one node's child, and the root nobody's
+        opt[a] = opt[b] = upper[a] = upper[b] = None
         back.append((opt_back, upper_back))
     return first, opt[-1], upper[-1], back
 
@@ -936,19 +931,21 @@ def _sweep_lists(instance: Instance, columns: _Columns):
 _OPT, _FIRST, _UPPER = range(3)
 
 
-def _read_back(root: int, leaf_arcs: list, node, first, l: int):
+def _read_back(root: int, columns, back, first, l: int):
     """Walk backpointers down from the root's ``opt[l]``; returns the arc
     ids of both stages, each in path order.
 
-    ``node(i)`` gives internal node i as (series, left, right, back), back
-    a pair of rows indexed by l: a series node's left shares of its opt
-    and upper entries; a parallel node's code per opt entry (0/1 for both
-    stages on the left/right, 2 for the first stage on the left and the
-    recovery on the right, 3 the reverse) and, per upper entry, whether
-    the right side is strictly cheaper.  ``first`` holds every node's
-    first cost: a parallel node's cheaper first stage is on the right only
-    when strictly cheaper there.
+    ``columns`` starts with the tree's leaf arcs, kids and series as lists
+    (see ``_Columns``).  ``back(i)`` gives the backpointer rows of
+    internal node ``leaves + i``, a pair indexed by l: a series node's
+    left shares of its opt and upper entries; a parallel node's code per
+    opt entry (0/1 for both stages on the left/right, 2 for the first
+    stage on the left and the recovery on the right, 3 the reverse) and,
+    per upper entry, whether the right side is strictly cheaper.
+    ``first`` holds every node's first cost: a parallel node's cheaper
+    first stage is on the right only when strictly cheaper there.
     """
+    leaf_arcs, kids, series = columns[:3]
     leaves = len(leaf_arcs)
     x: list[int] = []
     y: list[int] = []
@@ -961,8 +958,10 @@ def _read_back(root: int, leaf_arcs: list, node, first, l: int):
             if q != _FIRST:
                 y.append(leaf_arcs[i])
             continue
-        series, left, right, (opt_back, upper_back) = node(i)
-        if series:
+        i -= leaves
+        left, right = kids[2 * i], kids[2 * i + 1]
+        opt_back, upper_back = back(i)
+        if series[i]:
             if q == _FIRST:
                 stack += (right, q, 0), (left, q, 0)
             else:
@@ -984,42 +983,41 @@ def _read_back(root: int, leaf_arcs: list, node, first, l: int):
 
 
 def _sweep(instance: Instance, tree: DecompTree):
-    """Sweep a tree kept as ``_Columns`` in Python (``_sweep_lists``)
-    and one kept as a ``_Plan`` in numpy (``_evaluate``); ``decompose``
-    keeps the second only for trees of ``ARRAY_MIN_ARCS`` leaves or more
-    within the int64 guard.
+    """Sweep the tree with the kernel its record and costs allow.
+
+    A tree whose columns are lists (one of fewer than ``ARRAY_MIN_ARCS``
+    leaves) or whose leaf arcs' costs fail the int64 guard
+    (``_fits_int64``) is swept in Python (``_sweep_lists``); any other is
+    planned (``_plan``) and swept in numpy (``_evaluate``).
 
     Returns the root's first cost, its opt and upper rows as exact ints
     with ``INF`` where no path is, and ``read_back(l)``, the stage paths
     of ``opt[l]`` (see ``_read_back``).
     """
-    built = tree.built
-    if type(built) is _Columns:
-        first, opt, upper, back = _sweep_lists(instance, built)
-        leaf_arcs, kids, series = built[:3]
-        leaves = len(leaf_arcs)
-
-        def node(i):
-            i -= leaves
-            return series[i], kids[2 * i], kids[2 * i + 1], back[i]
+    columns = tree.columns
+    if type(columns.kids) is list or not _fits_int64(instance.graph.costs, columns.leaf_arcs):
+        columns = columns.lists()
+        first, opt, upper, backs = _sweep_lists(instance, columns)
+        back = backs.__getitem__
     else:
-        first, rows, back = _evaluate(instance, tree)
-        opt, upper = ([INF if v >= _PIN else v for v in row.tolist()] for row in rows)
-        plan, leaf_arcs = built, built.leaf_arcs.tolist()
-        leaves, children = len(leaf_arcs), plan.children.tolist()
+        plan = _plan(columns)
+        first, root, found = _evaluate(instance, tree, plan)
+        opt, upper = ([INF if v >= _PIN else v for v in row.tolist()] for row in root)
+        height, levels, sweep_index = columns.height, plan.levels, plan.sweep_index
+        leaves = len(columns.leaf_arcs)
 
-        def node(i):
-            level = plan.height[i] - 1
-            start, split, _, _ = plan.levels[level]
-            p = plan.sweep_index[i - leaves]
-            left, right = children[2 * p:2 * p + 2]
+        def back(i):
+            level = int(height[leaves + i]) - 1
+            start, split, _, _ = levels[level]
+            p = int(sweep_index[i])
             if p < split:
-                opt_code, upper_right = back[level][0]
-                return False, left, right, (opt_code[p - start], upper_right[p - start])
-            (shares,) = back[level][1]
-            return True, left, right, shares[p - split]
+                opt_code, upper_right = found[level][0]
+                return opt_code[p - start], upper_right[p - start]
+            (shares,) = found[level][1]
+            return shares[p - split]
 
-    return int(first[tree.root]), opt, upper, partial(_read_back, tree.root, leaf_arcs, node, first)
+        columns = [c.tolist() for c in columns[:3]]
+    return int(first[tree.root]), opt, upper, partial(_read_back, tree.root, columns, back, first)
 
 
 def root_values(instance: Instance) -> RootValues:

@@ -27,3 +27,20 @@ def count_reads():
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def asp_kernels(monkeypatch):
+    """The kernels asp's sweeps run from then on, in order: ``"numpy"``
+    for each ``_evaluate`` call and ``"python"`` for each
+    ``_sweep_lists`` call."""
+    from recsp import asp
+
+    ran = []
+    for name, kernel in (("_evaluate", "numpy"), ("_sweep_lists", "python")):
+        def spied(*args, run=getattr(asp, name), kernel=kernel):
+            ran.append(kernel)
+            return run(*args)
+
+        monkeypatch.setattr(asp, name, spied)
+    return ran

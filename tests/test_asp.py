@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import os
@@ -183,7 +184,7 @@ def _with_costs(inst, scale, first=None):
     return Instance(graph, inst.source, inst.sink, inst.k)
 
 
-def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch):
+def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch, asp_kernels):
     # a tree large enough for the numpy sweep, with its costs scaled just
     # past the guard, is swept exactly in Python and answers as unscaled
     inst = generate_instance("asp", 0x0BE5, arcs=450, k=3)
@@ -193,10 +194,11 @@ def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch):
     # the least |first| + |upper| the guard refuses on these leaves
     limit = -(-asp.ASP_INF // (16 * (g.arc_count + 2))) - 1
     scale = -(-limit // worst)
-    assert type(decompose(_with_costs(inst, scale - 1)).built) is asp._Plan
+    solve_asp(_with_costs(inst, scale - 1))
+    assert asp_kernels == ["numpy"]
     scaled = _with_costs(inst, scale)
-    assert type(decompose(scaled).built) is asp._Columns
     want, sol = solve_asp(inst), solve_asp(scaled)
+    assert asp_kernels == ["numpy", "numpy", "python"]
     assert (sol.x_arcs, sol.y_arcs) == (want.x_arcs, want.y_arcs)
     assert sol.total_cost == want.total_cost * scale
     with monkeypatch.context() as patch:
@@ -204,8 +206,37 @@ def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch):
         assert serialize_solution(solve(scaled)) == serialize_solution(sol)
     for cost in (10**400, -10**400):
         huge = _with_costs(inst, 1, first=cost)
-        assert type(decompose(huge).built) is asp._Columns
         assert solve_asp(huge).total_cost == solve_dag(huge).total_cost
+        assert asp_kernels[-1] == "python"
+
+
+# sha256 of serialize_solution(solve_asp(...)) on the instance below and
+# on it with every cost times 2**60, as the solver gave them while
+# decompose still chose the kernel
+PHASE_DIGESTS = (
+    "de3386373184f0b72d73700a2cf7d32af471daeffe79d701fe6f027c2bc80805",
+    "00ad042b2f778f8be8839d748d77f5849e3eb4b3006004c35ce12ced84d28570",
+)
+
+
+def test_decompose_reads_no_cost_and_plans_nothing(monkeypatch):
+    # a tree the array rounds build, within the guard and past it: only
+    # the sweep tests the guard and plans, so costs stay unmade
+    inst = generate_instance("asp", 0x0BE5, arcs=450, k=3)
+    cases = inst, _with_costs(inst, 1 << 60)
+
+    def refused(*args):
+        raise AssertionError("decompose chose a kernel")
+
+    with monkeypatch.context() as patch:
+        for name in ("_plan", "_fits_int64"):
+            patch.setattr(asp, name, refused)
+        for case in cases:
+            assert decompose(case).leaf_count >= asp.ARRAY_MIN_ARCS
+            assert "costs" not in case.graph.__dict__
+    digests = tuple(hashlib.sha256(serialize_solution(solve_asp(case)).encode()).hexdigest()
+                    for case in cases)
+    assert digests == PHASE_DIGESTS
 
 
 def test_negative_costs_supported():
@@ -325,8 +356,18 @@ def test_tall_runs_are_rebalanced_by_either_phase_alone(monkeypatch, shape):
         assert tree.height <= 2 * math.ceil(math.log2(TALL)) + 2
         assert len(tree.nodes) == 2 * TALL - 1
         # one store row per node of height 1; the others reuse a child's
-        assert tree.plan.slots == tree.plan.height.count(1)
+        columns = _arrays(tree)
+        assert asp._plan(columns).slots == columns.height.tolist().count(1)
         assert solve_asp(inst) == want
+
+
+def _arrays(tree):
+    """The tree's columns as ``_plan`` takes them: arrays, as the array
+    rounds leave them."""
+    leaf_arcs, kids, series, height, hops = tree.columns
+    return asp._Columns(np.asarray(leaf_arcs, dtype=np.intp), np.asarray(kids, dtype=np.intp),
+                        np.asarray(series, dtype=bool), np.asarray(height, dtype=np.intp),
+                        np.asarray(hops, dtype=np.intp))
 
 
 def nested_alternation(arcs, k=1):
@@ -577,12 +618,35 @@ def test_decompose_memory_follows_the_arcs_not_the_node_count():
     assert peak < 1 << 20
 
 
+# tracemalloc peak of _sweep on the path below: 184-198 KB while the
+# Python sweep kept every node's rows, 90-95 KB once it drops a child's
+# rows as their parent's are made (x86-64, Python 3.11)
+PATH_SWEEP_PEAK = 1 << 17
+
+
+def test_python_sweep_drops_the_rows_no_node_reads():
+    inst = long_path(asp.ARRAY_MIN_ARCS - 1, asp.ARRAY_MIN_ARCS - 1)
+    tree = decompose(inst)
+    inst.graph.combined  # made on first read, for the graph
+    tracemalloc.start()
+    try:
+        first, opt, _, read_back = asp._sweep(inst, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PATH_SWEEP_PEAK
+    # the one path is both stages, so no arc is recovered
+    assert first == sum(inst.graph.first)
+    assert opt == [sum(inst.graph.combined)] + [INF] * (len(opt) - 1)
+    assert read_back(0) == (list(range(inst.graph.arc_count)),) * 2
+
+
 def _rows_by_the_queue_rule(tree):
     """Every node's store row and the row count, by the rule the queue
     reduction once applied as it joined: in creation order, a node of
     height 1 takes a fresh row, any other its left child's row, or its
     right child's if the left is a leaf (-1 for leaves)."""
-    height = tree.plan.height
+    height = tree.columns.lists().height
     row = [-1] * tree.leaf_count
     fresh = 0
     for _, a, b in tree.nodes[tree.leaf_count:]:
@@ -608,7 +672,7 @@ def test_store_rows_follow_the_queue_rule_in_every_phase(monkeypatch, make):
     for min_arcs in (1, 256, 1 << 62):
         monkeypatch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)
         tree = decompose(inst)
-        plan = tree.plan
+        plan = asp._plan(_arrays(tree))
         row, slots = _rows_by_the_queue_rule(tree)
         assert plan.slots == slots
         assert plan.out_row.tolist() == [row[i] for i in plan.ids.tolist()]
@@ -773,7 +837,7 @@ def test_block_cuts_of_the_benchmark_sweeps_match_the_search(monkeypatch):
 
 
 @pytest.mark.parametrize("bundled", [False, True], ids=["path", "bundles"])
-def test_array_rounds_stop_at_once_below_the_least_kept_arcs(monkeypatch, bundled):
+def test_array_rounds_stop_at_once_below_the_least_kept_arcs(monkeypatch, asp_kernels, bundled):
     # 300 arcs, but only the 100 of a path (or of 50 two-arc bundles in
     # series) lie on source-sink paths: the 200 enter the source from
     # nodes it cannot reach.  The rounds are over from the start, so their
@@ -787,9 +851,9 @@ def test_array_rounds_stop_at_once_below_the_least_kept_arcs(monkeypatch, bundle
     calls = []
     rounds = asp._rounds
     monkeypatch.setattr(asp, "_rounds", lambda *args: calls.append(args) or rounds(*args))
-    assert type(decompose(inst).built) is asp._Columns
-    assert len(calls) == 1
     sol = solve_asp(inst)
+    assert asp_kernels == ["python"]
+    assert len(calls) == 1
     assert sol.total_cost == solve_dag(inst).total_cost
     assert verify_solution(inst, sol).accepted
 
@@ -844,8 +908,9 @@ def test_python_and_numpy_sweeps_agree_on_one_tree(inst):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asp, "ARRAY_MIN_ARCS", 1 << 62)  # lists at every size
         tree = decompose(inst)
-    as_arrays = asp.DecompTree(tree.root, tree.height, tree.hops, tree.plan)
-    assert asp._sweep_lists(inst, tree.built)[0] == asp._evaluate(inst, as_arrays)[0].tolist()
+    as_arrays = asp.DecompTree(tree.root, tree.height, tree.hops, _arrays(tree))
+    plan = asp._plan(as_arrays.columns)
+    assert asp._sweep_lists(inst, tree.columns)[0] == asp._evaluate(inst, as_arrays, plan)[0].tolist()
     got, want = asp._sweep(inst, tree), asp._sweep(inst, as_arrays)
     assert got[:3] == want[:3]
     for l, value in enumerate(got[1]):

@@ -239,15 +239,15 @@ def test_relabelled_nodes_change_no_total(family, data):
 
 
 @pytest.mark.parametrize("offset", [-1, 0])
-def test_guard_boundary_is_exact(offset):
+def test_guard_boundary_is_exact(offset, asp_kernels):
     # one arc: |first| + |upper| one below, then at, the least magnitude
     # the guard sends from the numpy sweep to the Python one
     worst = _guard_limit(1) + offset
     inst = Instance(MultiDigraph.from_rows(2, [(0, 1, worst - 3, 2, 1)]), 0, 1, 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asp, "ARRAY_MIN_ARCS", 1)  # a one-leaf tree may be planned
-        assert type(decompose(inst).built) is (asp._Plan if offset < 0 else asp._Columns)
         assert solve(inst, "asp").total_cost == worst
+        assert asp_kernels == ["numpy" if offset < 0 else "python"]
     assert solve(inst, "asp").total_cost == worst
     assert solve(inst).total_cost == worst
 
@@ -336,7 +336,8 @@ def test_rank_ids_match_the_unique_relabel(drawn):
             except NotSeriesParallelError as err:
                 outcomes.append(str(err))
                 continue
-            plan = [x.tolist() if isinstance(x, np.ndarray) else x for x in tree.plan]
+            plan = [x.tolist() if isinstance(x, np.ndarray) else x
+                    for x in (*tree.columns, *asp._plan(tree.columns))]
             outcomes.append((tree.root, tree.height, tree.hops, plan,
                              serialize_solution(solve(inst, "asp"))))
     assert outcomes[0] == outcomes[1]
