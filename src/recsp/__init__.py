@@ -12,7 +12,6 @@ from .dispatch import METHODS, solve
 from .errors import (
     ConfigError,
     CyclicGraphError,
-    InfeasibleError,
     NotLayeredError,
     NotSeriesParallelError,
     ParseError,
@@ -41,7 +40,6 @@ __all__ = [
     "DecompTree",
     "FAMILIES",
     "INF",
-    "InfeasibleError",
     "Instance",
     "METHODS",
     "MultiDigraph",

@@ -119,7 +119,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csp import run_starts
-from .errors import InfeasibleError, NotSeriesParallelError
+from .errors import NotSeriesParallelError
 from .graph import INF, Instance
 from .solution import Solution, build_solution
 
@@ -1035,8 +1035,5 @@ def solve_asp(instance: Instance) -> Solution:
     """Exact solver for arc series-parallel instances."""
     instance.require_positive_budget()
     _, opt, _, read_back = _sweep(instance, decompose(instance))
-    best = min(opt)
-    if best == INF:
-        raise InfeasibleError("no stage pair within the recovery budget")
-    x, y = read_back(opt.index(best))  # ties: smallest divergence
+    x, y = read_back(opt.index(min(opt)))  # ties: smallest divergence
     return build_solution(instance, tuple(x), tuple(y))

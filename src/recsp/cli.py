@@ -11,7 +11,6 @@ from .dispatch import METHODS, solve
 from .errors import (
     ConfigError,
     CyclicGraphError,
-    InfeasibleError,
     NotLayeredError,
     NotSeriesParallelError,
     ParseError,
@@ -37,7 +36,6 @@ EXIT_CYCLIC = 5
 EXIT_NOT_LAYERED = 6
 EXIT_NOT_SP = 7
 EXIT_TOO_MANY_PATHS = 8
-EXIT_INFEASIBLE = 9
 EXIT_MEMORY = 11
 
 _ERROR_EXITS = (
@@ -46,7 +44,6 @@ _ERROR_EXITS = (
     (NotLayeredError, EXIT_NOT_LAYERED),
     (NotSeriesParallelError, EXIT_NOT_SP),
     (TooManyPathsError, EXIT_TOO_MANY_PATHS),
-    (InfeasibleError, EXIT_INFEASIBLE),
     (ValidationError, EXIT_VALIDATION),
     (ConfigError, EXIT_CONFIG),
 )
@@ -115,8 +112,8 @@ def cmd_bench(args) -> int:
     cross-check against the ``dag`` method.
 
     Instances over the --limit arc count skip the cross-check (the general
-    solver is quadratic in nodes).  A row whose solve fails records the
-    error class instead of an agreement flag.
+    solver is quadratic in nodes).  Each family's method applies to every
+    instance of that family, so every row carries a total.
     """
     rows = []
     for index, arcs in enumerate(args.sizes):
@@ -128,15 +125,7 @@ def cmd_bench(args) -> int:
         n = instance.graph.node_count
         m = instance.graph.arc_count
         start = time.perf_counter()
-        try:
-            solution = solve(instance, args.family)
-        except RecspError as exc:
-            elapsed = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                [args.family, n, m, instance.k, args.family, "",
-                 f"{elapsed:.3f}", f"error:{type(exc).__name__}"]
-            )
-            continue
+        solution = solve(instance, args.family)
         elapsed = (time.perf_counter() - start) * 1000.0
         if m <= args.limit:
             reference = solve(instance, "dag")

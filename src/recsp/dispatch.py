@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .asp import solve_asp
-from .errors import InfeasibleError, NotLayeredError, NotSeriesParallelError
+from .errors import NotLayeredError, NotSeriesParallelError
 from .graph import Instance, dag_shortest_paths, shortest_path
 from .oracle import solve_bruteforce
 from .reduction import solve_dag, solve_layered
@@ -16,8 +16,6 @@ def _solve_zero_budget(instance: Instance) -> Solution:
     graph = instance.graph
     dist = dag_shortest_paths(graph, graph.combined, instance.source, until=instance.sink)
     path = shortest_path(graph, graph.combined, dist, instance.source, instance.sink)
-    if path is None:
-        raise InfeasibleError("sink unreachable")
     return build_solution(instance, path, path)
 
 

@@ -21,10 +21,6 @@ class TooManyPathsError(RecspError):
     """Exhaustive enumeration would exceed the configured limit."""
 
 
-class InfeasibleError(RecspError):
-    """No feasible solution exists (e.g. sink unreachable within budget)."""
-
-
 class ValidationError(RecspError):
     """Instance or solution data violates a structural invariant."""
 

@@ -302,7 +302,11 @@ class Instance:
     """A recoverable shortest path instance: graph, terminals, recovery budget k.
 
     Validation sorts the graph and keeps that sweep's ``hops``: the most arcs
-    on any source->v path for every node v, -1 where v is unreachable."""
+    on any source->v path for every node v, -1 where v is unreachable.
+
+    Every instance that validates is feasible: the sink is reachable, and
+    any s-t path taken as both stages diverges by 0 <= k.  The solvers rely
+    on this and return a stage pair for every instance."""
 
     graph: MultiDigraph
     source: int

@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from .csp import LEVEL_LIMIT, run_starts, solve_csp, solve_levels
-from .errors import InfeasibleError
 from .graph import (
     HopBoundedTable,
     Instance,
@@ -241,13 +240,12 @@ def _solution(instance: Instance, steps) -> Solution:
 
 
 def _solve(instance: Instance, transitions: list[tuple]) -> Solution:
-    result = solve_csp(
+    # never None: the direct transitions reach the sink at time 0 (see Instance)
+    _, steps = solve_csp(
         instance.graph.node_count, transitions, instance.source, instance.sink,
         instance.effective_k,
     )
-    if result is None:
-        raise InfeasibleError("no stage pair within the recovery budget")
-    return _solution(instance, [(i, j, l, a) for i, j, _, l, a in result[1]])
+    return _solution(instance, [(i, j, l, a) for i, j, _, l, a in steps])
 
 
 def solve_layered(instance: Instance) -> Solution:
@@ -263,10 +261,7 @@ def solve_layered(instance: Instance) -> Solution:
     if columns is None:
         return _solve(instance, build_layered_reduction(instance))
     nodes, starts, tail, head, cost, time, arc = columns
-    result = solve_levels(starts, tail, head, cost, time, instance.effective_k)
-    if result is None:
-        raise InfeasibleError("no stage pair within the recovery budget")
-    rows = result[1]
+    _, rows = solve_levels(starts, tail, head, cost, time, instance.effective_k)
     return _solution(instance, zip(nodes[tail[rows]].tolist(), nodes[head[rows]].tolist(),
                                    time[rows].tolist(), arc[rows].tolist()))
 

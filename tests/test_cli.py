@@ -1,5 +1,7 @@
 import csv
+import inspect
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import recsp.cli
+import recsp.errors
 from recsp import instance_io
 from recsp.cli import main
 from recsp.dispatch import solve
@@ -338,17 +341,32 @@ def test_generate_config_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_every_error_class_has_one_distinct_exit_code():
+    classes = {
+        cls for _, cls in inspect.getmembers(recsp.errors, inspect.isclass)
+        if issubclass(cls, recsp.errors.RecspError) and cls is not recsp.errors.RecspError
+    }
+    table = recsp.cli._ERROR_EXITS
+    assert sorted(cls.__name__ for cls, _ in table) == sorted(cls.__name__ for cls in classes)
+    codes = [code for _, code in table]
+    assert len(set(codes)) == len(codes)
+    assert not {0, 1} & set(codes)
+
+
 def test_bench_csv_schema_and_agreement(capsys):
-    for k in ("2", "0"):
-        assert main(["bench", "--family", "asp", "--seed", "11",
+    # every family's method solves every instance the generator draws from
+    # it, so each row carries an integer total and the exit code is 0
+    for family, k in itertools.product(("asp", "layered", "dag"), ("2", "0")):
+        assert main(["bench", "--family", family, "--seed", "11",
                      "--sizes", "8,12,16", "--k", k]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["family", "n", "m", "k", "method", "total",
                            "time_ms", "agreement"]
         assert len(rows) == 4
         for row in rows[1:]:
-            assert row[0] == "asp" and row[4] == "asp" and row[3] == k
+            assert row[0] == family and row[4] == family and row[3] == k
             assert int(row[2]) in (8, 12, 16)
+            int(row[5])
             assert row[7] == "yes"
             float(row[6])
 

@@ -22,7 +22,7 @@ def test_budget_forces_costlier_route():
     assert [tr[0] for tr in loose] == [0, 1]
 
 
-def test_infeasible_returns_none():
+def test_out_of_reach_sink_returns_none():
     assert solve_csp(2, [(0, 1, 1, 3, None)], 0, 1, 2) is None
     assert solve_csp(3, [], 0, 2, 5) is None
 
