@@ -1,4 +1,8 @@
-"""Command line interface: solve, verify, generate, bench."""
+"""Command line interface: solve, verify, generate, bench.
+
+``main`` returns the exit status: a ``RecspError`` exits with its class's
+``exit_code``, an ``OSError`` with 2 and running out of memory with 11.
+"""
 from __future__ import annotations
 
 import argparse
@@ -8,16 +12,7 @@ import sys
 import time
 
 from .dispatch import METHODS, solve
-from .errors import (
-    ConfigError,
-    CyclicGraphError,
-    NotLayeredError,
-    NotSeriesParallelError,
-    ParseError,
-    RecspError,
-    TooManyPathsError,
-    ValidationError,
-)
+from .errors import RecspError
 from .generator import FAMILIES, generate_instance
 from .instance_io import (
     parse_instance,
@@ -30,23 +25,7 @@ from .solution import verify_solution
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_VALIDATION = 4
-EXIT_CYCLIC = 5
-EXIT_NOT_LAYERED = 6
-EXIT_NOT_SP = 7
-EXIT_TOO_MANY_PATHS = 8
 EXIT_MEMORY = 11
-
-_ERROR_EXITS = (
-    (ParseError, EXIT_PARSE),
-    (CyclicGraphError, EXIT_CYCLIC),
-    (NotLayeredError, EXIT_NOT_LAYERED),
-    (NotSeriesParallelError, EXIT_NOT_SP),
-    (TooManyPathsError, EXIT_TOO_MANY_PATHS),
-    (ValidationError, EXIT_VALIDATION),
-    (ConfigError, EXIT_CONFIG),
-)
 
 
 def _read(path: str) -> str:
@@ -201,15 +180,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecspError as exc:
+    except (RecspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cls, code in _ERROR_EXITS:
-            if isinstance(exc, cls):
-                return code
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(exc, "exit_code", EXIT_CONFIG)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_MEMORY

@@ -215,10 +215,8 @@ def generate_instance(
     rng = SplitMix64(seed)
     if family == "layered":
         return _gen_layered(rng, nodes, arcs, k, layers)
-    if family == "dag":
-        if layers is not None:
-            raise ConfigError("layers only applies to the layered family")
-        return _gen_dag(rng, nodes, arcs, k)
     if layers is not None:
         raise ConfigError("layers only applies to the layered family")
+    if family == "dag":
+        return _gen_dag(rng, nodes, arcs, k)
     return _gen_asp(rng, arcs, k)

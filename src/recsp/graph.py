@@ -153,10 +153,7 @@ class MultiDigraph:
             faulty = range(m) if m and (min(deviation) < 0 or any(map(operator.eq, tail, head))) else ()
             inside = not m or 0 <= min(tail) and max(tail) < n and 0 <= min(head) and max(head) < n
         for i in faulty:
-            if deviation[i] < 0:
-                raise ValidationError(f"arc {i}: deviation {deviation[i]} < 0")
-            if tail[i] == head[i]:
-                raise ValidationError(f"arc {i}: self-loop at node {tail[i]}")
+            Arc(i, *(column[i] for column in given))  # raises at the first faulty arc
         if n < 1:
             raise ValidationError("node_count must be >= 1")
         if not inside:

@@ -3,9 +3,11 @@ import inspect
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -341,16 +343,48 @@ def test_generate_config_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_every_error_class_has_one_distinct_exit_code():
-    classes = {
+def _error_subclasses():
+    return {
         cls for _, cls in inspect.getmembers(recsp.errors, inspect.isclass)
         if issubclass(cls, recsp.errors.RecspError) and cls is not recsp.errors.RecspError
     }
-    table = recsp.cli._ERROR_EXITS
-    assert sorted(cls.__name__ for cls, _ in table) == sorted(cls.__name__ for cls in classes)
-    codes = [code for _, code in table]
+
+
+def test_every_error_class_has_one_distinct_exit_code():
+    classes = _error_subclasses()
+    # each class states its own code rather than inheriting RecspError's
+    assert all("exit_code" in vars(cls) for cls in classes)
+    codes = [cls.exit_code for cls in classes]
     assert len(set(codes)) == len(codes)
     assert not {0, 1} & set(codes)
+
+
+def test_readme_exit_code_table_lists_every_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = {int(code): meaning for code, meaning in re.findall(r"^\| (\d+) +\| (.*) \|$", section, re.M)}
+    codes = {cls.exit_code for cls in _error_subclasses() | {recsp.errors.RecspError}}
+    assert set(rows) == codes | {0, 1, 2, 9, 10, 11}
+    assert not {9, 10} & codes
+    for gone in (9, 10):
+        assert rows[gone].startswith("no longer returned"), rows[gone]
+
+
+@pytest.mark.parametrize("text, code", [
+    ("p recsp 2 1 0 1 1\na 0 1 zap 1 0\n", 3),
+    ("p recsp 3 3 0 2 1\na 0 1 1 1 0\na 1 0 1 1 0\na 0 2 1 1 0\n", 5),
+], ids=["malformed", "cyclic"])
+def test_a_typed_error_exits_with_its_code_in_a_child_process(tmp_path, text, code):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "recsp.cli", "solve", "-i", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_bench_csv_schema_and_agreement(capsys):

@@ -15,6 +15,19 @@ instances, and all of them the same total.  The sizes take asp past
 ``ARRAY_MIN_ARCS`` into its numpy sweep and the layered and dag
 reductions past the oracle's path cap; the budgets run from 1 to past
 the longest source-sink path, where the effective budget caps them.
+
+Two more move the optimum by a known amount:
+
+- per-gap shifts: in a layered graph every source-sink path takes one
+  arc from hop ``g`` to ``g + 1`` for each ``g``, so adding ``c_g`` to the
+  first-stage and ``d_g`` to the nominal cost of those arcs adds
+  ``c_g + d_g`` to every pair's total, and their sum to the optimum;
+- scaling: multiplying every cost by ``s > 0`` multiplies every pair's
+  total, and so the optimum, by ``s``.
+
+Their shifts and scales run from small ones to ones past the int64
+guards of the layered and asp solves, and past the int64 range of
+``graph.costs``, which clips them.
 """
 import pytest
 
@@ -75,3 +88,58 @@ def test_reversal_and_dominated_copies_keep_every_total(
                 assert verify_solution(variant, sol).accepted, (method, k)
                 totals.add(sol.total_cost)
         assert len(totals) == 1, (k, totals)
+
+
+def _case(name):
+    """The base instance of the CASES entry with this id."""
+    family, seed, sizes, *_ = next(c for c in CASES if f"{c[0]}-{c[1]}" == name)
+    return generate_instance(family, seed, k=1, **sizes)
+
+
+def _with_costs(inst, k, first, nominal, deviation):
+    graph = MultiDigraph(inst.graph.node_count, inst.graph.tail, inst.graph.head,
+                         first, nominal, deviation)
+    return Instance(graph, inst.source, inst.sink, k)
+
+
+@pytest.mark.parametrize("name, longest_too", [("layered-4", True), ("layered-5", False)])
+def test_per_gap_shifts_raise_every_total_by_their_sum(name, longest_too):
+    base = _case(name)
+    graph, hops, longest = base.graph, base.hops, base.hops[base.sink]
+    for k in (1, 2, 5) + ((longest,) if longest_too else ()):
+        total = solve(Instance(graph, base.source, base.sink, k), "layered").total_cost
+        # +-2**58 per gap takes layered past its int64 guard, onto its exact route
+        for bound in (5, 1 << 40, 1 << 58):
+            rng = SplitMix64(bound + k)
+            c, d = ({g: rng.randint(-bound, bound) for g in range(longest)} for _ in "cd")
+            # an arc out of an unreached node, or out of the sink's hop,
+            # lies on no source-sink path and keeps its costs
+            first = [cost + c.get(hops[tail], 0) for cost, tail in zip(graph.first, graph.tail)]
+            nominal = [cost + d.get(hops[tail], 0) for cost, tail in zip(graph.nominal, graph.tail)]
+            inst = _with_costs(base, k, first, nominal, graph.deviation)
+            shift = sum(c.values()) + sum(d.values())
+            for method in ("layered", "auto") + (("dag",) if k <= 5 else ()):
+                assert solve(inst, method).total_cost == total + shift, (method, k, bound)
+
+
+# (case, methods); asp passes its int64 guard at 2**42, layered at 2**50,
+# and 2**70 saturates graph.costs on every instance
+@pytest.mark.parametrize("name, methods", [
+    ("asp-1", ("asp", "auto")),
+    ("asp-3", ("asp", "auto")),
+    ("layered-4", ("layered", "dag", "auto")),
+    ("dag-6", ("dag", "auto")),
+])
+def test_scaling_every_cost_scales_every_total(name, methods):
+    base = _case(name)
+    graph = base.graph
+    for k in (1, 2, 5):
+        total = solve(Instance(graph, base.source, base.sink, k), methods[0]).total_cost
+        for shift in (20, 42, 50, 70):
+            scale = 1 << shift
+            inst = _with_costs(base, k, *([cost * scale for cost in column] for column in
+                                          (graph.first, graph.nominal, graph.deviation)))
+            for method in methods:
+                sol = solve(inst, method)
+                assert verify_solution(inst, sol).accepted, (method, k, shift)
+                assert sol.total_cost == total * scale, (method, k, shift)
