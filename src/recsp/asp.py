@@ -45,7 +45,7 @@ closing joins neighbours no taller than the lowest neighbouring pair, so
 short operands are joined before tall ones.  ``_sweep`` picks the
 kernel from the columns, by one rule.  A tree whose columns are lists
 (one of fewer than ``ARRAY_MIN_ARCS`` leaves), or one whose costs fail
-the int64 guard (see Exactness), is swept in plain Python
+``graph.fits_int64`` (see Exactness), is swept in plain Python
 (``_sweep_lists``), node by node in creation order, over the columns as
 lists; its rows are Python lists, ``min(k, hops) + 1`` long, and a
 node's rows are dropped once its parent's are made.  Any other tree is
@@ -87,25 +87,15 @@ Exactness.  The Python sweep adds exact ints, with ``INF`` for no path,
 and is exact on every input.  It never adds to ``INF``, since an int
 past the float range raises there; skipping an infinite candidate
 changes no finite minimum and no tie.  The numpy sweep is exact where
-the int64 guard (``_fits_int64``) holds: the absolute costs of the
-tree's leaf arcs, summed, stay below ``ASP_INF / 16`` = 2**58, which
-bounds every finite entry; arcs off every source-sink path are never
-read, so their costs do not count.  It reads the graph's int64
-``costs``, clipped to +-``SATURATE`` = 2**61, which fails the guard as
-any larger cost does.  ``_sweep`` tests the guard once, on trees whose
-columns are arrays, and sweeps a tree that fails it in Python, so no
-instance is refused for its costs; ``decompose`` reads no cost.  Inside
-the numpy sweep infinity is ``_INF = ASP_INF >> 1`` and additions are
-unmasked: an entry with no path behind it is ``_INF`` plus costs of
-distinct arcs, and each block clamps its results at ``_INF`` (one
-``np.minimum``), so such an entry stays within 2**58 below ``_INF``, a
-sum of two entries stays inside int64, and a finite candidate always
-beats an infinite one.  Entries at or above ``_PIN = _INF >> 1`` read
-as infinite.  Ties: numpy's argmin takes the first occurrence, which is
-the smallest left share in series and the left (earlier) side in
-parallel; the Python sweep takes the first minimum in the same order.
-Cutting a convolution short drops only infinite candidates, so it
-changes no finite entry and no tie.
+``graph.fits_int64`` holds on the leaf arcs' int64 ``costs``; its rows
+start at ``NO_PATH``, additions are unmasked, each block clamps its
+results at ``NO_PATH`` and entries from ``SATURATE`` on read as
+infinite, as the proof there requires.  ``decompose`` reads no cost.
+Ties: numpy's argmin takes the first occurrence, which is the smallest
+left share in series and the left (earlier) side in parallel; the
+Python sweep takes the first minimum in the same order.  Cutting a
+convolution short drops only infinite candidates, so it changes no
+finite entry and no tie.
 """
 from __future__ import annotations
 
@@ -120,12 +110,9 @@ import numpy as np
 
 from .csp import run_starts
 from .errors import NotSeriesParallelError
-from .graph import INF, Instance
+from .graph import INF, NO_PATH, SATURATE, Instance, fits_int64
 from .solution import Solution, build_solution
 
-ASP_INF = 1 << 62
-_INF = ASP_INF >> 1
-_PIN = _INF >> 1
 # int64 cells in the largest temporary of one batched step (512 KB): a
 # series node's sums, 2w times its span, or a node's two gathered children
 BLOCK_CELLS = 1 << 16
@@ -717,17 +704,6 @@ def _plan(columns: _Columns) -> _Plan:
     )
 
 
-def _fits_int64(costs, leaf_arcs) -> bool:
-    """Whether the numpy sweep is exact on the leaf arcs: the largest
-    ``|first| + |upper|`` over them in the graph's int64 ``costs``, times
-    16 times the arcs plus 2, stays below ``ASP_INF``.  A cost clipped to
-    +-SATURATE fails the test, as its exact value would.
-    """
-    # one row each, then the gather: a gather of both rows at once takes 5x as long
-    worst = int((np.abs(costs[0]) + np.abs(costs[1]))[leaf_arcs].max())
-    return 16 * (len(leaf_arcs) + 2) * (worst + 1) < ASP_INF
-
-
 def _parallel_step(children, child_first, values, first):
     """Parallel composition of a block of nodes.
 
@@ -768,7 +744,7 @@ def _series_step(children, child_first, values, first, span):
     # reads right[l - j] for j <= l and an infinity beyond
     padded = np.empty((rows, 2, w + span - 1), dtype=np.int64)
     padded[:, :, :w] = children[:, 1, :, ::-1]
-    padded[:, :, w:] = _INF
+    padded[:, :, w:] = NO_PATH
     step = padded.itemsize
     shifted = np.ndarray((rows, 2, w, span), np.int64, padded, (w - 1) * step,
                          (*padded.strides[:2], -step, step))
@@ -789,29 +765,27 @@ def _block_end(lead, lo: int, end: int, w: int, room: int) -> int:
                                     key=lambda i: (i - lo) * min(w, lead[i - 1] + 1)))
 
 
-def _evaluate(instance: Instance, tree: DecompTree, plan: _Plan):
+def _evaluate(instance: Instance, tree: DecompTree, plan: _Plan, costs):
     """Sweep by height, ``min(k, hops) + 1`` wide, in the order ``plan``
-    gives the tree's internal nodes.
+    gives the tree's internal nodes, over ``costs``, the (first, upper,
+    combined) rows of the leaf arcs.
 
     Returns the first cost of every node, the root's (opt, upper) rows
     and the backpointers: per height a (parallel, series) pair of tuples
     of arrays indexed by position in the batch.
     """
-    leaf_arcs = tree.columns.leaf_arcs
-    # (first, upper, combined) of the leaf arcs; no other arc is read
-    costs = instance.graph.costs.take(leaf_arcs, axis=1)
     width = min(instance.k, tree.hops) + 1
-    leaves = len(leaf_arcs)
+    leaves = tree.leaf_count
     first = np.empty(2 * leaves - 1, dtype=np.int64)
     first[:leaves] = costs[0]
     if not plan.levels:  # a single arc
-        root = np.full((2, width), _INF, dtype=np.int64)
+        root = np.full((2, width), NO_PATH, dtype=np.int64)
         root[0, 0] = costs[2, 0]
         if width > 1:
             root[1, 1] = costs[1, 0]
         return first, root, []
 
-    store = np.full((plan.slots + 1, 2, width), _INF, dtype=np.int64)
+    store = np.full((plan.slots + 1, 2, width), NO_PATH, dtype=np.int64)
     child_row, children, ids, out_row = plan.child_row, plan.children, plan.ids, plan.out_row
     # a leaf child's only finite entries: opt[0] (combined) and upper[1]
     leaf_values = costs[:0:-1, np.minimum(children, leaves - 1)].T
@@ -842,8 +816,8 @@ def _evaluate(instance: Instance, tree: DecompTree, plan: _Plan):
                 found[1].append(_series_step(
                     gathered[mid:], child_first[mid:], values[mid:], out_first[mid:],
                     min(w, lead[hi - 1] + 1)))
-            # keep infinities at or below _INF; see the module docstring
-            np.minimum(values, _INF, out=values)
+            # keep infinities at or below NO_PATH; see the module docstring
+            np.minimum(values, NO_PATH, out=values)
             store[out_row[lo:hi], :, :w] = values
             first[ids[lo:hi]] = out_first
             lo = hi
@@ -986,23 +960,29 @@ def _sweep(instance: Instance, tree: DecompTree):
     """Sweep the tree with the kernel its record and costs allow.
 
     A tree whose columns are lists (one of fewer than ``ARRAY_MIN_ARCS``
-    leaves) or whose leaf arcs' costs fail the int64 guard
-    (``_fits_int64``) is swept in Python (``_sweep_lists``); any other is
-    planned (``_plan``) and swept in numpy (``_evaluate``).
+    leaves) or whose leaf arcs' costs fail ``graph.fits_int64`` is swept
+    in Python (``_sweep_lists``); any other is planned (``_plan``) and
+    swept in numpy (``_evaluate``).
 
     Returns the root's first cost, its opt and upper rows as exact ints
     with ``INF`` where no path is, and ``read_back(l)``, the stage paths
     of ``opt[l]`` (see ``_read_back``).
     """
     columns = tree.columns
-    if type(columns.kids) is list or not _fits_int64(instance.graph.costs, columns.leaf_arcs):
+    costs = None
+    if type(columns.kids) is not list:
+        # (first, upper, combined) of the leaf arcs; no other arc is read
+        costs = instance.graph.costs.take(columns.leaf_arcs, axis=1)
+        if not fits_int64(instance, costs[0], costs[1]):
+            costs = None  # freed: the Python sweep reads the exact columns
+    if costs is None:
         columns = columns.lists()
         first, opt, upper, backs = _sweep_lists(instance, columns)
         back = backs.__getitem__
     else:
         plan = _plan(columns)
-        first, root, found = _evaluate(instance, tree, plan)
-        opt, upper = ([INF if v >= _PIN else v for v in row.tolist()] for row in root)
+        first, root, found = _evaluate(instance, tree, plan, costs)
+        opt, upper = ([INF if v >= SATURATE else v for v in row.tolist()] for row in root)
         height, levels, sweep_index = columns.height, plan.levels, plan.sweep_index
         leaves = len(columns.leaf_arcs)
 

@@ -21,12 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import INF
-
-# int64 rows hold no path as this sentinel plus a sum of costs, and
-# solve_levels requires every such sum below LEVEL_LIMIT in magnitude
-_SENTINEL = 1 << 62
-LEVEL_LIMIT = _SENTINEL >> 1
+from .graph import INF, NO_PATH, SATURATE
 
 
 def solve_csp(node_count, transitions, source, sink, budget):
@@ -99,8 +94,8 @@ def solve_levels(starts, tail, head, cost, time, budget):
     ``tail``, ``head`` and ``time`` are integer arrays, ``cost`` an int64
     array, listed by ascending head; every node but the source heads a
     transition, each from a lower level with a time of at most ``budget``,
-    and every chain of transitions sums to less than ``LEVEL_LIMIT`` in
-    magnitude.
+    and the costs meet ``graph.fits_int64``, whose proof covers these
+    rows: they start at ``NO_PATH``.
 
     Each level takes one batched step: gather each tail's row shifted by
     the transition's time, add the costs, and keep the least per head and
@@ -109,19 +104,17 @@ def solve_levels(starts, tail, head, cost, time, budget):
     ``solve_csp``'s backpointers would give it: at each node, the earliest
     transition in list order whose tail's row plus its cost attains the
     node's row.  The temporaries hold one level's transitions times the
-    budget's width, and the rows the nodes times that width.  A row with
-    no path holds the sentinel 2**62 plus the sum of a chain, so it stays
-    in int64 and at or above ``LEVEL_LIMIT``, where no path's cost is.
+    budget's width, and the rows the nodes times that width.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     width = budget + 1
     # head v's transitions are cuts[v]:cuts[v + 1]; the source's are none
     cuts = np.concatenate(([0], run_starts(head), [len(head)]))
-    # rows padded on the left by budget sentinel columns, so that a
+    # rows padded on the left by budget no-path columns, so that a
     # transition of time l reads its tail's row shifted by l
     span = budget + width
-    dist = np.full((starts[-1], span), _SENTINEL, dtype=np.int64)
+    dist = np.full((starts[-1], span), NO_PATH, dtype=np.int64)
     dist[0, budget] = 0
     flat = dist.reshape(-1)
     # where each transition's shifted row starts in the flat rows
@@ -138,7 +131,7 @@ def solve_levels(starts, tail, head, cost, time, budget):
     # the path ends at the sink's first least entry, as in solve_csp
     t = int(dist[v].argmin())
     total = dist[v, t]
-    if total >= LEVEL_LIMIT:
+    if total >= SATURATE:
         return None
     dist = dist.tolist()
     cuts = cuts.tolist()

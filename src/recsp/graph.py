@@ -21,7 +21,8 @@ out-arcs.  The routines here read those and never sort the graph again.
 Each column is built on first read in the form its reader wants: the
 exact Python-int lists the sweeps here read, and the int64 ``ends`` and
 ``costs`` that numpy code reads (the costs saturated at ``SATURATE``, so
-that sums of two stay inside int64).
+that sums of two stay inside int64).  ``fits_int64`` states and proves
+the one rule that keeps the numpy kernels of ``asp`` and ``csp`` exact.
 ``Arc`` objects are views built only when ``MultiDigraph.arcs`` is read.
 
 Every sweep from a source walks the topological order from it and pushes
@@ -84,8 +85,35 @@ def _column():
     return field(init=False, repr=False, compare=False)
 
 
-# int64 cost columns are clipped to +-SATURATE: a sum of two stays in range
+# int64 cost columns are clipped to +-SATURATE, so that a sum of two stays
+# in range; SATURATE and NO_PATH also bound the numpy kernels (fits_int64)
 SATURATE = 1 << 61
+NO_PATH = 2 * SATURATE - 1
+
+
+def fits_int64(instance: Instance, first, upper) -> bool:
+    """The one rule for int64 in the numpy kernels: ``B = h(F + U) <
+    SATURATE``, h the sink's hop count and F and U the largest magnitudes
+    in ``first`` and ``upper``, the int64 ``costs`` rows of the arcs joining
+    on-path nodes; a clipped cost fails it, as its exact value would.
+
+    The kernels start their rows at ``NO_PATH`` and read entries at or
+    above ``SATURATE`` as no path.  By induction over asp's tree, a finite
+    entry is a cost over at most the subtree's hop count of arcs per stage,
+    so its magnitude is at most ``hops * (F + U) <= B``, and a no-path entry
+    lies at most that far below ``NO_PATH``: in series the hop counts add,
+    in parallel the larger is kept, and a mixed parallel candidate adds at
+    most ``hops_a * F + hops_b * U``.  So finite entries lie below
+    ``SATURATE`` and no-path ones at or above it: a finite candidate always
+    wins, and no tie changes.  asp clamps each block at ``NO_PATH``, so a
+    sum of two entries stays at or below 2**63 - 2.  ``csp.solve_levels``
+    does not clamp, but a chain there climbs at most h layers, by at most
+    ``F + U`` each, so the same bounds hold.  One B fits both: asp's leaf
+    arcs are the arcs joining on-path nodes, and its root's hop count is
+    the sink's.
+    """
+    bound = int(np.abs(first).max()) + int(np.abs(upper).max())
+    return instance.hops[instance.sink] * bound < SATURATE
 
 
 class _ListOnRead:

@@ -25,7 +25,7 @@ last node the table reached.
 ``dag`` lists the transitions as tuples, source by source, for
 ``solve_csp``.  ``layered`` keeps them as the build's columns, head by
 head (``layered_columns``), and solves them with ``solve_levels``, one
-batched step per layer, in int64 only; past one magnitude guard it runs
+batched step per layer, in int64 only; past ``graph.fits_int64`` it runs
 ``solve_csp`` over ``dag``'s exact list, as ``build_layered_reduction``
 returns it once the layering is checked.  Both find the same optimum,
 ties included.
@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csp import LEVEL_LIMIT, run_starts, solve_csp, solve_levels
+from .csp import run_starts, solve_csp, solve_levels
 from .graph import (
     HopBoundedTable,
     Instance,
     compute_layering,
     dag_shortest_paths,
+    fits_int64,
     shortest_path,
 )
 from .solution import Solution, build_solution
@@ -62,7 +63,7 @@ def _direct(graph, on, i: int) -> list[tuple]:
 
 
 def layered_columns(instance: Instance):
-    """Transitions for a layered instance as int64 columns, or None past the guard.
+    """Transitions for a layered instance as int64 columns, or None past ``fits_int64``.
 
     Returns ``(nodes, starts, tail, head, cost, time, arc)``: ``nodes``
     maps the compact ids, the on-path nodes by (layer, place in
@@ -78,14 +79,8 @@ def layered_columns(instance: Instance):
     nodes both paths visit; between two consecutive such nodes the stages
     either share one arc (a direct transition) or the recovery stretch has
     no arc of the first-stage path, so it diverges by exactly the gap, as
-    in ``build_dag_reduction``.
-
-    Then the guard, the one place that picks int64 or exact: a transition
-    costs at most F + U per layer it climbs, F and U the largest first-stage
-    and upper magnitudes of the on-path arcs, and a chain climbs at most the
-    sink's hop count h, so B = h(F + U) bounds every sum formed here and in
-    ``solve_levels``.  When B reaches ``LEVEL_LIMIT`` (as it does when a
-    cost is clipped at SATURATE) nothing is built and None is returned.
+    in ``build_dag_reduction``.  When the on-path arcs' costs fail
+    ``graph.fits_int64``, nothing is built and None is returned.
 
     All sources are handled at once, in arrays over the compact ids.  The
     arcs joining on-path nodes are reduced to one entry per (tail, head)
@@ -111,7 +106,7 @@ def layered_columns(instance: Instance):
     tails, heads = rank[tails], rank[heads]
     arcs = (np.minimum(tails, heads) >= 0).nonzero()[0]
     first, upper = graph.costs[:2, arcs]
-    if instance.hops[instance.sink] * int(np.abs(first).max() + np.abs(upper).max()) >= LEVEL_LIMIT:
+    if not fits_int64(instance, first, upper):
         return None
     combined = first + upper
     key = tails[arcs] * size + heads[arcs]
@@ -158,10 +153,11 @@ def layered_columns(instance: Instance):
 
 def build_layered_reduction(instance: Instance) -> list[tuple]:
     """``layered_columns``' transitions as exact tuples, for ``solve_csp``
-    past the int64 guard: ``build_dag_reduction``'s list, once the layering
-    is checked.  Its order differs, but each head's transitions come in the
-    same order (tails topologically, a direct one before a pair one), and
-    ``solve_csp`` reads a tail's row only once it is final: same optimum."""
+    past ``graph.fits_int64``: ``build_dag_reduction``'s list, once the
+    layering is checked.  Its order differs, but each head's transitions
+    come in the same order (tails topologically, a direct one before a pair
+    one), and ``solve_csp`` reads a tail's row only once it is final: same
+    optimum."""
     compute_layering(instance)
     return build_dag_reduction(instance)
 
@@ -252,8 +248,8 @@ def solve_layered(instance: Instance) -> Solution:
     """Exact solver for layered instances (every arc advances one layer).
 
     Runs ``solve_levels`` over ``layered_columns``, whose nodes come
-    numbered by layer, the source first and the sink last.  Past the
-    columns' int64 guard it runs ``solve_csp`` over
+    numbered by layer, the source first and the sink last.  Past
+    ``graph.fits_int64`` it runs ``solve_csp`` over
     ``build_layered_reduction`` instead, which finds the same optimum.
     """
     instance.require_positive_budget()

@@ -17,7 +17,7 @@ from recsp.asp import LEAF, PARALLEL, SERIES, decompose, root_values, solve_asp
 from recsp.dispatch import solve
 from recsp.errors import NotSeriesParallelError
 from recsp.generator import SplitMix64, generate_instance
-from recsp.graph import INF, Instance, MultiDigraph
+from recsp.graph import INF, NO_PATH, SATURATE, Instance, MultiDigraph
 from recsp.instance_io import parse_instance, serialize_instance, serialize_solution
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.reduction import solve_dag, solve_layered
@@ -166,9 +166,9 @@ def test_equal_first_stage_arcs_prefer_first():
 
 
 def test_huge_costs_are_solved_exactly():
-    # 2**58 is past the int64 guard, which only the numpy sweep needs
-    inst = Instance(MultiDigraph.from_rows(2, [(0, 1, 1 << 58, 0, 0)]), 0, 1, 1)
-    assert solve_asp(inst).total_cost == 1 << 58
+    # 2**61 is past graph.fits_int64, which only the numpy sweep needs
+    inst = Instance(MultiDigraph.from_rows(2, [(0, 1, SATURATE, 0, 0)]), 0, 1, 1)
+    assert solve_asp(inst).total_cost == SATURATE
     assert root_values(inst) == bruteforce_root_values(inst)
 
 
@@ -185,15 +185,14 @@ def _with_costs(inst, scale, first=None):
 
 
 def test_costs_past_the_int64_guard_take_the_python_sweep(monkeypatch, asp_kernels):
-    # a tree large enough for the numpy sweep, with its costs scaled just
-    # past the guard, is swept exactly in Python and answers as unscaled
+    # a tree large enough for the numpy sweep, with its costs scaled by the
+    # least factor that takes B = h(F + U) to SATURATE, is swept exactly in
+    # Python and answers as unscaled; one factor less stays in numpy
     inst = generate_instance("asp", 0x0BE5, arcs=450, k=3)
     g = inst.graph
     assert decompose(inst).leaf_count == g.arc_count >= asp.ARRAY_MIN_ARCS
-    worst = max(abs(f) + abs(u) for f, u in zip(g.first, g.upper))
-    # the least |first| + |upper| the guard refuses on these leaves
-    limit = -(-asp.ASP_INF // (16 * (g.arc_count + 2))) - 1
-    scale = -(-limit // worst)
+    bound = inst.hops[inst.sink] * (max(map(abs, g.first)) + max(map(abs, g.upper)))
+    scale = -(-SATURATE // bound)
     solve_asp(_with_costs(inst, scale - 1))
     assert asp_kernels == ["numpy"]
     scaled = _with_costs(inst, scale)
@@ -229,7 +228,7 @@ def test_decompose_reads_no_cost_and_plans_nothing(monkeypatch):
         raise AssertionError("decompose chose a kernel")
 
     with monkeypatch.context() as patch:
-        for name in ("_plan", "_fits_int64"):
+        for name in ("_plan", "fits_int64"):
             patch.setattr(asp, name, refused)
         for case in cases:
             assert decompose(case).leaf_count >= asp.ARRAY_MIN_ARCS
@@ -702,7 +701,7 @@ def series_blocks(draw):
     """(children, child_first, hops): a block of series nodes as the sweep
     gathers them, with their left children's hops in ascending order.  A
     left child has no finite entry past its hops; infinite entries lie
-    anywhere from _PIN to _INF, finite ones are of either sign and, in
+    anywhere from SATURATE to NO_PATH, finite ones are of either sign and, in
     some draws, so few apart that the minima tie."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows, w = draw(st.integers(1, 9)), draw(st.integers(1, 14))
@@ -711,7 +710,7 @@ def series_blocks(draw):
     share = rng.random()  # of entries that are finite where they may be
 
     def entry(finite):
-        return rng.randint(-spread, spread) if finite else rng.randint(asp._PIN, asp._INF)
+        return rng.randint(-spread, spread) if finite else rng.randint(SATURATE, NO_PATH)
 
     children = np.array([[[[entry(rng.random() < share and (side or l <= hops[r]))
                             for l in range(w)] for _ in range(2)] for side in range(2)]
@@ -734,11 +733,11 @@ def test_series_window_keeps_finite_values_and_shares(block):
     children, child_first, hops = block
     w = children.shape[3]
     values, shares, first = _series(children, child_first, w)
-    finite = values < asp._PIN
+    finite = values < SATURATE
     got, got_shares, got_first = _series(children, child_first, min(w, hops + 1))
     assert (got[finite] == values[finite]).all()
     assert (got_shares[finite] == shares[finite]).all()
-    assert (got[~finite] >= asp._PIN).all()
+    assert (got[~finite] >= SATURATE).all()
     assert (got_first == first).all()
 
 
@@ -757,11 +756,16 @@ def _parallel_by_argmin(children, child_first):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_parallel_step_takes_the_first_least_candidate(seed):
-    # costs in 0..2, so that candidates often tie, and rows of infinities
+    # costs in 0..2, so that candidates often tie, and rows of infinities,
+    # each anywhere from SATURATE to NO_PATH
     rng = random.Random(seed)
     rows, w = rng.randint(1, 9), rng.randint(1, 6)
-    children = np.array([[[[rng.choice([0, 1, 2, 2, asp._INF]) if r % 3 else asp._INF
-                            for _ in range(w)] for _ in range(2)] for _ in range(2)]
+
+    def entry(r):
+        cost = rng.choice([0, 1, 2, 2, None]) if r % 3 else None
+        return rng.randint(SATURATE, NO_PATH) if cost is None else cost
+
+    children = np.array([[[[entry(r) for _ in range(w)] for _ in range(2)] for _ in range(2)]
                          for r in range(rows)], dtype=np.int64)
     child_first = np.array([[rng.randint(0, 2) for _ in range(2)] for _ in range(rows)],
                            dtype=np.int64)
@@ -910,7 +914,9 @@ def test_python_and_numpy_sweeps_agree_on_one_tree(inst):
         tree = decompose(inst)
     as_arrays = asp.DecompTree(tree.root, tree.height, tree.hops, _arrays(tree))
     plan = asp._plan(as_arrays.columns)
-    assert asp._sweep_lists(inst, tree.columns)[0] == asp._evaluate(inst, as_arrays, plan)[0].tolist()
+    costs = inst.graph.costs.take(as_arrays.columns.leaf_arcs, axis=1)
+    assert asp._sweep_lists(inst, tree.columns)[0] == \
+        asp._evaluate(inst, as_arrays, plan, costs)[0].tolist()
     got, want = asp._sweep(inst, tree), asp._sweep(inst, as_arrays)
     assert got[:3] == want[:3]
     for l, value in enumerate(got[1]):

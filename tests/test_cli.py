@@ -165,7 +165,7 @@ def test_validation_and_cycle_exit_codes(tmp_path, capsys):
 
 
 def test_huge_cost_exits_0_with_the_exact_total(tmp_path, capsys):
-    # past asp's int64 guard the Python sweep answers exactly
+    # a one-arc tree takes the Python sweep, which answers exactly
     huge = tmp_path / "huge.txt"
     huge.write_text(f"p recsp 2 1 0 1 1\na 0 1 {1 << 58} 1 0\n")
     assert main(["solve", "-i", str(huge), "--method", "asp"]) == 0

@@ -128,7 +128,7 @@ def leveled_transitions(draw):
 @example(([0, 1, 2, 3], [(0, 1, 0, 1), (0, 1, 5, 1), (1, 2, 0, 1)], 1), 1)
 def test_level_kernel_finds_the_list_kernels_path(drawn, scale):
     # a chain climbs at most five levels, so at 2**56 its costs sum to at
-    # most 30 * 2**56, just below LEVEL_LIMIT: the top of the kernel's range
+    # most 30 * 2**56, just below SATURATE: the top of the kernel's range
     starts, rows, budget = drawn
     transitions = [(i, j, c * scale, l, r) for r, (i, j, c, l) in enumerate(rows)]
     want = solve_csp(starts[-1], transitions, 0, starts[-1] - 1, budget)

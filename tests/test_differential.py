@@ -3,7 +3,8 @@
 Hypothesis draws small acyclic multigraphs (random DAGs with dangling
 nodes, layered graphs with off-path stubs, series-parallel graphs among
 them long chains and wide bundles) with negative costs, parallel arcs
-and, in some draws, costs on either side of the asp kernel's int64 guard.
+and, in some draws, costs on either side of ``graph.fits_int64``, the
+numpy kernels' one int64 rule.
 Each graph is solved for every budget 0 <= k < n, which covers k at and
 beyond the longest source-sink path; where asp applies, its exact root
 arrays must also equal the oracle's.  On layered graphs the layered
@@ -12,20 +13,21 @@ layered kernels must match the oracle, also with costs scaled past
 int64.  A last property forces asp's array rounds onto these small
 graphs and onto nested alternations, and checks them against the oracle
 and against the queue reduction alone, also with costs scaled past the
-asp guard.  Relabelling the nodes at random, so that the topological
-order is no longer id order, changes no total.
+int64 rule.  Relabelling the nodes at random, so that the topological
+order is no longer id order, changes no total.  At the rule's boundary
+both numpy kernels must equal their exact Python counterparts.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from recsp import asp, reduction
-from recsp.asp import ASP_INF, decompose, root_values
+from recsp.asp import decompose, root_values
 from recsp.dispatch import solve
 from recsp.errors import NotLayeredError, NotSeriesParallelError
 from recsp.generator import generate_instance
-from recsp.graph import Instance, MultiDigraph
+from recsp.graph import INF, SATURATE, Instance, MultiDigraph
 from recsp.instance_io import serialize_solution
 from recsp.oracle import bruteforce_root_values, solve_bruteforce
 from recsp.reduction import build_dag_reduction, build_layered_reduction, layered_columns
@@ -111,22 +113,23 @@ def series_parallel(draw):
     return n, [_row(draw, tail, head) for tail, head in pairs], s, t
 
 
-def _guard_limit(arc_count):
-    """Smallest |first| + |upper| of one arc that the asp guard refuses."""
-    q = 16 * (arc_count + 2)
-    return -(-ASP_INF // q) - 1
+def _guard_limit(hops):
+    """Smallest F + U that ``fits_int64`` refuses at the sink's ``hops``."""
+    return -(-SATURATE // hops)
 
 
 @st.composite
 def graphs(draw):
     n, rows, s, t = draw(st.one_of(random_dags(), layered_dags(), series_parallel()))
     if draw(st.integers(0, 3)) == 0:
-        # push one arc's cost to just below, at or just above the guard
-        worst = _guard_limit(len(rows)) + draw(st.integers(-1, 1))
+        # push one arc's first cost to where F + U, with U over every arc,
+        # is just below, at or just above the rule's limit
+        hops = Instance(MultiDigraph.from_rows(n, rows), s, t, 0).hops[t]
+        worst = _guard_limit(hops) + draw(st.integers(-1, 1))
         i = draw(st.integers(0, len(rows) - 1))
         tail, head, _, nominal, deviation = rows[i]
         sign = draw(st.sampled_from((1, -1)))
-        first = sign * (worst - abs(nominal + deviation))
+        first = sign * (worst - max(abs(u + d) for *_, u, d in rows))
         rows[i] = (tail, head, first, nominal, deviation)
     return MultiDigraph.from_rows(n, rows), s, t
 
@@ -175,7 +178,7 @@ def _columns(inst):
           suppress_health_check=[HealthCheck.too_slow])
 @given(layered_dags())
 def test_layered_and_dag_reductions_list_the_same_transitions(drawn):
-    # the layered columns against the dag list; past the int64 guard the
+    # the layered columns against the dag list; past the int64 rule the
     # layered list is the dag list, so costs stay at their drawn scale
     n, rows, s, t = drawn
     graph = MultiDigraph.from_rows(n, rows)
@@ -240,8 +243,8 @@ def test_relabelled_nodes_change_no_total(family, data):
 
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_guard_boundary_is_exact(offset, asp_kernels):
-    # one arc: |first| + |upper| one below, then at, the least magnitude
-    # the guard sends from the numpy sweep to the Python one
+    # one arc: |first| + |upper| one below, then at, 2**61, the least B
+    # that fits_int64 sends from the numpy sweep to the Python one
     worst = _guard_limit(1) + offset
     inst = Instance(MultiDigraph.from_rows(2, [(0, 1, worst - 3, 2, 1)]), 0, 1, 1)
     with pytest.MonkeyPatch.context() as patch:
@@ -250,6 +253,70 @@ def test_guard_boundary_is_exact(offset, asp_kernels):
         assert asp_kernels == ["numpy" if offset < 0 else "python"]
     assert solve(inst, "asp").total_cost == worst
     assert solve(inst).total_cost == worst
+
+
+def _on_path_bound(inst):
+    """B = h(F + U) over the arcs joining on-path nodes, in exact ints."""
+    g, on = inst.graph, inst.on_path
+    arcs = [a for a in range(g.arc_count) if on[g.tail[a]] and on[g.head[a]]]
+    return inst.hops[inst.sink] * (max(abs(g.first[a]) for a in arcs) +
+                                   max(abs(g.upper[a]) for a in arcs))
+
+
+@st.composite
+def at_the_limit(draw):
+    """A series-parallel or layered graph, a budget, and four scales of
+    its costs: the three largest that keep B below 2**61, then the least
+    that does not.  In some draws every arc costs the same, of either
+    sign, so that a chain's entries reach B or -B."""
+    n, rows, s, t = draw(st.one_of(series_parallel(), layered_dags()))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from((1, -1)))
+        first, nominal = sign * draw(st.integers(1, 20)), sign * draw(st.integers(0, 20))
+        rows = [(a, b, first, nominal, 0) for a, b, *_ in rows]
+    base = _on_path_bound(Instance(MultiDigraph.from_rows(n, rows), s, t, 0))
+    assume(base)
+    top = (SATURATE - 1) // base
+    return n, rows, s, t, draw(st.integers(1, n - 1)), (top - 2, top - 1, top, top + 1)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(at_the_limit(), st.sampled_from((1, 2, 4)))
+def test_both_numpy_kernels_equal_the_exact_ones_at_the_int64_limit(asp_kernels, drawn,
+                                                                    min_arcs):
+    # below the limit each numpy kernel runs and must equal its exact
+    # counterpart, values and paths; from the limit on the exact one runs
+    n, rows, s, t, k, scales = drawn
+    for scale in scales:
+        graph = MultiDigraph.from_rows(n, [(a, b, f * scale, u * scale, d * scale)
+                                           for a, b, f, u, d in rows])
+        inst = Instance(graph, s, t, k)
+        below = _on_path_bound(inst) < SATURATE
+        assert below == (scale < scales[-1])
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(asp, "ARRAY_MIN_ARCS", min_arcs)  # small trees are planned
+                tree = decompose(inst)
+        except NotSeriesParallelError:
+            pass
+        else:
+            as_lists = asp.DecompTree(tree.root, tree.height, tree.hops, tree.columns.lists())
+            asp_kernels.clear()
+            got, want = asp._sweep(inst, tree), asp._sweep(inst, as_lists)
+            planned = below and tree.leaf_count >= min_arcs
+            assert asp_kernels == ["numpy" if planned else "python", "python"]
+            assert got[:3] == want[:3]
+            for l, value in enumerate(want[1]):
+                if value != INF:
+                    assert got[3](l) == want[3](l)
+        try:
+            columns = layered_columns(inst)
+        except NotLayeredError:
+            continue
+        assert (columns is not None) == below
+        listed = reduction._solve(inst, build_layered_reduction(inst))
+        assert serialize_solution(solve(inst, "layered")) == serialize_solution(listed)
 
 
 @st.composite
@@ -272,8 +339,8 @@ def nested_alternations(draw):
 @given(st.one_of(series_parallel(), random_dags(), nested_alternations()),
        st.sampled_from((1, 1 << 60)))
 def test_array_rounds_match_the_oracle_and_the_queue(drawn, scale):
-    # scaled by 2**60, costs are past asp's int64 guard, so the tree the
-    # rounds build goes to the Python sweep
+    # scaled by 2**60, costs are past the int64 rule in nearly every draw,
+    # so the tree the rounds build goes to the Python sweep
     n, rows, s, t = drawn
     graph = MultiDigraph.from_rows(n, [(a, b, f * scale, u * scale, d * scale)
                                        for a, b, f, u, d in rows])

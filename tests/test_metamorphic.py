@@ -25,15 +25,17 @@ Two more move the optimum by a known amount:
 - scaling: multiplying every cost by ``s > 0`` multiplies every pair's
   total, and so the optimum, by ``s``.
 
-Their shifts and scales run from small ones to ones past the int64
-guards of the layered and asp solves, and past the int64 range of
-``graph.costs``, which clips them.
+Their shifts and scales run from small ones to ones past the int64 rule
+of the layered and asp solves, and past the int64 range of
+``graph.costs``, which clips them; the scaling relation checks which
+kernel each scale takes.
 """
 import pytest
 
 from recsp.dispatch import solve
 from recsp.generator import SplitMix64, generate_instance
 from recsp.graph import Instance, MultiDigraph
+from recsp.reduction import layered_columns
 from recsp.solution import verify_solution
 
 
@@ -108,7 +110,7 @@ def test_per_gap_shifts_raise_every_total_by_their_sum(name, longest_too):
     graph, hops, longest = base.graph, base.hops, base.hops[base.sink]
     for k in (1, 2, 5) + ((longest,) if longest_too else ()):
         total = solve(Instance(graph, base.source, base.sink, k), "layered").total_cost
-        # +-2**58 per gap takes layered past its int64 guard, onto its exact route
+        # +-2**58 per gap takes layered past its int64 rule, onto its exact route
         for bound in (5, 1 << 40, 1 << 58):
             rng = SplitMix64(bound + k)
             c, d = ({g: rng.randint(-bound, bound) for g in range(longest)} for _ in "cd")
@@ -122,15 +124,16 @@ def test_per_gap_shifts_raise_every_total_by_their_sum(name, longest_too):
                 assert solve(inst, method).total_cost == total + shift, (method, k, bound)
 
 
-# (case, methods); asp passes its int64 guard at 2**42, layered at 2**50,
-# and 2**70 saturates graph.costs on every instance
+# (case, methods); asp's and layered's costs meet the one int64 rule
+# (graph.fits_int64) at 2**20 and 2**42 and fail it from 2**50, so each
+# case runs both kernels, and 2**70 saturates graph.costs on every instance
 @pytest.mark.parametrize("name, methods", [
     ("asp-1", ("asp", "auto")),
     ("asp-3", ("asp", "auto")),
     ("layered-4", ("layered", "dag", "auto")),
     ("dag-6", ("dag", "auto")),
 ])
-def test_scaling_every_cost_scales_every_total(name, methods):
+def test_scaling_every_cost_scales_every_total(name, methods, asp_kernels):
     base = _case(name)
     graph = base.graph
     for k in (1, 2, 5):
@@ -139,7 +142,13 @@ def test_scaling_every_cost_scales_every_total(name, methods):
             scale = 1 << shift
             inst = _with_costs(base, k, *([cost * scale for cost in column] for column in
                                           (graph.first, graph.nominal, graph.deviation)))
+            asp_kernels.clear()
             for method in methods:
                 sol = solve(inst, method)
                 assert verify_solution(inst, sol).accepted, (method, k, shift)
                 assert sol.total_cost == total * scale, (method, k, shift)
+            fits = shift < 50
+            if name.startswith("asp"):
+                assert asp_kernels == ["numpy" if fits else "python"] * len(methods), (k, shift)
+            if name.startswith("layered"):
+                assert (layered_columns(inst) is not None) == fits, (k, shift)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import recsp.graph
 from recsp import reduction
-from recsp.csp import LEVEL_LIMIT, solve_levels
+from recsp.csp import solve_levels
 from recsp.dispatch import solve
 from recsp.errors import ConfigError, NotLayeredError
 from recsp.generator import SplitMix64, generate_instance
-from recsp.graph import Instance, MultiDigraph, compute_layering
+from recsp.graph import SATURATE, Instance, MultiDigraph, compute_layering
 from recsp.instance_io import parse_solution, serialize_solution
 from recsp.oracle import solve_bruteforce
 from recsp.reduction import (
@@ -232,7 +232,7 @@ def test_the_int64_guard_sends_the_layered_solve_to_the_tuple_kernel(monkeypatch
     # of the hop count below it, 2**61 - 1 being prime): the level kernel
     # runs below the limit and not at it; both ways the answer is the
     # oracle's total, and the tuple kernel's answer byte for byte
-    bound = LEVEL_LIMIT + offset
+    bound = SATURATE + offset
     calls = []
 
     def spying(*args):
@@ -248,12 +248,12 @@ def test_the_int64_guard_sends_the_layered_solve_to_the_tuple_kernel(monkeypatch
         inst = Instance(graph, 0, sink, k)
         calls.clear()
         sol = solve(inst, "layered")
-        assert len(calls) == (bound < LEVEL_LIMIT)
+        assert len(calls) == (bound < SATURATE)
         assert sol.total_cost == solve_bruteforce(inst).total_cost
         assert verify_solution(inst, sol).accepted
         listed = reduction._solve(inst, build_layered_reduction(inst))
         assert serialize_solution(listed) == serialize_solution(sol)
-    assert (layered_columns(inst) is None) == (bound >= LEVEL_LIMIT)
+    assert (layered_columns(inst) is None) == (bound >= SATURATE)
 
 
 def _shuffled_layered(rng, scale):
